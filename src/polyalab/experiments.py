@@ -34,6 +34,7 @@ from .domains import (
 )
 from .functionals import (
     GermCoefficients,
+    HankelSequenceReport,
     coeffs_from_contour,
     coeffs_from_measure,
     hankel_logdet,
@@ -282,9 +283,6 @@ def _power_coeffs(c: complex, label: str) -> GermCoefficients:
     )
 
 
-_CONTOUR_GERMS: dict[str, Callable[..., Any]] = {}
-
-
 def _contour_germ(spec, ctx: str) -> tuple[Callable[..., Any], int, str]:
     kind = _need(spec, "kind", ctx)
     if kind == "inverse":
@@ -370,6 +368,13 @@ def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
     return out
 
 
+def _int_at_least(spec: dict, key: str, default: int, minimum: int, ctx: str) -> int:
+    value = int(spec.get(key, default))
+    if value < minimum:
+        raise ConfigError(f"{ctx}: {key} must be at least {minimum}, got {value}")
+    return value
+
+
 def _cell_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=tuple(int(v) for v in key))
 
@@ -450,6 +455,28 @@ def run_fekete(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
+def _hankel_rows(
+    cfg: ExperimentConfig, label: str, report: HankelSequenceReport, wall: float
+) -> list[ReportRow]:
+    """log_hankel and, where defined, polya_D rows for each term of the sequence."""
+    rows = []
+    for term in report.terms:
+        rows.append(
+            ReportRow(
+                cfg.experiment, label, "log_hankel", term.hankel.log_abs,
+                cfg.seed, i=term.index, wall_clock=wall / len(report.terms),
+            )
+        )
+        if term.quantity is not None:
+            rows.append(
+                ReportRow(
+                    cfg.experiment, label, "polya_D", term.quantity,
+                    cfg.seed, i=term.index,
+                )
+            )
+    return rows
+
+
 def run_hankel(cfg: ExperimentConfig, workers: int) -> RunResult:
     spec = cfg.spec
     germ = build_germ(_need(spec, "germ", "hankel"))
@@ -459,21 +486,7 @@ def run_hankel(cfg: ExperimentConfig, workers: int) -> RunResult:
     result = RunResult(cfg, workers=workers)
     t0 = time.perf_counter()
     report = polya_sequence(germ, i_max)
-    wall = time.perf_counter() - t0
-    for term in report.terms:
-        result.rows.append(
-            ReportRow(
-                cfg.experiment, cfg.label, "log_hankel", term.hankel.log_abs,
-                cfg.seed, i=term.index, wall_clock=wall / len(report.terms),
-            )
-        )
-        if term.quantity is not None:
-            result.rows.append(
-                ReportRow(
-                    cfg.experiment, cfg.label, "polya_D", term.quantity,
-                    cfg.seed, i=term.index,
-                )
-            )
+    result.rows.extend(_hankel_rows(cfg, cfg.label, report, time.perf_counter() - t0))
     return result
 
 
@@ -512,21 +525,7 @@ def run_polya_check(cfg: ExperimentConfig, workers: int) -> RunResult:
             d_last = est.d_s
         t0 = time.perf_counter()
         report = polya_sequence(germ, i_max)
-        wall = time.perf_counter() - t0
-        for term in report.terms:
-            result.rows.append(
-                ReportRow(
-                    cfg.experiment, plabel, "log_hankel", term.hankel.log_abs,
-                    cfg.seed, i=term.index, wall_clock=wall / len(report.terms),
-                )
-            )
-            if term.quantity is not None:
-                result.rows.append(
-                    ReportRow(
-                        cfg.experiment, plabel, "polya_D", term.quantity,
-                        cfg.seed, i=term.index,
-                    )
-                )
+        result.rows.extend(_hankel_rows(cfg, plabel, report, time.perf_counter() - t0))
         top = report.max_quantity()
         result.rows.append(
             ReportRow(
@@ -652,8 +651,8 @@ def run_zs_check(cfg: ExperimentConfig, workers: int) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "zs-check"))
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
-    samples = int(spec.get("samples", DEFAULT_SAMPLES))
-    chunk = int(spec.get("chunk_size", DEFAULT_CHUNK))
+    samples = _int_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
+    chunk = _int_at_least(spec, "chunk_size", DEFAULT_CHUNK, 1, "zs-check")
     result = RunResult(cfg, workers=workers)
     for s in degrees:
         t0 = time.perf_counter()
@@ -689,7 +688,7 @@ def run_bm_ratio(cfg: ExperimentConfig, workers: int) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "bm-ratio"))
     degrees = _degree_list(spec, "degrees", "bm-ratio", minimum=0)
-    grid = int(spec.get("grid", DEFAULT_GRID))
+    grid = _int_at_least(spec, "grid", DEFAULT_GRID, 1, "bm-ratio")
     result = RunResult(cfg, workers=workers)
     for s in degrees:
         t0 = time.perf_counter()

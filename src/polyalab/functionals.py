@@ -21,9 +21,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import LogDet, exact_logdet, logdet
+from .linalg import LogDet, MomentMatrix, moment_matrix
 from .measures import DiscreteMeasure, Measure
-from .multiindex import MultiIndex, count_at_most, degree_counts, enumeration_for
+from .multiindex import MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for
 from .vandermonde import vdm_value
 
 
@@ -37,20 +37,12 @@ class GermCoefficients:
     exact_fn: Callable[[MultiIndex], Fraction | None] | None = None
 
     def coeff(self, k) -> complex:
-        return self.fn(self._check(k))
+        return self.fn(as_multi_index(k, self.dim))
 
     def coeff_fraction(self, k) -> Fraction | None:
         if self.exact_fn is None:
             return None
-        return self.exact_fn(self._check(k))
-
-    def _check(self, k) -> MultiIndex:
-        if isinstance(k, (int, np.integer)):
-            k = (int(k),)
-        k = tuple(int(v) for v in k)
-        if len(k) != self.dim or any(v < 0 for v in k):
-            raise ValueError(f"bad multi-index {k} for dimension {self.dim}")
-        return k
+        return self.exact_fn(as_multi_index(k, self.dim))
 
 
 def coeffs_from_measure(measure: Measure, label: str = "moments") -> GermCoefficients:
@@ -135,49 +127,20 @@ def coeffs_from_contour(
     return GermCoefficients(dim=dim, label=label, fn=fn, exact_fn=None)
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """H_i with entries a_{k(a)+k(b)}, plus an exact copy when available."""
-
-    size: int
-    matrix: np.ndarray
-    exact: tuple[tuple[Fraction, ...], ...] | None
-
-    def logdet(self) -> LogDet:
-        if self.exact is not None:
-            return exact_logdet(self.exact)
-        return logdet(self.matrix)
-
-
-def hankel_matrix(germ: GermCoefficients, size: int) -> HankelMatrix:
-    """The size-by-size Hankel-type matrix of the coefficient sequence."""
+def hankel_matrix(germ: GermCoefficients, size: int) -> MomentMatrix:
+    """The size-by-size Hankel-type matrix a_{k(a)+k(b)} of the coefficient sequence."""
     if size < 1:
         raise ValueError("size must be positive")
     idx = enumeration_for(germ.dim).prefix(size)
-    sums = [
-        [tuple(x + y for x, y in zip(idx[a], idx[b])) for b in range(size)]
-        for a in range(size)
-    ]
-    exact_rows: list[tuple[Fraction, ...]] | None = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            f = germ.coeff_fraction(sums[a][b])
-            if f is None:
-                exact_rows = None
-                break
-            row.append(f)
-        if exact_rows is None:
-            break
-        exact_rows.append(tuple(row))
-    if exact_rows is not None:
-        mat = np.array([[float(v) for v in row] for row in exact_rows], dtype=complex)
-        return HankelMatrix(size, mat, tuple(exact_rows))
-    mat = np.array(
-        [[germ.coeff(sums[a][b]) for b in range(size)] for a in range(size)],
-        dtype=complex,
+
+    def index_sum(j: MultiIndex, l: MultiIndex) -> MultiIndex:
+        return tuple(x + y for x, y in zip(j, l))
+
+    return moment_matrix(
+        idx,
+        lambda j, l: germ.coeff_fraction(index_sum(j, l)),
+        lambda j, l: germ.coeff(index_sum(j, l)),
     )
-    return HankelMatrix(size, mat, None)
 
 
 def hankel_logdet(germ: GermCoefficients, size: int) -> LogDet:

@@ -7,7 +7,9 @@ Two computation routes are provided: pivoted LU in doubles (numpy), and an
 exact integer Bareiss elimination for matrices with rational entries.  The
 exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
-floor, where a floating factorization returns garbage.
+floor, where a floating factorization returns garbage.  Gram and Hankel
+matrices are both built here as a MomentMatrix, which takes the exact
+route whenever every entry is rational.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -142,6 +144,44 @@ def exact_logdet(rows: Sequence[Sequence[Rational]]) -> LogDet:
         return LogDet.zero()
     sign = 1.0 if det > 0 else -1.0
     return LogDet(math.log(abs(det)) - log_scale, complex(sign))
+
+
+@dataclass(frozen=True)
+class MomentMatrix:
+    """A moment matrix (Gram or Hankel type), with an exact copy when available."""
+
+    size: int
+    matrix: np.ndarray
+    exact: tuple[tuple[Fraction, ...], ...] | None
+
+    def logdet(self) -> LogDet:
+        if self.exact is not None:
+            return exact_logdet(self.exact)
+        return logdet(self.matrix)
+
+
+def moment_matrix(
+    basis: Sequence,
+    exact_entry: Callable[[Any, Any], Fraction | None],
+    float_entry: Callable[[Any, Any], complex],
+) -> MomentMatrix:
+    """The matrix [entry(a, b)] over a basis prefix, shared by Gram and Hankel.
+
+    Exact when every exact entry is rational; the first None switches the
+    whole matrix to the float entries.
+    """
+    exact_rows: list[tuple[Fraction, ...]] = []
+    for a in basis:
+        row = []
+        for b in basis:
+            f = exact_entry(a, b)
+            if f is None:
+                floats = [[float_entry(x, y) for y in basis] for x in basis]
+                return MomentMatrix(len(basis), np.array(floats, dtype=complex), None)
+            row.append(f)
+        exact_rows.append(tuple(row))
+    mat = np.array([[float(v) for v in row] for row in exact_rows], dtype=complex)
+    return MomentMatrix(len(basis), mat, tuple(exact_rows))
 
 
 def _bareiss_int_det(a: list[list[int]]) -> int:

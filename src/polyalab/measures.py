@@ -2,9 +2,10 @@
 
 Each measure exposes plain moments (integrals of monomials), hermitian
 moments (integrals of z^j conj(z)^l), and sampling.  Moments come in two
-flavors: floating complex, and exact Fraction where the measure admits
-rational closed forms; the exact flavor is what lets the large determinants
-downstream escape double-precision noise.  Since a Python float is an exact
+flavors: exact Fraction where the measure admits rational closed forms,
+and floating complex (by default the exact moment, rounded); the exact
+flavor is what lets the large determinants downstream escape
+double-precision noise.  Since a Python float is an exact
 rational, every interval and radius parameter has exact moments.
 
 Z_s is the m_s-fold product integral of |V|^2.  By the standard
@@ -30,18 +31,9 @@ from .domains import (
     Interval,
     ProductSet,
 )
-from .linalg import LogDet, exact_ldl, exact_logdet, logdet, unit_lower_inverse
-from .multiindex import MultiIndex, count_at_most, enumeration_for
+from .linalg import LogDet, MomentMatrix, exact_ldl, moment_matrix, unit_lower_inverse
+from .multiindex import as_multi_index, count_at_most, enumeration_for
 from .vandermonde import basis_matrix, vdm_logabs_batch
-
-
-def _as_multi(k, dim: int) -> tuple[int, ...]:
-    if isinstance(k, (int, np.integer)):
-        k = (int(k),)
-    k = tuple(int(v) for v in k)
-    if len(k) != dim or any(v < 0 for v in k):
-        raise ValueError(f"bad multi-index {k} for dimension {dim}")
-    return k
 
 
 class Measure:
@@ -64,16 +56,16 @@ class Measure:
         return float(self.moment(zero).real)
 
     def moment(self, k) -> complex:
-        """Integral of z^k."""
-        raise NotImplementedError
+        """Integral of z^k; by default the exact moment, rounded."""
+        return complex(self.moment_fraction(k))
 
     def moment_fraction(self, k) -> Fraction | None:
         """Exact rational moment, or None when no exact form exists."""
         return None
 
     def hermitian_moment(self, j, l) -> complex:
-        """Integral of z^j conj(z)^l."""
-        raise NotImplementedError
+        """Integral of z^j conj(z)^l; by default the exact moment, rounded."""
+        return complex(self.hermitian_moment_fraction(j, l))
 
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
         return None
@@ -107,7 +99,7 @@ class ArcsineMeasure(Measure):
         return Interval(self.a, self.b)
 
     def moment_fraction(self, k) -> Fraction:
-        (deg,) = _as_multi(k, 1)
+        (deg,) = as_multi_index(k, 1)
         mid = (Fraction(self.a) + Fraction(self.b)) / 2
         half = (Fraction(self.b) - Fraction(self.a)) / 2
         total = Fraction(0)
@@ -115,16 +107,10 @@ class ArcsineMeasure(Measure):
             total += math.comb(deg, j) * mid ** (deg - j) * half**j * _std_arcsine_moment(j)
         return total
 
-    def moment(self, k) -> complex:
-        return complex(self.moment_fraction(k))
-
     def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = _as_multi(j, 1)
-        (dl,) = _as_multi(l, 1)
+        (dj,) = as_multi_index(j, 1)
+        (dl,) = as_multi_index(l, 1)
         return self.moment_fraction(dj + dl)
-
-    def hermitian_moment(self, j, l) -> complex:
-        return complex(self.hermitian_moment_fraction(j, l))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         t = np.cos(math.pi * rng.uniform(0.0, 1.0, size=count))
@@ -149,20 +135,14 @@ class UniformSegment(Measure):
         return Interval(self.a, self.b)
 
     def moment_fraction(self, k) -> Fraction:
-        (deg,) = _as_multi(k, 1)
+        (deg,) = as_multi_index(k, 1)
         lo, hi = Fraction(self.a), Fraction(self.b)
         return (hi ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * (hi - lo))
 
-    def moment(self, k) -> complex:
-        return complex(self.moment_fraction(k))
-
     def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = _as_multi(j, 1)
-        (dl,) = _as_multi(l, 1)
+        (dj,) = as_multi_index(j, 1)
+        (dl,) = as_multi_index(l, 1)
         return self.moment_fraction(dj + dl)
-
-    def hermitian_moment(self, j, l) -> complex:
-        return complex(self.hermitian_moment_fraction(j, l))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=(count, 1)).astype(complex)
@@ -184,21 +164,15 @@ class CircleUniform(Measure):
         return Circle(0j, self.radius)
 
     def moment_fraction(self, k) -> Fraction:
-        (deg,) = _as_multi(k, 1)
+        (deg,) = as_multi_index(k, 1)
         return Fraction(1) if deg == 0 else Fraction(0)
 
-    def moment(self, k) -> complex:
-        return complex(self.moment_fraction(k))
-
     def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = _as_multi(j, 1)
-        (dl,) = _as_multi(l, 1)
+        (dj,) = as_multi_index(j, 1)
+        (dl,) = as_multi_index(l, 1)
         if dj != dl:
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj)
-
-    def hermitian_moment(self, j, l) -> complex:
-        return complex(self.hermitian_moment_fraction(j, l))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         theta = rng.uniform(0.0, 2 * math.pi, size=count)
@@ -221,21 +195,15 @@ class DiskUniform(Measure):
         return Disk(0j, self.radius)
 
     def moment_fraction(self, k) -> Fraction:
-        (deg,) = _as_multi(k, 1)
+        (deg,) = as_multi_index(k, 1)
         return Fraction(1) if deg == 0 else Fraction(0)
 
-    def moment(self, k) -> complex:
-        return complex(self.moment_fraction(k))
-
     def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = _as_multi(j, 1)
-        (dl,) = _as_multi(l, 1)
+        (dj,) = as_multi_index(j, 1)
+        (dl,) = as_multi_index(l, 1)
         if dj != dl:
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj) / (dj + 1)
-
-    def hermitian_moment(self, j, l) -> complex:
-        return complex(self.hermitian_moment_fraction(j, l))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         r = self.radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
@@ -281,7 +249,7 @@ class DiscreteMeasure(Measure):
         return np.asarray([float(w) for w in self.weights])
 
     def moment(self, k) -> complex:
-        kk = _as_multi(k, self.dim)
+        kk = as_multi_index(k, self.dim)
         total = 0j
         for p, w in zip(self.atoms, self.weights):
             term = 1 + 0j
@@ -293,7 +261,7 @@ class DiscreteMeasure(Measure):
     def moment_fraction(self, k) -> Fraction | None:
         if not self._is_rational_real():
             return None
-        kk = _as_multi(k, self.dim)
+        kk = as_multi_index(k, self.dim)
         total = Fraction(0)
         for p, w in zip(self.atoms, self.weights):
             term = Fraction(1)
@@ -303,8 +271,8 @@ class DiscreteMeasure(Measure):
         return total
 
     def hermitian_moment(self, j, l) -> complex:
-        jj = _as_multi(j, self.dim)
-        ll = _as_multi(l, self.dim)
+        jj = as_multi_index(j, self.dim)
+        ll = as_multi_index(l, self.dim)
         total = 0j
         for p, w in zip(self.atoms, self.weights):
             term = 1 + 0j
@@ -316,8 +284,8 @@ class DiscreteMeasure(Measure):
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
         if not self._is_rational_real():
             return None
-        jj = _as_multi(j, self.dim)
-        ll = _as_multi(l, self.dim)
+        jj = as_multi_index(j, self.dim)
+        ll = as_multi_index(l, self.dim)
         return self.moment_fraction(tuple(a + b for a, b in zip(jj, ll)))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -346,14 +314,14 @@ class ProductMeasure(Measure):
         return ProductSet(tuple(f.support for f in self.factors))
 
     def moment(self, k) -> complex:
-        kk = _as_multi(k, self.dim)
+        kk = as_multi_index(k, self.dim)
         out = 1 + 0j
         for f, e in zip(self.factors, kk):
             out *= f.moment(e)
         return out
 
     def moment_fraction(self, k) -> Fraction | None:
-        kk = _as_multi(k, self.dim)
+        kk = as_multi_index(k, self.dim)
         out = Fraction(1)
         for f, e in zip(self.factors, kk):
             part = f.moment_fraction(e)
@@ -363,16 +331,16 @@ class ProductMeasure(Measure):
         return out
 
     def hermitian_moment(self, j, l) -> complex:
-        jj = _as_multi(j, self.dim)
-        ll = _as_multi(l, self.dim)
+        jj = as_multi_index(j, self.dim)
+        ll = as_multi_index(l, self.dim)
         out = 1 + 0j
         for f, ej, el in zip(self.factors, jj, ll):
             out *= f.hermitian_moment(ej, el)
         return out
 
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
-        jj = _as_multi(j, self.dim)
-        ll = _as_multi(l, self.dim)
+        jj = as_multi_index(j, self.dim)
+        ll = as_multi_index(l, self.dim)
         out = Fraction(1)
         for f, ej, el in zip(self.factors, jj, ll):
             part = f.hermitian_moment_fraction(ej, el)
@@ -421,65 +389,10 @@ class ScaledMeasure(Measure):
         return self.base.sample(rng, count)
 
 
-HERMITIAN = "hermitian"
-BILINEAR = "bilinear"
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Monomial Gram matrix of a measure, with an exact copy when available.
-
-    Hermitian mode pairs e_a with conj(e_b); bilinear mode integrates the
-    plain product, giving the moment matrix a_{k(a)+k(b)}.  The two agree
-    for real measures on real sets.
-    """
-
-    size: int
-    mode: str
-    matrix: np.ndarray
-    exact: tuple[tuple[Fraction, ...], ...] | None
-
-    def logdet(self) -> LogDet:
-        if self.exact is not None:
-            return exact_logdet(self.exact)
-        return logdet(self.matrix)
-
-
-def gram(measure: Measure, count: int, mode: str = HERMITIAN) -> GramMatrix:
-    """Gram matrix of the first count monomials under the chosen pairing."""
-    if mode not in (HERMITIAN, BILINEAR):
-        raise ValueError(f"unknown gram mode {mode!r}")
+def gram(measure: Measure, count: int) -> MomentMatrix:
+    """Gram matrix of the first count monomials: integrals of e_a conj(e_b)."""
     idx = enumeration_for(measure.dim).prefix(count)
-    if mode == HERMITIAN:
-        exact_entry = measure.hermitian_moment_fraction
-        float_entry = measure.hermitian_moment
-    else:
-        def exact_entry(j, l):
-            return measure.moment_fraction(tuple(x + y for x, y in zip(j, l)))
-
-        def float_entry(j, l):
-            return measure.moment(tuple(x + y for x, y in zip(j, l)))
-
-    exact_rows: list[tuple[Fraction, ...]] | None = []
-    for a in range(count):
-        row = []
-        for b in range(count):
-            f = exact_entry(idx[a], idx[b])
-            if f is None:
-                exact_rows = None
-                break
-            row.append(f)
-        if exact_rows is None:
-            break
-        exact_rows.append(tuple(row))
-    if exact_rows is not None:
-        mat = np.array([[float(v) for v in row] for row in exact_rows], dtype=complex)
-        return GramMatrix(count, mode, mat, tuple(exact_rows))
-    mat = np.array(
-        [[float_entry(idx[a], idx[b]) for b in range(count)] for a in range(count)],
-        dtype=complex,
-    )
-    return GramMatrix(count, mode, mat, None)
+    return moment_matrix(idx, measure.hermitian_moment_fraction, measure.hermitian_moment)
 
 
 def log_factorial(n: int) -> float:
@@ -491,7 +404,7 @@ def z_s_gram(measure: Measure, s: int) -> LogDet:
     if s < 0:
         raise ValueError("degree must be nonnegative")
     m = count_at_most(measure.dim, s)
-    g = gram(measure, m, HERMITIAN)
+    g = gram(measure, m)
     return g.logdet().scaled(log_factorial(m))
 
 
@@ -524,6 +437,8 @@ def z_s_montecarlo(
     """
     if samples < 2:
         raise ValueError("need at least two samples")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     m = count_at_most(measure.dim, s)
     sizes = [chunk_size] * (samples // chunk_size)
     if samples % chunk_size:
@@ -564,7 +479,7 @@ def orthonormal_coefficients(measure: Measure, count: int) -> np.ndarray:
     one, postponing all rounding to the final float conversion.  Raises
     for a singular Gram matrix.
     """
-    g = gram(measure, count, HERMITIAN)
+    g = gram(measure, count)
     if g.exact is not None:
         lower, diag = exact_ldl(g.exact)
         inv = unit_lower_inverse(lower)

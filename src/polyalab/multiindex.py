@@ -22,6 +22,16 @@ def degree(k: MultiIndex) -> int:
     return sum(k)
 
 
+def as_multi_index(k, dim: int) -> MultiIndex:
+    """Validate k (an int in one variable, else a sequence) as a dim-variable index."""
+    if isinstance(k, (int, np.integer)):
+        k = (int(k),)
+    k = tuple(int(v) for v in k)
+    if len(k) != dim or any(v < 0 for v in k):
+        raise ValueError(f"bad multi-index {k} for dimension {dim}")
+    return k
+
+
 def indices_of_degree(dim: int, s: int) -> list[MultiIndex]:
     """All multi-indices of exact degree ``s`` in ascending lex order."""
     if dim == 1:

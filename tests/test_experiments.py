@@ -283,6 +283,19 @@ def test_zs_check_runner():
     assert mc.std_error > 0
 
 
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("zs-check", "chunk_size", 0), ("zs-check", "samples", 1), ("bm-ratio", "grid", 0)],
+)
+def test_bad_sampling_sizes_are_config_errors(experiment, key, value):
+    cfg = ExperimentConfig(
+        experiment, "bad", 0,
+        {"measure": {"kind": "arcsine"}, "degrees": [1], key: value},
+    )
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(cfg)
+
+
 def test_bm_ratio_runner():
     cfg = ExperimentConfig(
         "bm-ratio", "b", 0,

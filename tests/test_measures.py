@@ -6,17 +6,17 @@ import pytest
 
 from polyalab import (
     ArcsineMeasure,
-    BILINEAR,
     CircleUniform,
     DiscreteMeasure,
     DiskUniform,
-    HERMITIAN,
     ProductMeasure,
     ScaledMeasure,
     UniformSegment,
     bernstein_markov_ratio,
+    coeffs_from_measure,
     count_at_most,
     gram,
+    hankel_matrix,
     orthonormal_coefficients,
     z_s_gram,
     z_s_montecarlo,
@@ -135,25 +135,25 @@ def test_scaled_measure_scales_everything():
 
 
 def test_gram_modes_coincide_for_real_measures():
+    # on a real measure the hermitian Gram matrix is the Hankel moment matrix
     mu = ArcsineMeasure(-1.0, 1.0)
-    h = gram(mu, 5, HERMITIAN)
-    b = gram(mu, 5, BILINEAR)
-    assert np.allclose(h.matrix, b.matrix)
-    assert h.exact == b.exact
-    assert h.exact is not None
+    g = gram(mu, 5)
+    h = hankel_matrix(coeffs_from_measure(mu), 5)
+    assert g.exact is not None
+    assert g.exact == h.exact
+    assert np.array_equal(g.matrix, h.matrix)
 
 
-def test_bilinear_gram_is_the_moment_matrix():
-    mu = UniformSegment(0.0, 1.0)
-    g = gram(mu, 4, BILINEAR)
-    for a in range(4):
-        for b in range(4):
-            assert g.matrix[a, b] == pytest.approx(mu.moment((a + b,)))
+def test_gram_arcsine_closed_form():
+    # the arcsine moment matrix has determinant 2^(-(n-1)^2) at size n
+    for n in (11, 21):
+        ld = gram(ArcsineMeasure(-1.0, 1.0), n).logdet()
+        assert ld.log_abs == pytest.approx(-((n - 1) ** 2) * math.log(2.0), abs=1e-10)
 
 
 def test_hermitian_gram_of_circle_is_diagonal():
     mu = CircleUniform(2.0)
-    g = gram(mu, 4, HERMITIAN)
+    g = gram(mu, 4)
     want = np.diag([4.0**j for j in range(4)])
     assert np.allclose(g.matrix, want)
 
@@ -163,11 +163,6 @@ def test_gram_exact_entries_match_floats():
     assert g.exact is not None
     exact = np.array([[float(v) for v in row] for row in g.exact])
     assert np.allclose(exact, g.matrix.real)
-
-
-def test_gram_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        gram(ArcsineMeasure(-1.0, 1.0), 3, "sesquilinear")
 
 
 def quadrature_z1(mu, a, b, weight):
@@ -295,6 +290,14 @@ def test_bm_ratio_closed_forms():
 def test_bm_ratio_singular_is_infinite():
     one_atom = DiscreteMeasure(((0.0,),), (Fraction(1),))
     assert bernstein_markov_ratio(one_atom, 2, per_axis=64) == math.inf
+
+
+def test_montecarlo_rejects_bad_sizes():
+    mu = UniformSegment(0.0, 1.0)
+    with pytest.raises(ValueError, match="chunk_size"):
+        z_s_montecarlo(mu, 1, samples=100, chunk_size=0)
+    with pytest.raises(ValueError, match="two samples"):
+        z_s_montecarlo(mu, 1, samples=1)
 
 
 def test_log_factorial():
