@@ -35,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="reports", help="directory for report files (default: reports)"
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel workers for searches and sampling (results do not depend on this)",
-    )
-    parser.add_argument(
         "--format", choices=("csv", "json", "both"), default="both",
         help="report format(s) to write",
     )
@@ -51,7 +47,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        result = run_experiment(cfg, workers=args.workers)
+        result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -76,7 +72,6 @@ def main(argv=None) -> int:
             config=cfg.to_dict(),
             rows=result.rows,
             flags=result.flags,
-            workers=result.workers,
             wall_clock=result.wall_clock,
             extras=result.extras,
         )

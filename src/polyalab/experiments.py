@@ -3,9 +3,8 @@
 A config file is one YAML mapping: `experiment` picks the driver, `label`,
 `seed`, and `schema` are bookkeeping, and the remaining keys are the
 driver's payload (sets, measures, germs, degree lists, search knobs).
-Every driver is a pure function of (config, seed): worker counts only
-change how the fixed chunk and restart schedule is executed, never the
-numbers, so reports are reproducible byte for byte.
+Every driver is a pure function of (config, seed), so reports are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -291,9 +290,7 @@ def _contour_germ(spec, ctx: str) -> tuple[Callable[..., Any], int, str]:
         c = _as_scalar(_need(spec, "c", ctx), ctx)
         return (lambda z: 1.0 / (z - c)), 1, f"geometric({c})"
     if kind == "inverse-product":
-        dim = int(spec.get("dim", 2))
-        if dim < 1:
-            raise ConfigError(f"{ctx}: dim must be positive")
+        dim = _number_at_least(spec, "dim", 2, 1, ctx)
 
         def germ(*zs):
             out = 1.0
@@ -342,16 +339,16 @@ _STRATEGY_KEYS = {
 }
 
 
-def build_strategy(spec, workers: int, ctx: str = "search") -> SearchStrategy:
+def build_strategy(spec, ctx: str = "search") -> SearchStrategy:
     if spec is None:
-        return SearchStrategy(workers=workers)
+        return SearchStrategy()
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
     unknown = set(spec) - _STRATEGY_KEYS
     if unknown:
         raise ConfigError(f"{ctx}: unknown strategy keys {sorted(unknown)}")
     try:
-        return SearchStrategy(workers=workers, **spec)
+        return SearchStrategy(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
@@ -368,9 +365,14 @@ def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
     return out
 
 
-def _int_at_least(spec: dict, key: str, default: int, minimum: int, ctx: str) -> int:
-    value = int(spec.get(key, default))
-    if value < minimum:
+def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int):
+    """spec[key] as an int (or float) >= minimum; a default of None means required."""
+    raw = _need(spec, key, ctx) if default is None else spec.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{ctx}: {key} must be a number, got {raw!r}") from None
+    if not value >= minimum:  # also rejects a float NaN
         raise ConfigError(f"{ctx}: {key} must be at least {minimum}, got {value}")
     return value
 
@@ -387,7 +389,6 @@ class RunResult:
     rows: list[ReportRow] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    workers: int = 1
     wall_clock: float = 0.0
 
 
@@ -411,13 +412,13 @@ def _diameter_with_cap(
         ) from exc
 
 
-def run_tdiam(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_tdiam(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     kset = build_compact(_need(spec, "set", "tdiam"))
     degrees = _degree_list(spec, "degrees", "tdiam")
-    cap = int(spec.get("search_cap", DEFAULT_SEARCH_CAP))
-    strategy = build_strategy(spec.get("search"), workers)
-    result = RunResult(cfg, workers=workers)
+    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "tdiam")
+    strategy = build_strategy(spec.get("search"))
+    result = RunResult(cfg)
     for s in degrees:
         t0 = time.perf_counter()
         est = _diameter_with_cap(kset, s, strategy, cap, _cell_seed(cfg.seed, 1, s))
@@ -431,12 +432,12 @@ def run_tdiam(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-def run_fekete(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_fekete(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     kset = build_compact(_need(spec, "set", "fekete"))
     sizes = _degree_list(spec, "sizes", "fekete")
-    strategy = build_strategy(spec.get("search"), workers)
-    result = RunResult(cfg, workers=workers)
+    strategy = build_strategy(spec.get("search"))
+    result = RunResult(cfg)
     configs: dict[str, list] = {}
     for size in sizes:
         t0 = time.perf_counter()
@@ -477,28 +478,26 @@ def _hankel_rows(
     return rows
 
 
-def run_hankel(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_hankel(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     germ = build_germ(_need(spec, "germ", "hankel"))
-    i_max = int(_need(spec, "i_max", "hankel"))
-    if i_max < 1:
-        raise ConfigError("hankel: i_max must be positive")
-    result = RunResult(cfg, workers=workers)
+    i_max = _number_at_least(spec, "i_max", None, 1, "hankel")
+    result = RunResult(cfg)
     t0 = time.perf_counter()
     report = polya_sequence(germ, i_max)
     result.rows.extend(_hankel_rows(cfg, cfg.label, report, time.perf_counter() - t0))
     return result
 
 
-def run_polya_check(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_polya_check(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     pairs = _need(spec, "pairs", "polya-check")
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError("polya-check: pairs must be a non-empty list")
-    slack = float(spec.get("slack", DEFAULT_SLACK))
-    cap = int(spec.get("search_cap", DEFAULT_SEARCH_CAP))
-    strategy = build_strategy(spec.get("search"), workers)
-    result = RunResult(cfg, workers=workers)
+    slack = _number_at_least(spec, "slack", DEFAULT_SLACK, 0.0, "polya-check", float)
+    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "polya-check")
+    strategy = build_strategy(spec.get("search"))
+    result = RunResult(cfg)
     for p_idx, pair in enumerate(pairs):
         ctx = f"polya-check.pairs[{p_idx}]"
         if not isinstance(pair, dict):
@@ -508,10 +507,8 @@ def run_polya_check(cfg: ExperimentConfig, workers: int) -> RunResult:
         germ = build_germ(_need(pair, "germ", ctx), f"{ctx}.germ")
         if kset.dim != germ.dim:
             raise ConfigError(f"{ctx}: set dimension {kset.dim} != germ dimension {germ.dim}")
-        s_max = int(_need(pair, "s_max", ctx))
-        if s_max < 1:
-            raise ConfigError(f"{ctx}: s_max must be positive")
-        i_max = int(pair.get("i_max", count_at_most(kset.dim, s_max)))
+        s_max = _number_at_least(pair, "s_max", None, 1, ctx)
+        i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
         d_last = None
         for s in range(1, s_max + 1):
             t0 = time.perf_counter()
@@ -541,7 +538,7 @@ def run_polya_check(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-def run_sharpness(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_sharpness(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     kset = build_compact(_need(spec, "set", "sharpness"))
     if not kset.is_real:
@@ -557,11 +554,11 @@ def run_sharpness(cfg: ExperimentConfig, workers: int) -> RunResult:
         if not kset.contains(point, tol=1e-6):
             raise ConfigError("sharpness: the measure is not supported on the set")
     degrees = _degree_list(spec, "degrees", "sharpness")
-    cap = int(spec.get("search_cap", DEFAULT_SEARCH_CAP))
-    tol = float(spec.get("tolerance", DEFAULT_SHARPNESS_TOL))
-    strategy = build_strategy(spec.get("search"), workers)
+    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "sharpness")
+    tol = _number_at_least(spec, "tolerance", DEFAULT_SHARPNESS_TOL, 0.0, "sharpness", float)
+    strategy = build_strategy(spec.get("search"))
     germ = coeffs_from_measure(measure)
-    result = RunResult(cfg, workers=workers)
+    result = RunResult(cfg)
     for s in degrees:
         counts = degree_counts(kset.dim, s)
         m = counts.at_most
@@ -599,18 +596,16 @@ def run_sharpness(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-def run_stability(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_stability(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     family = build_family(_need(spec, "family", "stability"))
-    s = int(_need(spec, "s", "stability"))
-    if s < 1:
-        raise ConfigError("stability: s must be positive")
+    s = _number_at_least(spec, "s", None, 1, "stability")
     j_values = _degree_list(spec, "j_values", "stability")
     if any(b <= a for a, b in zip(j_values, j_values[1:])):
         raise ConfigError("stability: j_values must be strictly increasing")
-    cap = int(spec.get("search_cap", DEFAULT_SEARCH_CAP))
-    strategy = build_strategy(spec.get("search"), workers)
-    result = RunResult(cfg, workers=workers)
+    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "stability")
+    strategy = build_strategy(spec.get("search"))
+    result = RunResult(cfg)
     values = []
     for j in j_values:
         try:
@@ -647,19 +642,18 @@ def run_stability(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-def run_zs_check(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "zs-check"))
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
-    samples = _int_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
-    chunk = _int_at_least(spec, "chunk_size", DEFAULT_CHUNK, 1, "zs-check")
-    result = RunResult(cfg, workers=workers)
+    samples = _number_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
+    chunk = _number_at_least(spec, "chunk_size", DEFAULT_CHUNK, 1, "zs-check")
+    result = RunResult(cfg)
     for s in degrees:
         t0 = time.perf_counter()
         log_gram = z_s_gram(measure, s).log_abs
         mc = z_s_montecarlo(
-            measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s),
-            workers=workers, chunk_size=chunk,
+            measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=chunk
         )
         wall = time.perf_counter() - t0
         if log_gram == mc.log_value:
@@ -684,12 +678,12 @@ def run_zs_check(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-def run_bm_ratio(cfg: ExperimentConfig, workers: int) -> RunResult:
+def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "bm-ratio"))
     degrees = _degree_list(spec, "degrees", "bm-ratio", minimum=0)
-    grid = _int_at_least(spec, "grid", DEFAULT_GRID, 1, "bm-ratio")
-    result = RunResult(cfg, workers=workers)
+    grid = _number_at_least(spec, "grid", DEFAULT_GRID, 1, "bm-ratio")
+    result = RunResult(cfg)
     for s in degrees:
         t0 = time.perf_counter()
         ratio = bernstein_markov_ratio(measure, s, per_axis=grid)
@@ -708,7 +702,7 @@ def run_bm_ratio(cfg: ExperimentConfig, workers: int) -> RunResult:
     return result
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, int], RunResult]] = {
+_RUNNERS = {
     "tdiam": run_tdiam,
     "fekete": run_fekete,
     "hankel": run_hankel,
@@ -721,12 +715,15 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig, int], RunResult]] = {
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
-    """Dispatch to the driver; wall clock covers the whole run."""
-    if workers < 1:
-        raise ConfigError("workers must be positive")
+    """Dispatch to the driver; wall clock covers the whole run.
+
+    Runs are serial. `workers` is kept only because the benchmark in
+    `perfbench/` still passes `workers=1`; any other value is rejected.
+    """
+    if workers != 1:
+        raise ConfigError(f"runs are serial; workers must be 1, got {workers!r}")
     runner = _RUNNERS[cfg.experiment]
     t0 = time.perf_counter()
-    result = runner(cfg, workers)
+    result = runner(cfg)
     result.wall_clock = time.perf_counter() - t0
-    result.workers = workers
     return result

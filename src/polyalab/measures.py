@@ -17,7 +17,6 @@ Monte Carlo estimator cross-checks the identity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .domains import (
 )
 from .linalg import LogDet, MomentMatrix, exact_ldl, moment_matrix, unit_lower_inverse
 from .multiindex import as_multi_index, count_at_most, enumeration_for
-from .vandermonde import basis_matrix, vdm_logabs_batch
+from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
 
 class Measure:
@@ -426,14 +425,13 @@ def z_s_montecarlo(
     s: int,
     samples: int = 20000,
     seed=0,
-    workers: int = 1,
     chunk_size: int = 2048,
 ) -> MonteCarloEstimate:
     """Monte Carlo Z_s: average |V|^2 over m_s-point draws from the measure.
 
     Sampling is chunked with one spawned seed per chunk, so the estimate is
-    a pure function of (seed, samples, chunk_size) no matter how many
-    workers execute the chunks.
+    a pure function of (seed, samples, chunk_size), and memory is bounded
+    by one chunk of configurations at a time.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -443,21 +441,12 @@ def z_s_montecarlo(
     sizes = [chunk_size] * (samples // chunk_size)
     if samples % chunk_size:
         sizes.append(samples % chunk_size)
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(len(sizes))
-
-    def run(task) -> np.ndarray:
-        child, size = task
+    children = as_seed_sequence(seed).spawn(len(sizes))
+    chunks = []
+    for child, size in zip(children, sizes):
         rng = np.random.default_rng(child)
         pts = measure.sample(rng, size * m).reshape(size, m, measure.dim)
-        return 2.0 * vdm_logabs_batch(pts)
-
-    tasks = list(zip(children, sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, tasks))
-    else:
-        chunks = [run(t) for t in tasks]
+        chunks.append(2.0 * vdm_logabs_batch(pts))
     logs = np.concatenate(chunks)
 
     # sampling is from the normalized measure; the mass comes back as a

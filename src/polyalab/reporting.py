@@ -2,9 +2,9 @@
 
 Every experiment produces a flat list of rows, one scalar each.  CSV holds
 the deterministic payload: identical (config, seed) runs must produce
-byte-identical CSV bodies whatever the worker count, so wall-clock times
-are kept out of it and live only in the JSON sidecar, which also embeds
-the full config for provenance.
+byte-identical CSV bodies, so wall-clock times are kept out of it and
+live only in the JSON sidecar, which also embeds the full config for
+provenance.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ def report_json_payload(
     config: dict,
     rows: Sequence[ReportRow],
     flags: Sequence[str],
-    workers: int,
     wall_clock: float,
     extras: dict | None = None,
 ) -> dict:
@@ -133,7 +132,6 @@ def report_json_payload(
             "experiment": experiment,
             "label": label,
             "seed": seed,
-            "workers": workers,
             "wall_clock_seconds": wall_clock,
             "config": config,
             "flags": list(flags),

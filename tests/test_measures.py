@@ -228,13 +228,15 @@ def test_montecarlo_agrees_with_gram():
         assert abs(mc.log_value - g) < 4.0 * mc.std_error_log
 
 
-def test_montecarlo_worker_and_seed_determinism():
+def test_montecarlo_seed_determinism():
     mu = UniformSegment(-1.0, 1.0)
-    a = z_s_montecarlo(mu, 2, samples=6000, seed=3, workers=1, chunk_size=1024)
-    b = z_s_montecarlo(mu, 2, samples=6000, seed=3, workers=4, chunk_size=1024)
+    a = z_s_montecarlo(mu, 2, samples=6000, seed=3, chunk_size=1024)
+    b = z_s_montecarlo(mu, 2, samples=6000, seed=3, chunk_size=1024)
     assert a.log_value == b.log_value
     assert a.std_error_log == b.std_error_log
-    c = z_s_montecarlo(mu, 2, samples=6000, seed=4, workers=1, chunk_size=1024)
+    seq = z_s_montecarlo(mu, 2, samples=6000, seed=np.random.SeedSequence(3), chunk_size=1024)
+    assert (seq.log_value, seq.std_error_log) == (a.log_value, a.std_error_log)
+    c = z_s_montecarlo(mu, 2, samples=6000, seed=4, chunk_size=1024)
     assert c.log_value != a.log_value
 
 

@@ -82,15 +82,13 @@ def test_interval_search_matches_classical_nodes():
         assert found.log_abs >= ref.log_abs - 1e-12
 
 
-def test_search_is_deterministic_and_worker_independent():
+def test_search_is_deterministic():
     iv = Interval(-2.0, 1.0)
     a = fekete_search(iv, 6, SearchStrategy(restarts=3), seed=42)
     b = fekete_search(iv, 6, SearchStrategy(restarts=3), seed=42)
-    c = fekete_search(iv, 6, SearchStrategy(restarts=3, workers=3), seed=42)
-    assert a.log_abs == b.log_abs == c.log_abs
+    assert a.log_abs == b.log_abs
     assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.points, c.points)
-    assert a.restart_logs == b.restart_logs == c.restart_logs
+    assert a.restart_logs == b.restart_logs
 
 
 def test_restart_schedule_is_a_prefix():
