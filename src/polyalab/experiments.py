@@ -188,13 +188,13 @@ def build_compact(spec, ctx: str = "set") -> CompactSet:
     kind = _need(spec, "kind", ctx)
     try:
         if kind == "interval":
-            return Interval(float(_need(spec, "a", ctx)), float(_need(spec, "b", ctx)))
+            return Interval(_real(spec, "a", ctx), _real(spec, "b", ctx))
         if kind == "circle":
             center = _as_scalar(spec.get("center", 0.0), ctx)
-            return Circle(center, float(_need(spec, "radius", ctx)))
+            return Circle(center, _real(spec, "radius", ctx))
         if kind == "disk":
             center = _as_scalar(spec.get("center", 0.0), ctx)
-            return Disk(center, float(_need(spec, "radius", ctx)))
+            return Disk(center, _real(spec, "radius", ctx))
         if kind == "box":
             bounds = _need(spec, "bounds", ctx)
             return Box(tuple((float(a), float(b)) for a, b in bounds))
@@ -218,10 +218,10 @@ def build_family(spec, ctx: str = "family") -> CompactFamily:
     try:
         if kind == "interval":
             return interval_family(
-                float(_need(spec, "a", ctx)),
-                float(_need(spec, "b", ctx)),
+                _real(spec, "a", ctx),
+                _real(spec, "b", ctx),
                 side=str(spec.get("side", "outer")),
-                rate=float(spec.get("rate", 1.0)),
+                rate=_real(spec, "rate", ctx, 1.0),
             )
         if kind == "constant":
             return constant_family(build_compact(_need(spec, "set", ctx), f"{ctx}.set"))
@@ -237,13 +237,13 @@ def build_measure(spec, ctx: str = "measure") -> Measure:
     mass = spec.get("mass")
     try:
         if kind == "arcsine":
-            out: Measure = ArcsineMeasure(float(spec.get("a", -1.0)), float(spec.get("b", 1.0)))
+            out: Measure = ArcsineMeasure(_real(spec, "a", ctx, -1.0), _real(spec, "b", ctx, 1.0))
         elif kind == "uniform":
-            out = UniformSegment(float(_need(spec, "a", ctx)), float(_need(spec, "b", ctx)))
+            out = UniformSegment(_real(spec, "a", ctx), _real(spec, "b", ctx))
         elif kind == "circle":
-            out = CircleUniform(float(spec.get("radius", 1.0)))
+            out = CircleUniform(_real(spec, "radius", ctx, 1.0))
         elif kind == "disk":
-            out = DiskUniform(float(spec.get("radius", 1.0)))
+            out = DiskUniform(_real(spec, "radius", ctx, 1.0))
         elif kind == "discrete":
             atoms = tuple(
                 _as_point(p, f"{ctx}.atoms") for p in _need(spec, "atoms", ctx)
@@ -266,20 +266,6 @@ def build_measure(spec, ctx: str = "measure") -> Measure:
     if mass is not None:
         out = ScaledMeasure(out, _as_fraction(mass, f"{ctx}.mass"))
     return out
-
-
-def _power_coeffs(c: complex, label: str) -> GermCoefficients:
-    # moments of a unit point mass at c: a_k = c^k, exact for real c
-    exact_fn = None
-    if c.imag == 0.0:
-        base = Fraction(c.real)
-
-        def exact_fn(k):
-            return base ** k[0]
-
-    return GermCoefficients(
-        dim=1, label=label, fn=lambda k: c ** k[0], exact_fn=exact_fn
-    )
 
 
 def _contour_germ(spec, ctx: str) -> tuple[Callable[..., Any], int, str]:
@@ -309,18 +295,20 @@ def build_germ(spec, ctx: str = "germ") -> GermCoefficients:
     if kind == "measure":
         measure = build_measure(_need(spec, "measure", ctx), f"{ctx}.measure")
         return coeffs_from_measure(measure)
-    if kind == "point-mass":
-        return _power_coeffs(_as_scalar(_need(spec, "c", ctx), ctx), "point-mass")
-    if kind == "geometric":
-        return _power_coeffs(_as_scalar(_need(spec, "c", ctx), ctx), "geometric")
+    if kind in ("point-mass", "geometric"):
+        # 1/(z - c) = sum_k c^k z^(-k-1): the moments of a unit point mass at c
+        c = _as_scalar(_need(spec, "c", ctx), ctx)
+        return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)), kind)
     if kind == "contour":
         germ, dim, label = _contour_germ(_need(spec, "germ", ctx), f"{ctx}.germ")
+        radius = _real(spec, "radius", ctx)
+        grid = _number_at_least(spec, "grid", 64, 1, ctx)
         try:
             return coeffs_from_contour(
                 germ,
                 dim=dim,
-                radius=float(_need(spec, "radius", ctx)),
-                grid_size=int(spec.get("grid", 64)),
+                radius=radius,
+                grid_size=grid,
                 label=label,
             )
         except (TypeError, ValueError) as exc:
@@ -353,28 +341,45 @@ def build_strategy(spec, ctx: str = "search") -> SearchStrategy:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
+def _is_integer_at_least(value, minimum: int) -> bool:
+    # the one rule for integer config values: no bool, no float, no string
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
     raw = _need(spec, key, ctx)
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"{ctx}: {key} must be a non-empty list of integers")
     out = []
     for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        if not _is_integer_at_least(v, minimum):
             raise ConfigError(f"{ctx}: {key} entries must be integers >= {minimum}")
         out.append(v)
     return out
 
 
 def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int):
-    """spec[key] as an int (or float) >= minimum; a default of None means required."""
+    """spec[key] as an int (or float) >= minimum; a default of None means required.
+
+    An int key takes only a true int, never a float to truncate or a bool.
+    """
     raw = _need(spec, key, ctx) if default is None else spec.get(key, default)
+    if kind is int:
+        if not _is_integer_at_least(raw, minimum):
+            raise ConfigError(f"{ctx}: {key} must be an integer >= {minimum}, got {raw!r}")
+        return raw
     try:
-        value = kind(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{ctx}: {key} must be a number, got {raw!r}") from None
-    if not value >= minimum:  # also rejects a float NaN
+    if not value >= minimum:  # also rejects NaN
         raise ConfigError(f"{ctx}: {key} must be at least {minimum}, got {value}")
     return value
+
+
+def _real(spec: dict, key: str, ctx: str, default=None) -> float:
+    """spec[key] as any real number but NaN; a default of None means required."""
+    return _number_at_least(spec, key, default, -math.inf, ctx, float)
 
 
 def _cell_seed(seed: int, *key: int) -> np.random.SeedSequence:

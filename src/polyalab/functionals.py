@@ -13,7 +13,6 @@ against diameter estimates is the point of the whole exercise.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .linalg import LogDet, MomentMatrix, moment_matrix
-from .measures import DiscreteMeasure, Measure
+from .measures import Measure
 from .multiindex import MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for
-from .vandermonde import vdm_value
 
 
 @dataclass(frozen=True)
@@ -211,37 +209,3 @@ def polya_quantity(germ: GermCoefficients, s: int) -> PolyaTerm:
     if s < 1:
         raise ValueError("degree must be at least 1")
     return polya_term(germ, count_at_most(germ.dim, s))
-
-
-MAX_ORACLE_ATOMS = 4
-MAX_ORACLE_SIZE = 3
-
-
-def iterated_functional_oracle(measure: DiscreteMeasure, size: int) -> float:
-    """Apply the functional once per variable to the squared determinant.
-
-    For a discrete measure this is the exact weighted sum of V(config)^2
-    (the plain square, not the squared modulus) over all atom tuples; its
-    absolute value equals size! times |H_size| of the moment sequence.
-    Deliberately brute force, hence the tight size limits.
-    """
-    if not isinstance(measure, DiscreteMeasure):
-        raise TypeError("the brute-force route needs a discrete measure")
-    atoms = measure.atom_array()
-    nat = atoms.shape[0]
-    if nat > MAX_ORACLE_ATOMS or size > MAX_ORACLE_SIZE:
-        raise ValueError(
-            f"brute-force oracle limited to {MAX_ORACLE_ATOMS} atoms and "
-            f"size {MAX_ORACLE_SIZE}, got {nat} atoms at size {size}"
-        )
-    if size < 1:
-        raise ValueError("size must be positive")
-    weights = [complex(float(w)) for w in measure.weights]
-    total = 0j
-    for tup in itertools.product(range(nat), repeat=size):
-        w = 1 + 0j
-        for t in tup:
-            w *= weights[t]
-        v = vdm_value(atoms[list(tup)])
-        total += w * v * v
-    return abs(total)

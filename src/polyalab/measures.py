@@ -1,10 +1,11 @@
 """Probability measures on model sets: moments, Gram matrices, Z_s, kernels.
 
-Each measure exposes plain moments (integrals of monomials), hermitian
-moments (integrals of z^j conj(z)^l), and sampling.  Moments come in two
-flavors: exact Fraction where the measure admits rational closed forms,
-and floating complex (by default the exact moment, rounded); the exact
-flavor is what lets the large determinants downstream escape
+Each measure defines its hermitian moments, the integrals of
+z^j conj(z)^l, and sampling.  A plain moment, the integral of z^k, is the
+hermitian moment at l = 0, so no measure states it again.  Moments come
+in two flavors: exact Fraction where the measure admits rational closed
+forms, and floating complex (by default the exact moment, rounded); the
+exact flavor is what lets the large determinants downstream escape
 double-precision noise.  Since a Python float is an exact
 rational, every interval and radius parameter has exact moments.
 
@@ -55,23 +56,29 @@ class Measure:
         return float(self.moment(zero).real)
 
     def moment(self, k) -> complex:
-        """Integral of z^k; by default the exact moment, rounded."""
-        return complex(self.moment_fraction(k))
+        """Integral of z^k: the hermitian moment at l = 0."""
+        return self.hermitian_moment(k, (0,) * self.dim)
 
     def moment_fraction(self, k) -> Fraction | None:
-        """Exact rational moment, or None when no exact form exists."""
-        return None
+        """Exact integral of z^k, or None: the exact hermitian moment at l = 0."""
+        return self.hermitian_moment_fraction(k, (0,) * self.dim)
 
     def hermitian_moment(self, j, l) -> complex:
         """Integral of z^j conj(z)^l; by default the exact moment, rounded."""
         return complex(self.hermitian_moment_fraction(j, l))
 
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
+        """Exact rational hermitian moment, or None when no exact form exists."""
         return None
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) points distributed by the measure."""
         raise NotImplementedError
+
+
+def _real_degree(j, l, dim: int) -> tuple[int, ...]:
+    # on a real support conj(z) = z, so z^j conj(z)^l is z^(j + l)
+    return tuple(a + b for a, b in zip(as_multi_index(j, dim), as_multi_index(l, dim)))
 
 
 def _std_arcsine_moment(k: int) -> Fraction:
@@ -97,19 +104,14 @@ class ArcsineMeasure(Measure):
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
-    def moment_fraction(self, k) -> Fraction:
-        (deg,) = as_multi_index(k, 1)
+    def hermitian_moment_fraction(self, j, l) -> Fraction:
+        (deg,) = _real_degree(j, l, 1)
         mid = (Fraction(self.a) + Fraction(self.b)) / 2
         half = (Fraction(self.b) - Fraction(self.a)) / 2
         total = Fraction(0)
-        for j in range(deg + 1):
-            total += math.comb(deg, j) * mid ** (deg - j) * half**j * _std_arcsine_moment(j)
+        for i in range(deg + 1):
+            total += math.comb(deg, i) * mid ** (deg - i) * half**i * _std_arcsine_moment(i)
         return total
-
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = as_multi_index(j, 1)
-        (dl,) = as_multi_index(l, 1)
-        return self.moment_fraction(dj + dl)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         t = np.cos(math.pi * rng.uniform(0.0, 1.0, size=count))
@@ -133,15 +135,10 @@ class UniformSegment(Measure):
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
-    def moment_fraction(self, k) -> Fraction:
-        (deg,) = as_multi_index(k, 1)
+    def hermitian_moment_fraction(self, j, l) -> Fraction:
+        (deg,) = _real_degree(j, l, 1)
         lo, hi = Fraction(self.a), Fraction(self.b)
         return (hi ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * (hi - lo))
-
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = as_multi_index(j, 1)
-        (dl,) = as_multi_index(l, 1)
-        return self.moment_fraction(dj + dl)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=(count, 1)).astype(complex)
@@ -161,10 +158,6 @@ class CircleUniform(Measure):
     @property
     def support(self) -> CompactSet:
         return Circle(0j, self.radius)
-
-    def moment_fraction(self, k) -> Fraction:
-        (deg,) = as_multi_index(k, 1)
-        return Fraction(1) if deg == 0 else Fraction(0)
 
     def hermitian_moment_fraction(self, j, l) -> Fraction:
         (dj,) = as_multi_index(j, 1)
@@ -192,10 +185,6 @@ class DiskUniform(Measure):
     @property
     def support(self) -> CompactSet:
         return Disk(0j, self.radius)
-
-    def moment_fraction(self, k) -> Fraction:
-        (deg,) = as_multi_index(k, 1)
-        return Fraction(1) if deg == 0 else Fraction(0)
 
     def hermitian_moment_fraction(self, j, l) -> Fraction:
         (dj,) = as_multi_index(j, 1)
@@ -238,36 +227,11 @@ class DiscreteMeasure(Measure):
     def support(self) -> CompactSet:
         return FiniteSet(self.atoms)
 
-    def _is_rational_real(self) -> bool:
-        return all(v.imag == 0.0 for p in self.atoms for v in p)
-
     def atom_array(self) -> np.ndarray:
         return np.asarray(self.atoms, dtype=complex)
 
     def weight_array(self) -> np.ndarray:
         return np.asarray([float(w) for w in self.weights])
-
-    def moment(self, k) -> complex:
-        kk = as_multi_index(k, self.dim)
-        total = 0j
-        for p, w in zip(self.atoms, self.weights):
-            term = 1 + 0j
-            for v, e in zip(p, kk):
-                term *= v**e
-            total += float(w) * term
-        return total
-
-    def moment_fraction(self, k) -> Fraction | None:
-        if not self._is_rational_real():
-            return None
-        kk = as_multi_index(k, self.dim)
-        total = Fraction(0)
-        for p, w in zip(self.atoms, self.weights):
-            term = Fraction(1)
-            for v, e in zip(p, kk):
-                term *= Fraction(v.real) ** e
-            total += w * term
-        return total
 
     def hermitian_moment(self, j, l) -> complex:
         jj = as_multi_index(j, self.dim)
@@ -281,11 +245,16 @@ class DiscreteMeasure(Measure):
         return total
 
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
-        if not self._is_rational_real():
+        if not self.support.is_real:
             return None
-        jj = as_multi_index(j, self.dim)
-        ll = as_multi_index(l, self.dim)
-        return self.moment_fraction(tuple(a + b for a, b in zip(jj, ll)))
+        kk = _real_degree(j, l, self.dim)
+        total = Fraction(0)
+        for p, w in zip(self.atoms, self.weights):
+            term = Fraction(1)
+            for v, e in zip(p, kk):
+                term *= Fraction(v.real) ** e
+            total += w * term
+        return total
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         probs = self.weight_array()
@@ -311,23 +280,6 @@ class ProductMeasure(Measure):
     @property
     def support(self) -> CompactSet:
         return ProductSet(tuple(f.support for f in self.factors))
-
-    def moment(self, k) -> complex:
-        kk = as_multi_index(k, self.dim)
-        out = 1 + 0j
-        for f, e in zip(self.factors, kk):
-            out *= f.moment(e)
-        return out
-
-    def moment_fraction(self, k) -> Fraction | None:
-        kk = as_multi_index(k, self.dim)
-        out = Fraction(1)
-        for f, e in zip(self.factors, kk):
-            part = f.moment_fraction(e)
-            if part is None:
-                return None
-            out *= part
-        return out
 
     def hermitian_moment(self, j, l) -> complex:
         jj = as_multi_index(j, self.dim)
@@ -369,13 +321,6 @@ class ScaledMeasure(Measure):
     @property
     def support(self) -> CompactSet:
         return self.base.support
-
-    def moment(self, k) -> complex:
-        return float(self.factor) * self.base.moment(k)
-
-    def moment_fraction(self, k) -> Fraction | None:
-        part = self.base.moment_fraction(k)
-        return None if part is None else self.factor * part
 
     def hermitian_moment(self, j, l) -> complex:
         return float(self.factor) * self.base.hermitian_moment(j, l)

@@ -48,19 +48,6 @@ def vdm_logdet(points: np.ndarray) -> LogDet:
     return logdet(basis_matrix(pts, pts.shape[0]).T)
 
 
-def vdm_value(points: np.ndarray) -> complex:
-    """The determinant itself; only safe for small configurations."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.shape[1] == 1:
-        z = pts[:, 0]
-        val = 1 + 0j
-        for i in range(len(z)):
-            for j in range(i + 1, len(z)):
-                val *= z[j] - z[i]
-        return val
-    return complex(np.linalg.det(basis_matrix(pts, pts.shape[0]).T))
-
-
 def vdm_logabs_batch(configs: np.ndarray) -> np.ndarray:
     """log|V| over a stack of configurations, shape (batch, i, dim)."""
     cfg = np.asarray(configs, dtype=complex)

@@ -1,0 +1,60 @@
+"""Brute-force determinant oracles, for use in tests at small sizes only.
+
+The library computes Vandermonde and Hankel determinants in log form,
+through LU, Bareiss or the 1D pairwise product.  These helpers compute
+the same quantities literally, as a determinant value and as the
+iterated functional summed over every tuple of atoms, so tests can
+check the fast routes against an independent one.
+"""
+
+import itertools
+
+import numpy as np
+
+from polyalab import DiscreteMeasure, basis_matrix
+
+MAX_ORACLE_ATOMS = 4
+MAX_ORACLE_SIZE = 3
+
+
+def vdm_value(points: np.ndarray) -> complex:
+    """The determinant itself; only safe for small configurations."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.shape[1] == 1:
+        z = pts[:, 0]
+        val = 1 + 0j
+        for i in range(len(z)):
+            for j in range(i + 1, len(z)):
+                val *= z[j] - z[i]
+        return val
+    return complex(np.linalg.det(basis_matrix(pts, pts.shape[0]).T))
+
+
+def iterated_functional_oracle(measure: DiscreteMeasure, size: int) -> float:
+    """Apply the functional once per variable to the squared determinant.
+
+    For a discrete measure this is the exact weighted sum of V(config)^2
+    (the plain square, not the squared modulus) over all atom tuples; its
+    absolute value equals size! times |H_size| of the moment sequence.
+    Deliberately brute force, hence the tight size limits.
+    """
+    if not isinstance(measure, DiscreteMeasure):
+        raise TypeError("the brute-force route needs a discrete measure")
+    atoms = measure.atom_array()
+    nat = atoms.shape[0]
+    if nat > MAX_ORACLE_ATOMS or size > MAX_ORACLE_SIZE:
+        raise ValueError(
+            f"brute-force oracle limited to {MAX_ORACLE_ATOMS} atoms and "
+            f"size {MAX_ORACLE_SIZE}, got {nat} atoms at size {size}"
+        )
+    if size < 1:
+        raise ValueError("size must be positive")
+    weights = [complex(float(w)) for w in measure.weights]
+    total = 0j
+    for tup in itertools.product(range(nat), repeat=size):
+        w = 1 + 0j
+        for t in tup:
+            w *= weights[t]
+        v = vdm_value(atoms[list(tup)])
+        total += w * v * v
+    return abs(total)

@@ -119,7 +119,8 @@ def test_build_germ_kinds():
     assert point.coeff_fraction((3,)) == Fraction(1, 8)
     geo = build_germ({"kind": "geometric", "c": {"re": 0.0, "im": 0.5}})
     assert geo.coeff((2,)) == pytest.approx(-0.25)
-    assert geo.exact_fn is None  # complex ratio has no rational table
+    assert geo.coeff_fraction((2,)) is None  # complex ratio has no rational moments
+    assert all(geo.coeff((k,)) == 0.5j**k for k in range(20))
     meas = build_germ({"kind": "measure", "measure": {"kind": "arcsine"}})
     assert meas.coeff((2,)) == pytest.approx(0.5)
     cont = build_germ(
@@ -303,6 +304,10 @@ _ARCSINE = {"kind": "arcsine"}
 _ARCSINE_GERM = {"kind": "measure", "measure": _ARCSINE}
 
 
+def _contour_grid(grid):
+    return {"kind": "contour", "germ": {"kind": "inverse"}, "radius": 1.5, "grid": grid}
+
+
 @pytest.mark.parametrize(
     "experiment, key, spec",
     [
@@ -315,10 +320,18 @@ _ARCSINE_GERM = {"kind": "measure", "measure": _ARCSINE}
         ("tdiam", "search_cap", {"set": _INTERVAL, "degrees": [2], "search_cap": "none"}),
         ("sharpness", "tolerance", {"set": _INTERVAL, "measure": _ARCSINE, "degrees": [1],
                                     "tolerance": "tight"}),
+        ("hankel", "i_max", {"germ": _ARCSINE_GERM, "i_max": 2.9}),
+        ("hankel", "i_max", {"germ": _ARCSINE_GERM, "i_max": True}),
+        ("zs-check", "samples", {"measure": _ARCSINE, "degrees": [1], "samples": 1000.7}),
+        ("hankel", "grid", {"germ": _contour_grid(64.9), "i_max": 2}),
+        ("hankel", "grid", {"germ": _contour_grid("many"), "i_max": 2}),
+        ("hankel", "a", {"germ": {"kind": "measure", "measure": {"kind": "arcsine", "a": "left"}},
+                         "i_max": 2}),
+        ("tdiam", "a", {"set": {"kind": "interval", "a": "x", "b": 1}, "degrees": [2]}),
     ],
 )
 def test_non_numeric_scalars_are_config_errors(experiment, key, spec):
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=rf"\b{key} must be "):
         run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
 
 

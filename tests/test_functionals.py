@@ -18,12 +18,12 @@ from polyalab import (
     degree_counts,
     hankel_logdet,
     hankel_matrix,
-    iterated_functional_oracle,
     polya_quantity,
     polya_sequence,
     polya_term,
 )
-from polyalab.functionals import MAX_ORACLE_ATOMS, MAX_ORACLE_SIZE
+
+from brute_force_oracles import MAX_ORACLE_ATOMS, MAX_ORACLE_SIZE, iterated_functional_oracle
 
 
 def test_measure_coefficients_are_the_moments():

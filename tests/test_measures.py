@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -132,6 +133,38 @@ def test_scaled_measure_scales_everything():
     for k in range(5):
         assert mu.moment((k,)) == pytest.approx(1.5 * base.moment((k,)))
     assert mu.moment_fraction((2,)) == Fraction(3, 2) * base.moment_fraction((2,))
+
+
+_ATOMS = (0.5 + 0.25j, -1.0 + 0.5j, 0.75j)
+_WEIGHTS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 2))
+_COMPLEX_ATOMS = DiscreteMeasure(tuple((z,) for z in _ATOMS), _WEIGHTS)
+
+
+def _atom_sum(j, l):
+    """Sum of w z^j conj(z)^l over the complex atoms, computed directly."""
+    return sum(float(w) * z**j * z.conjugate() ** l for z, w in zip(_ATOMS, _WEIGHTS))
+
+
+@pytest.mark.parametrize(
+    "mu, direct",
+    [
+        (_COMPLEX_ATOMS, lambda j, l: _atom_sum(j[0], l[0])),
+        (
+            ProductMeasure((_COMPLEX_ATOMS, ArcsineMeasure(-1.0, 1.0))),
+            lambda j, l: _atom_sum(j[0], l[0])
+            * chebyshev_quadrature_moment(-1.0, 1.0, j[1] + l[1]),
+        ),
+        (ScaledMeasure(_COMPLEX_ATOMS, Fraction(3, 2)), lambda j, l: 1.5 * _atom_sum(j[0], l[0])),
+    ],
+    ids=["discrete", "product", "scaled"],
+)
+def test_complex_atom_moments_are_direct_sums(mu, direct):
+    zero = (0,) * mu.dim
+    for j in itertools.product(range(4), repeat=mu.dim):
+        assert mu.moment(j) == pytest.approx(direct(j, zero), rel=1e-12, abs=1e-14)
+        assert mu.moment_fraction(j) is None
+        for l in itertools.product(range(4), repeat=mu.dim):
+            assert mu.hermitian_moment(j, l) == pytest.approx(direct(j, l), rel=1e-12, abs=1e-14)
 
 
 def test_gram_modes_coincide_for_real_measures():

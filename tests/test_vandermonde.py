@@ -13,11 +13,12 @@ from polyalab import (
     fekete_search,
     transfinite_diameter_estimate,
     vdm_logdet,
-    vdm_value,
 )
 from polyalab.linalg import logdet
 from polyalab.multiindex import degree_counts
 from polyalab.vandermonde import vdm_logabs_batch
+
+from brute_force_oracles import vdm_value
 
 
 def test_basis_matrix_orientation():
