@@ -154,19 +154,23 @@ def _need(spec: dict, key: str, ctx: str):
     return spec[key]
 
 
-def _as_scalar(value, ctx: str) -> complex:
-    """A config scalar: a real number, or a {re:, im:} mapping."""
+def _as_scalar(value, what: str, ctx: str) -> complex:
+    """A config scalar: a real number, or a {re:, im:} mapping; `what` names it."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value))
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-    raise ConfigError(f"{ctx}: expected a number or {{re, im}} mapping, got {value!r}")
+        try:
+            return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{ctx}: {what} must be a number or {{re, im}} mapping, got {value!r}")
 
 
-def _as_point(value, ctx: str) -> tuple[complex, ...]:
+def _as_point(value, key: str, ctx: str) -> tuple[complex, ...]:
+    what = f"each {key} coordinate"
     if isinstance(value, (list, tuple)):
-        return tuple(_as_scalar(v, ctx) for v in value)
-    return (_as_scalar(value, ctx),)
+        return tuple(_as_scalar(v, what, ctx) for v in value)
+    return (_as_scalar(value, what, ctx),)
 
 
 def _as_fraction(value, ctx: str) -> Fraction:
@@ -182,6 +186,16 @@ def _as_fraction(value, ctx: str) -> Fraction:
     raise ConfigError(f"{ctx}: expected a number or fraction string, got {value!r}")
 
 
+def _bounds(value, ctx: str) -> tuple[tuple[float, float], ...]:
+    """A box's bounds: a list of [low, high] pairs of real numbers."""
+    try:
+        return tuple((float(a), float(b)) for a, b in value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{ctx}: bounds must be a list of [low, high] number pairs, got {value!r}"
+        ) from None
+
+
 def build_compact(spec, ctx: str = "set") -> CompactSet:
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
@@ -190,14 +204,13 @@ def build_compact(spec, ctx: str = "set") -> CompactSet:
         if kind == "interval":
             return Interval(_real(spec, "a", ctx), _real(spec, "b", ctx))
         if kind == "circle":
-            center = _as_scalar(spec.get("center", 0.0), ctx)
+            center = _as_scalar(spec.get("center", 0.0), "center", ctx)
             return Circle(center, _real(spec, "radius", ctx))
         if kind == "disk":
-            center = _as_scalar(spec.get("center", 0.0), ctx)
+            center = _as_scalar(spec.get("center", 0.0), "center", ctx)
             return Disk(center, _real(spec, "radius", ctx))
         if kind == "box":
-            bounds = _need(spec, "bounds", ctx)
-            return Box(tuple((float(a), float(b)) for a, b in bounds))
+            return Box(_bounds(_need(spec, "bounds", ctx), ctx))
         if kind == "product":
             factors = _need(spec, "factors", ctx)
             return ProductSet(
@@ -205,7 +218,9 @@ def build_compact(spec, ctx: str = "set") -> CompactSet:
             )
         if kind == "finite":
             points = _need(spec, "points", ctx)
-            return FiniteSet(tuple(_as_point(p, f"{ctx}.points") for p in points))
+            return FiniteSet(tuple(_as_point(p, "points", ctx) for p in points))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
     raise ConfigError(f"{ctx}: unknown compact-set kind {kind!r}")
@@ -225,6 +240,8 @@ def build_family(spec, ctx: str = "family") -> CompactFamily:
             )
         if kind == "constant":
             return constant_family(build_compact(_need(spec, "set", ctx), f"{ctx}.set"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
     raise ConfigError(f"{ctx}: unknown family kind {kind!r}")
@@ -246,7 +263,7 @@ def build_measure(spec, ctx: str = "measure") -> Measure:
             out = DiskUniform(_real(spec, "radius", ctx, 1.0))
         elif kind == "discrete":
             atoms = tuple(
-                _as_point(p, f"{ctx}.atoms") for p in _need(spec, "atoms", ctx)
+                _as_point(p, "atoms", ctx) for p in _need(spec, "atoms", ctx)
             )
             weights = tuple(
                 _as_fraction(w, f"{ctx}.weights") for w in _need(spec, "weights", ctx)
@@ -273,7 +290,7 @@ def _contour_germ(spec, ctx: str) -> tuple[Callable[..., Any], int, str]:
     if kind == "inverse":
         return (lambda z: 1.0 / z), 1, "inverse"
     if kind == "geometric":
-        c = _as_scalar(_need(spec, "c", ctx), ctx)
+        c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
         return (lambda z: 1.0 / (z - c)), 1, f"geometric({c})"
     if kind == "inverse-product":
         dim = _number_at_least(spec, "dim", 2, 1, ctx)
@@ -297,7 +314,7 @@ def build_germ(spec, ctx: str = "germ") -> GermCoefficients:
         return coeffs_from_measure(measure)
     if kind in ("point-mass", "geometric"):
         # 1/(z - c) = sum_k c^k z^(-k-1): the moments of a unit point mass at c
-        c = _as_scalar(_need(spec, "c", ctx), ctx)
+        c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
         return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)), kind)
     if kind == "contour":
         germ, dim, label = _contour_germ(_need(spec, "germ", ctx), f"{ctx}.germ")
@@ -466,11 +483,12 @@ def _hankel_rows(
 ) -> list[ReportRow]:
     """log_hankel and, where defined, polya_D rows for each term of the sequence."""
     rows = []
+    per_term = wall / len(report.terms)
     for term in report.terms:
         rows.append(
             ReportRow(
                 cfg.experiment, label, "log_hankel", term.hankel.log_abs,
-                cfg.seed, i=term.index, wall_clock=wall / len(report.terms),
+                cfg.seed, i=term.index, wall_clock=per_term,
             )
         )
         if term.quantity is not None:

@@ -7,7 +7,10 @@ tables, or numerical contour integration of a germ that decays at infinity
 error falls off geometrically in the grid size).  From the coefficients the
 package builds the Hankel-type determinants H_i = det(a_{k(a)+k(b)}) and
 the normalized quantities D_i = |H_i|^(1/(2 l_s(i))), whose comparison
-against diameter estimates is the point of the whole exercise.
+against diameter estimates is the point of the whole exercise.  H_i is the
+i-th leading principal minor of one matrix, so a whole sequence
+H_1..H_n comes from one Hankel matrix and, on the exact route, one
+elimination.
 """
 
 from __future__ import annotations
@@ -166,10 +169,13 @@ def polya_term(germ: GermCoefficients, index: int) -> PolyaTerm:
     At index 1 the normalizing degree sum is zero, so the quantity is
     undefined and reported as None.
     """
-    enum = enumeration_for(germ.dim)
-    s = enum.degree_of(index)
-    counts = degree_counts(germ.dim, s)
-    ld = hankel_logdet(germ, index)
+    return _term(germ.dim, index, hankel_logdet(germ, index))
+
+
+def _term(dim: int, index: int, ld: LogDet) -> PolyaTerm:
+    """The PolyaTerm at index, given H_index as ld."""
+    s = enumeration_for(dim).degree_of(index)
+    counts = degree_counts(dim, s)
     if counts.degree_sum == 0:
         return PolyaTerm(index, s, 0, ld, None)
     if ld.is_zero:
@@ -193,10 +199,15 @@ class HankelSequenceReport:
 
 
 def polya_sequence(germ: GermCoefficients, max_index: int) -> HankelSequenceReport:
-    """The full D_i sequence up to max_index; no limit value is claimed."""
+    """The full D_i sequence up to max_index; no limit value is claimed.
+
+    H_1..H_max_index are the leading minors of the one max_index Hankel
+    matrix; each equals hankel_logdet at its own size, bit for bit.
+    """
     if max_index < 1:
         raise ValueError("max_index must be positive")
-    terms = tuple(polya_term(germ, i) for i in range(1, max_index + 1))
+    logdets = hankel_matrix(germ, max_index).prefix_logdets()
+    terms = tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
     enum = enumeration_for(germ.dim)
     diagonal = tuple(
         t for t in terms if t.index == count_at_most(germ.dim, enum.degree_of(t.index))

@@ -9,7 +9,10 @@ exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
 matrices are both built here as a MomentMatrix, which takes the exact
-route whenever every entry is rational.
+route whenever every entry is rational.  A whole sequence of leading
+principal minors comes from one elimination without pivoting, whose
+pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
+H_1..H_n costs one elimination, not n.
 """
 
 from __future__ import annotations
@@ -139,7 +142,54 @@ def exact_logdet(rows: Sequence[Sequence[Rational]]) -> LogDet:
         denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         scaled.append([int(f * denom) for f in fracs])
         log_scale += math.log(denom)
-    det = _bareiss_int_det(scaled)
+    return _scaled_logdet(_bareiss_int_det(scaled), log_scale)
+
+
+def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[LogDet]:
+    """exact_logdet of every leading principal submatrix, sizes 1..n, bit for bit.
+
+    Each row is scaled by the lcm of its whole row's denominators and one
+    Bareiss elimination without pivoting runs over the result; its pivot k
+    is the integer leading minor of size k + 1.  Size k + 1 is then turned
+    into the determinant of the matrix whose rows are scaled by the lcm of
+    their first k + 1 denominators only, as exact_logdet scales them, so
+    the same integer and the same scale reach the final logarithm.  A zero
+    pivot stops the pass: that size is singular, but later minors need not
+    be ([[0, 1], [1, 0]] has minors 0 and -1), so every larger size falls
+    back to its own pivoted elimination.
+    """
+    # MomentMatrix rows hold Fractions already: keep those, copy nothing
+    fracs = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
+    n = len(fracs)
+    if any(len(r) != n for r in fracs):
+        raise ValueError("matrix must be square")
+    full_lcm = [math.lcm(*(f.denominator for f in row)) for row in fracs]
+    scaled = [[f.numerator * (d // f.denominator) for f in row] for row, d in zip(fracs, full_lcm)]
+    out: list[LogDet] = []
+    prefix_lcm: list[int] = []  # at size k + 1: row r's lcm over its first k + 1 entries
+    full_scale = 1
+    prev = 1
+    for k in range(n):
+        for r in range(k):
+            prefix_lcm[r] = math.lcm(prefix_lcm[r], fracs[r][k].denominator)
+        prefix_lcm.append(math.lcm(*(f.denominator for f in fracs[k][: k + 1])))
+        full_scale *= full_lcm[k]
+        log_scale = 0.0
+        for d in prefix_lcm:  # row by row as in exact_logdet, for the same float bits
+            log_scale += math.log(d)
+        pivot = scaled[k][k]
+        out.append(_scaled_logdet(pivot * math.prod(prefix_lcm) // full_scale, log_scale))
+        if pivot == 0:
+            break
+        _bareiss_step(scaled, k, prev)
+        prev = pivot
+    for size in range(len(out) + 1, n + 1):
+        out.append(exact_logdet([row[:size] for row in fracs[:size]]))
+    return out
+
+
+def _scaled_logdet(det: int, log_scale: float) -> LogDet:
+    """The LogDet of det / exp(log_scale), for the integer det of a row-scaled matrix."""
     if det == 0:
         return LogDet.zero()
     sign = 1.0 if det > 0 else -1.0
@@ -158,6 +208,15 @@ class MomentMatrix:
         if self.exact is not None:
             return exact_logdet(self.exact)
         return logdet(self.matrix)
+
+    def prefix_logdets(self) -> list[LogDet]:
+        """The logdet of each leading submatrix, sizes 1..size, in order.
+
+        Each entry equals the logdet of the matrix built afresh at that size.
+        """
+        if self.exact is not None:
+            return exact_prefix_logdets(self.exact)
+        return [logdet(self.matrix[:i, :i]) for i in range(1, self.size + 1)]
 
 
 def moment_matrix(
@@ -199,17 +258,23 @@ def _bareiss_int_det(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            left = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Bareiss identity: the division by the previous pivot is exact
-                row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
+    """Eliminate below the nonzero pivot a[k][k], in place; prev is the last pivot."""
+    n = len(a)
+    pivot = a[k][k]
+    row_k = a[k]
+    for i in range(k + 1, n):
+        left = a[i][k]
+        row_i = a[i]
+        for j in range(k + 1, n):
+            # Bareiss identity: the division by the previous pivot is exact
+            row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
+        row_i[k] = 0
 
 
 def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -17,6 +17,7 @@ Monte Carlo estimator cross-checks the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,6 +89,20 @@ def _std_arcsine_moment(k: int) -> Fraction:
     return Fraction(math.comb(k, k // 2), 2**k)
 
 
+@functools.cache
+def _arcsine_moment(a, b, deg: int) -> Fraction:
+    """Exact degree-deg moment of the arcsine measure of [a, b], computed once.
+
+    Keyed by the exact fields, never rounded: equal keys are equal numbers.
+    """
+    mid = (Fraction(a) + Fraction(b)) / 2
+    half = (Fraction(b) - Fraction(a)) / 2
+    total = Fraction(0)
+    for i in range(deg + 1):
+        total += math.comb(deg, i) * mid ** (deg - i) * half**i * _std_arcsine_moment(i)
+    return total
+
+
 @dataclass(frozen=True)
 class ArcsineMeasure(Measure):
     """Equilibrium distribution of a segment [a, b]."""
@@ -106,12 +121,7 @@ class ArcsineMeasure(Measure):
 
     def hermitian_moment_fraction(self, j, l) -> Fraction:
         (deg,) = _real_degree(j, l, 1)
-        mid = (Fraction(self.a) + Fraction(self.b)) / 2
-        half = (Fraction(self.b) - Fraction(self.a)) / 2
-        total = Fraction(0)
-        for i in range(deg + 1):
-            total += math.comb(deg, i) * mid ** (deg - i) * half**i * _std_arcsine_moment(i)
-        return total
+        return _arcsine_moment(self.a, self.b, deg)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         t = np.cos(math.pi * rng.uniform(0.0, 1.0, size=count))

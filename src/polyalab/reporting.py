@@ -22,7 +22,7 @@ SCHEMA_VERSION = 1
 CSV_COLUMNS = ("experiment", "label", "quantity", "s", "i", "j", "value", "std_error", "seed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     """One computed scalar, addressed by degree s, matrix size i, or family j."""
 

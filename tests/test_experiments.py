@@ -328,6 +328,10 @@ def _contour_grid(grid):
         ("hankel", "a", {"germ": {"kind": "measure", "measure": {"kind": "arcsine", "a": "left"}},
                          "i_max": 2}),
         ("tdiam", "a", {"set": {"kind": "interval", "a": "x", "b": 1}, "degrees": [2]}),
+        ("tdiam", "bounds", {"set": {"kind": "box", "bounds": [["x", 1], [0, 1]]},
+                             "degrees": [2]}),
+        ("tdiam", "center", {"set": {"kind": "circle", "center": {"re": "x"}, "radius": 1},
+                             "degrees": [2]}),
     ],
 )
 def test_non_numeric_scalars_are_config_errors(experiment, key, spec):

@@ -11,6 +11,7 @@ from polyalab import (
     DiscreteMeasure,
     ProductMeasure,
     UniformSegment,
+    build_germ,
     coeffs_from_contour,
     coeffs_from_measure,
     coeffs_from_table,
@@ -22,6 +23,7 @@ from polyalab import (
     polya_sequence,
     polya_term,
 )
+from polyalab import functionals
 
 from brute_force_oracles import MAX_ORACLE_ATOMS, MAX_ORACLE_SIZE, iterated_functional_oracle
 
@@ -144,6 +146,62 @@ def test_polya_term_singular_hankel_gives_zero():
     assert t.hankel.is_zero
     assert t.quantity == 0.0
     assert t.defined
+
+
+def _contour_1d():
+    return coeffs_from_contour(
+        lambda z: 1.0 / (z - 0.3) + 0.5 / (z + 0.6j), radius=1.5, grid_size=64
+    )
+
+
+def _contour_2d():
+    return coeffs_from_contour(
+        lambda z, w: 1.0 / ((z - 0.3) * (w + 0.2)), dim=2, radius=1.5, grid_size=32
+    )
+
+
+_ARCSINE = ArcsineMeasure(-1.0, 1.0)
+_COMPLEX_ATOMS = DiscreteMeasure(((0.2 + 0.7j,), (-0.5,), (0.1 - 0.3j,)), (1, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "make_germ, n",
+    [
+        (lambda: coeffs_from_measure(_ARCSINE), 61),
+        (lambda: coeffs_from_measure(ProductMeasure((_ARCSINE, _ARCSINE))), 45),
+        # rank one: H_2 is a zero pivot, and each larger size falls back
+        (lambda: build_germ({"kind": "point-mass", "c": 0}), 12),
+        (lambda: build_germ({"kind": "geometric", "c": 0.3}), 12),
+        # H_1 = 0 but the later minors are not
+        (lambda: coeffs_from_table(1, {(k,): Fraction(k, k + 1) for k in range(20)}), 10),
+        # float routes
+        (_contour_1d, 12),
+        (_contour_2d, 10),
+        (lambda: coeffs_from_measure(_COMPLEX_ATOMS), 8),
+    ],
+    ids=["arcsine", "product-arcsine", "point-mass-0", "geometric-0.3", "table-zero-first",
+         "contour-1d", "contour-2d", "complex-atoms"],
+)
+def test_polya_sequence_matches_per_size_hankel(make_germ, n):
+    germ = make_germ()
+    terms = polya_sequence(germ, n).terms
+    assert len(terms) == n
+    for i, term in enumerate(terms, start=1):
+        want = hankel_logdet(germ, i)
+        assert (term.hankel.log_abs, term.hankel.phase) == (want.log_abs, want.phase), i
+
+
+def test_polya_sequence_builds_one_hankel_matrix(monkeypatch):
+    sizes = []
+    build = functionals.hankel_matrix
+
+    def counting(germ, size):
+        sizes.append(size)
+        return build(germ, size)
+
+    monkeypatch.setattr(functionals, "hankel_matrix", counting)
+    polya_sequence(coeffs_from_measure(_ARCSINE), 12)
+    assert sizes == [12]
 
 
 def test_polya_diagonal_closed_form():

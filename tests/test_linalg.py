@@ -10,6 +10,7 @@ from polyalab.linalg import (
     batch_pairwise_logabs,
     exact_ldl,
     exact_logdet,
+    exact_prefix_logdets,
     logdet,
     pairwise_difference_logdet,
     unit_lower_inverse,
@@ -136,6 +137,43 @@ def test_exact_logdet_handles_row_swaps():
     got = exact_logdet(rows)
     assert got.log_abs == pytest.approx(0.0)
     assert got.phase == pytest.approx(-1.0)
+
+
+def assert_prefixes_match_per_size(rows):
+    """Each prefix-pass entry equals exact_logdet of that leading submatrix, bit for bit."""
+    got = exact_prefix_logdets(rows)
+    assert len(got) == len(rows)
+    for size, ld in enumerate(got, start=1):
+        want = exact_logdet([row[:size] for row in rows[:size]])
+        assert (ld.log_abs, ld.phase) == (want.log_abs, want.phase), size
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1, 0]],  # zero first minor, then -1
+        [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # zero first column
+        [  # rank 1: every minor past the first vanishes
+            [Fraction(1, 2), Fraction(1), Fraction(3, 4)],
+            [Fraction(1), Fraction(2), Fraction(3, 2)],
+            [Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 8)],
+        ],
+        # row denominators grow along the row, so prefix and full lcms differ
+        [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)],
+        [[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]],
+    ],
+    ids=["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators"],
+)
+def test_prefix_logdets_match_per_size(rows):
+    assert_prefixes_match_per_size(rows)
+
+
+def test_prefix_logdets_continue_past_a_zero_minor():
+    first, second = exact_prefix_logdets([[0, 1], [1, 0]])
+    assert first.is_zero
+    assert (second.log_abs, second.phase) == (0.0, -1 + 0j)
+    with pytest.raises(ValueError):
+        exact_prefix_logdets([[1, 2]])
 
 
 def test_exact_ldl_reconstructs_matrix():

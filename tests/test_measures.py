@@ -55,6 +55,38 @@ def test_standard_arcsine_central_binomial():
         assert mu.moment_fraction((k,)) == want
 
 
+def direct_arcsine_moment(a, b, k):
+    """The binomial sum over the standard arcsine moments, computed afresh."""
+    mid = (Fraction(a) + Fraction(b)) / 2
+    half = (Fraction(b) - Fraction(a)) / 2
+    total = Fraction(0)
+    for m in range(k // 2 + 1):  # odd standard moments vanish
+        std = Fraction(math.comb(2 * m, m), 4**m)
+        total += math.comb(k, 2 * m) * mid ** (k - 2 * m) * half ** (2 * m) * std
+    return total
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5)])
+def test_cached_arcsine_moments_are_the_binomial_sum(a, b):
+    mu = ArcsineMeasure(a, b)
+    for k in range(123):
+        want = direct_arcsine_moment(a, b, k)
+        assert mu.moment_fraction((k,)) == want
+        assert mu.hermitian_moment_fraction((k // 2,), (k - k // 2,)) == want
+
+
+def test_arcsine_moment_cache_is_keyed_by_the_exact_interval():
+    third = ArcsineMeasure(Fraction(1, 3), 1)
+    near_third = ArcsineMeasure(1 / 3, 1.0)  # the float nearest 1/3, a different interval
+    measures = [ArcsineMeasure(-1.0, 1.0), ArcsineMeasure(0.0, 2.0),
+                ArcsineMeasure(-0.5, 0.5), third, near_third]
+    for k in range(12):  # interleaved, so a shared entry would be read by the wrong measure
+        for mu in measures:
+            assert mu.moment_fraction((k,)) == direct_arcsine_moment(mu.a, mu.b, k)
+    assert third.moment_fraction((1,)) == Fraction(2, 3)
+    assert near_third.moment_fraction((1,)) != Fraction(2, 3)
+
+
 @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.25, 2.0)])
 def test_uniform_moments_match_quadrature(a, b):
     mu = UniformSegment(a, b)
