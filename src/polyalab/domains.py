@@ -27,6 +27,13 @@ def as_point(z, dim: int) -> Point:
     return arr
 
 
+def as_points(z, dim: int) -> np.ndarray:
+    arr = np.asarray(z, dtype=complex)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"points must have shape (n, {dim}), got {arr.shape}")
+    return arr
+
+
 class CompactSet:
     """Base class; concrete sets implement the geometry hooks."""
 
@@ -48,8 +55,15 @@ class CompactSet:
         """Deterministic covering grid, (total, dim); total grows like per_axis^dim."""
         raise NotImplementedError
 
-    def project(self, z) -> Point:
-        """Nearest point of the set (used by local refinement)."""
+    def project(self, z) -> np.ndarray:
+        """Nearest points of the set to an (n, dim) batch, as (n, dim).
+
+        Used by local refinement, one batch of candidates per point.  Each
+        row is projected on its own, bit for bit as a one-row batch would
+        be.  Distances to a centre are np.hypot(d.real, d.imag), which is
+        what the scalar abs() of a complex gives; np.abs on a complex
+        array rounds differently in the last bit.
+        """
         raise NotImplementedError
 
     def reference_points(self, count: int) -> np.ndarray | None:
@@ -85,9 +99,8 @@ class Interval(CompactSet):
     def grid(self, per_axis: int) -> np.ndarray:
         return np.linspace(self.a, self.b, per_axis, dtype=complex).reshape(-1, 1)
 
-    def project(self, z) -> Point:
-        w = as_point(z, 1)[0]
-        return np.array([complex(min(max(w.real, self.a), self.b))])
+    def project(self, z) -> np.ndarray:
+        return np.clip(as_points(z, 1).real, self.a, self.b).astype(complex)
 
     def reference_points(self, count: int) -> np.ndarray | None:
         if count < 1:
@@ -138,12 +151,14 @@ class Circle(CompactSet):
         theta = np.linspace(0.0, 2 * math.pi, per_axis, endpoint=False)
         return (self.center + self.radius * np.exp(1j * theta)).reshape(-1, 1)
 
-    def project(self, z) -> Point:
-        w = as_point(z, 1)[0]
-        d = w - self.center
-        if abs(d) == 0.0:
-            return np.array([self.center + self.radius])
-        return np.array([self.center + self.radius * d / abs(d)])
+    def project(self, z) -> np.ndarray:
+        d = as_points(z, 1) - self.center
+        dist = np.hypot(d.real, d.imag)
+        # the centre itself goes to the point at angle 0
+        out = np.full(d.shape, self.center + self.radius)
+        away = dist != 0.0
+        out[away] = self.center + self.radius * d[away] / dist[away]
+        return out
 
     def reference_points(self, count: int) -> np.ndarray | None:
         if count < 1:
@@ -187,12 +202,14 @@ class Disk(CompactSet):
             pts.append(self.center + r * np.exp(1j * theta))
         return np.concatenate(pts).reshape(-1, 1)
 
-    def project(self, z) -> Point:
-        w = as_point(z, 1)[0]
+    def project(self, z) -> np.ndarray:
+        w = as_points(z, 1)
         d = w - self.center
-        if abs(d) <= self.radius:
-            return np.array([w])
-        return np.array([self.center + self.radius * d / abs(d)])
+        dist = np.hypot(d.real, d.imag)
+        out = w.copy()
+        outside = ~(dist <= self.radius)
+        out[outside] = self.center + self.radius * d[outside] / dist[outside]
+        return out
 
     def reference_points(self, count: int) -> np.ndarray | None:
         # sup-norm extremal configurations sit on the boundary circle
@@ -233,12 +250,12 @@ class Box(CompactSet):
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1).astype(complex)
 
-    def project(self, z) -> Point:
-        w = as_point(z, self.dim)
-        out = np.empty(self.dim, dtype=complex)
-        for i, ((a, b), v) in enumerate(zip(self.bounds, w)):
-            out[i] = complex(min(max(v.real, a), b))
-        return out
+    def project(self, z) -> np.ndarray:
+        # axis by axis: np.clip with scalar bounds keeps the sign of a zero
+        # as min(max(x, a), b) does, with array bounds it does not
+        w = as_points(z, self.dim).real
+        cols = [np.clip(w[:, i], a, b) for i, (a, b) in enumerate(self.bounds)]
+        return np.stack(cols, axis=1).astype(complex)
 
     def reference_points(self, count: int) -> np.ndarray | None:
         return None
@@ -274,9 +291,11 @@ class ProductSet(CompactSet):
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    def project(self, z) -> Point:
-        w = as_point(z, self.dim)
-        return np.array([f.project(v)[0] for f, v in zip(self.factors, w)])
+    def project(self, z) -> np.ndarray:
+        w = as_points(z, self.dim)
+        return np.concatenate(
+            [f.project(w[:, i : i + 1]) for i, f in enumerate(self.factors)], axis=1
+        )
 
     def reference_points(self, count: int) -> np.ndarray | None:
         return None
@@ -318,11 +337,11 @@ class FiniteSet(CompactSet):
     def grid(self, per_axis: int) -> np.ndarray:
         return self._array()
 
-    def project(self, z) -> Point:
-        w = as_point(z, self.dim)
+    def project(self, z) -> np.ndarray:
+        w = as_points(z, self.dim)
         arr = self._array()
-        d = np.abs(arr - w[None, :]).max(axis=1)
-        return arr[int(np.argmin(d))]
+        d = np.abs(arr[None, :, :] - w[:, None, :]).max(axis=2)
+        return arr[np.argmin(d, axis=1)]
 
     def reference_points(self, count: int) -> np.ndarray | None:
         arr = self._array()

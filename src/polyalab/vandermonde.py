@@ -7,6 +7,14 @@ of the basis, yields the diameter-like quantities this package estimates.
 Search combines a greedy pivoted start, cyclic single-point exchange driven
 by determinant ratios, and multiscale local refinement, with independent
 restarts merged deterministically.
+
+Each exchange pass builds its fixed tables once: in one variable the table
+log|pool - current|, in several the pool's basis matrix and the inverse of
+the current configuration's.  An accepted swap refreshes only what it
+changed, and is accepted only after an exact re-evaluation of log|V|.
+Refinement projects the candidates around each point as one batch.  Both
+give bit for bit the scores and points of per-position and per-point
+recomputation.
 """
 
 from __future__ import annotations
@@ -182,7 +190,7 @@ def _run_restart(
                 rng.standard_normal((strategy.refine_candidates, current.shape[1]))
                 + 1j * rng.standard_normal((strategy.refine_candidates, current.shape[1]))
             )
-            cand_rows.append(np.stack([kset.project(current[j] + st) for st in steps]))
+            cand_rows.append(kset.project(current[j][None, :] + steps))
         current, log_abs, _ = _exchange_pass(
             current,
             log_abs,
@@ -249,55 +257,86 @@ def _exchange_pass(
     pool: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, float, bool]:
-    """One cyclic sweep of best single-point replacements from the pool."""
+    """One cyclic sweep of best single-point replacements from the pool.
+
+    The tables are built before position 0 and refreshed only where an
+    accepted swap changed them (column j, or the inverse), so each score
+    comes from the same entries in the same layout as a fresh table would:
+    bit for bit the per-position recomputation.
+    """
     size, dim = current.shape
     improved = False
     current = current.copy()
+    if dim == 1:
+        table = _log_distances(pool[:, :1], current[None, :, 0])
+    else:
+        pool_basis = basis_matrix(pool, size).T
+        binv = _basis_inverse(current)
     for j in range(size):
-        gain, cand = _best_replacement(current, j, pool)
-        if gain <= tol or cand is None:
+        if dim == 1:
+            gain, k = _best_replacement_1d(table, current, j)
+        else:
+            gain, k = _best_replacement(pool_basis, binv, j)
+        if gain <= tol or k is None:
             continue
         trial = current.copy()
-        trial[j] = cand
+        trial[j] = pool[k]
         trial_log = vdm_logdet(trial).log_abs
         # the ratio estimate nominated the move; accept it only on an
         # exact re-evaluation so the trace stays monotone
         if trial_log > log_abs + tol:
             current, log_abs, improved = trial, trial_log, True
+            if dim == 1:
+                table[:, j] = _log_distances(pool[:, 0], current[j, 0])
+            else:
+                binv = _basis_inverse(current)
     return current, log_abs, improved
 
 
-def _best_replacement(
-    current: np.ndarray,
-    j: int,
-    pool: np.ndarray,
-) -> tuple[float, np.ndarray | None]:
-    """Best log-gain for swapping position j against the pool, by ratios."""
-    size, dim = current.shape
-    if dim == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.log(np.abs(pool[:, :1] - current[None, :, 0]))
-            scores = d.sum(axis=1) - d[:, j]
-        # a candidate equal to the point under replacement produces inf - inf
-        scores = np.nan_to_num(scores, nan=-np.inf)
-        with np.errstate(divide="ignore"):
-            own_row = np.log(np.abs(current[j, 0] - current[:, 0]))
-        own = np.sum(np.delete(own_row, j))
-        k = int(np.argmax(scores))
-        if not np.isfinite(scores[k]):
-            return 0.0, None
-        return float(scores[k] - own), pool[k]
-    b = basis_matrix(current, size).T
-    try:
-        binv = np.linalg.inv(b)
-    except np.linalg.LinAlgError:
+def _best_replacement_1d(
+    table: np.ndarray, current: np.ndarray, j: int
+) -> tuple[float, int | None]:
+    """Best log-gain and pool index for position j; table[r, c] = log|pool_r - current_c|."""
+    # a candidate equal to the point under replacement produces inf - inf
+    with np.errstate(invalid="ignore"):
+        scores = table.sum(axis=1) - table[:, j]
+    scores = np.nan_to_num(scores, nan=-np.inf)
+    own = np.sum(np.delete(_log_distances(current[j, 0], current[:, 0]), j))
+    k = int(np.argmax(scores))
+    if not np.isfinite(scores[k]):
         return 0.0, None
-    ratios = np.abs(basis_matrix(pool, size).T @ binv[:, j])
+    return float(scores[k] - own), k
+
+
+def _log_distances(a, b) -> np.ndarray:
+    """log|a - b|, broadcast; coincident points give -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(a - b))
+
+
+def _basis_inverse(current: np.ndarray) -> np.ndarray | None:
+    try:
+        return np.linalg.inv(basis_matrix(current, current.shape[0]).T)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _best_replacement(
+    pool_basis: np.ndarray, binv: np.ndarray | None, j: int
+) -> tuple[float, int | None]:
+    """Best log-gain and pool index for position j, by determinant ratios.
+
+    pool_basis[r] @ binv[:, j] is det(B with row j replaced by pool point
+    r's basis row) / det(B), B the current configuration's basis matrix.
+    """
+    if binv is None:
+        return 0.0, None
+    ratios = np.abs(pool_basis @ binv[:, j])
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
     k = int(np.argmax(ratios))
     if not np.isfinite(ratios[k]) or ratios[k] <= 0.0:
         return 0.0, None
-    return float(np.log(ratios[k])), pool[k]
+    return float(np.log(ratios[k])), k
 
 
 def _spread(pool: np.ndarray) -> float:

@@ -1,0 +1,84 @@
+"""Per-position and per-point forms of the search's kernels, for tests only.
+
+The library's exchange pass builds its tables once per pass and refreshes
+them after an accepted swap; its projections take a whole batch of points.
+These helpers are the plain forms they replace: every position rebuilds
+its tables from the current configuration, and every point is projected
+on its own with scalar arithmetic.  Tests compare the two bit for bit.
+"""
+
+import numpy as np
+
+from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet, basis_matrix, vdm_logdet
+
+
+def exchange_pass(current, log_abs, pool, tol):
+    """One cyclic sweep, every position's scores computed from scratch."""
+    size = current.shape[0]
+    improved = False
+    current = current.copy()
+    for j in range(size):
+        gain, cand = best_replacement(current, j, pool)
+        if gain <= tol or cand is None:
+            continue
+        trial = current.copy()
+        trial[j] = cand
+        trial_log = vdm_logdet(trial).log_abs
+        if trial_log > log_abs + tol:
+            current, log_abs, improved = trial, trial_log, True
+    return current, log_abs, improved
+
+
+def best_replacement(current, j, pool):
+    """Best log-gain and candidate point for position j, tables rebuilt."""
+    size, dim = current.shape
+    if dim == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.log(np.abs(pool[:, :1] - current[None, :, 0]))
+            scores = d.sum(axis=1) - d[:, j]
+        scores = np.nan_to_num(scores, nan=-np.inf)
+        with np.errstate(divide="ignore"):
+            own_row = np.log(np.abs(current[j, 0] - current[:, 0]))
+        own = np.sum(np.delete(own_row, j))
+        k = int(np.argmax(scores))
+        if not np.isfinite(scores[k]):
+            return 0.0, None
+        return float(scores[k] - own), pool[k]
+    b = basis_matrix(current, size).T
+    try:
+        binv = np.linalg.inv(b)
+    except np.linalg.LinAlgError:
+        return 0.0, None
+    ratios = np.abs(basis_matrix(pool, size).T @ binv[:, j])
+    ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
+    k = int(np.argmax(ratios))
+    if not np.isfinite(ratios[k]) or ratios[k] <= 0.0:
+        return 0.0, None
+    return float(np.log(ratios[k])), pool[k]
+
+
+def project_point(kset, point):
+    """Nearest point of the set to one point of shape (dim,), as (dim,)."""
+    w = np.asarray(point, dtype=complex)
+    if isinstance(kset, Interval):
+        return np.array([complex(min(max(w[0].real, kset.a), kset.b))])
+    if isinstance(kset, (Circle, Disk)):
+        d = w[0] - kset.center
+        if isinstance(kset, Disk) and abs(d) <= kset.radius:
+            return np.array([w[0]])
+        if abs(d) == 0.0:
+            return np.array([kset.center + kset.radius])
+        return np.array([kset.center + kset.radius * d / abs(d)])
+    if isinstance(kset, Box):
+        return np.array([complex(min(max(v.real, a), b)) for (a, b), v in zip(kset.bounds, w)])
+    if isinstance(kset, ProductSet):
+        return np.array([project_point(f, w[i : i + 1])[0] for i, f in enumerate(kset.factors)])
+    if isinstance(kset, FiniteSet):
+        arr = np.asarray(kset.points, dtype=complex)
+        return arr[int(np.argmin(np.abs(arr - w[None, :]).max(axis=1)))]
+    raise TypeError(f"no per-point projection for {type(kset).__name__}")
+
+
+def project_each(kset, points):
+    """Per-point projection of every row of an (n, dim) array."""
+    return np.stack([project_point(kset, p) for p in np.asarray(points, dtype=complex)])

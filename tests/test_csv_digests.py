@@ -1,0 +1,37 @@
+"""scripts/csv_digests.py: sha256 of each config's report CSV, and its check."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+from polyalab import ExperimentConfig, rows_to_csv_text, run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "csv_digests.py"
+CONFIG = "configs/circle_polya.yaml"
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), *args], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_csv_digests_hash_the_report_and_flag_a_change(tmp_path):
+    result = run_experiment(ExperimentConfig.load(ROOT / CONFIG))
+    expected = hashlib.sha256(rows_to_csv_text(result.rows).encode()).hexdigest()
+
+    first = _run(CONFIG)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == f"{expected}  {CONFIG}\n"
+
+    saved = tmp_path / "before.txt"
+    saved.write_text(first.stdout)
+    same = _run(CONFIG, "--against", str(saved))
+    assert same.returncode == 0, same.stderr
+
+    saved.write_text(f"{'0' * 64}  {CONFIG}\n")
+    changed = _run(CONFIG, "--against", str(saved))
+    assert changed.returncode == 1
+    assert f"changed: {CONFIG}" in changed.stderr

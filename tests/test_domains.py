@@ -49,19 +49,24 @@ def test_grid_points_belong_to_the_set(kset):
 def test_projection_lands_on_the_set(kset):
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(20, kset.dim)) + 1j * rng.normal(size=(20, kset.dim))
-    for row in raw:
-        assert kset.contains(kset.project(row), tol=1e-7)
+    projected = kset.project(raw)
+    assert projected.shape == raw.shape
+    for p in projected:
+        assert kset.contains(p, tol=1e-7)
 
 
 def test_projection_fixes_members():
     iv = Interval(-1.0, 1.0)
-    assert iv.project(0.3)[0] == pytest.approx(0.3)
+    assert iv.project([[0.3]])[0, 0] == pytest.approx(0.3)
     disk = Disk(0.0, 1.0)
-    assert disk.project(0.2 + 0.1j)[0] == pytest.approx(0.2 + 0.1j)
+    assert disk.project([[0.2 + 0.1j]])[0, 0] == pytest.approx(0.2 + 0.1j)
     circ = Circle(0.0, 1.0)
-    w = circ.project(3.0 + 4.0j)[0]
+    w = circ.project([[3.0 + 4.0j]])[0, 0]
     assert abs(w) == pytest.approx(1.0)
     assert w == pytest.approx((3.0 + 4.0j) / 5.0)
+    # a batch is (n, dim); a bare point is rejected rather than guessed at
+    with pytest.raises(ValueError, match="shape"):
+        iv.project(0.3)
 
 
 def test_membership_tolerances():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -14,6 +15,8 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 )
 
+from per_point_oracles import project_each  # noqa: E402
+from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
 
 # zero is drawn often enough that many examples have a vanishing leading
@@ -41,3 +44,61 @@ def rational_matrices(draw):
 @hypothesis.given(rational_matrices())
 def test_prefix_logdets_match_per_size_on_random_matrices(rows):
     assert_prefixes_match_per_size(rows)
+
+
+PROJECTION_SETS = [
+    Interval(-1.0, 1.0),
+    Interval(0.0, 3.5),
+    Circle(0.0, 1.0),
+    Circle(0.5 + 0.5j, 2.0),
+    Disk(0.0, 1.5),
+    Disk(1.0j, 0.5),
+    Box(((-1.0, 1.0), (0.0, 2.0))),
+    ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))),
+    ProductSet((Disk(0.0, 1.0), Circle(2.0, 0.5))),
+    # 0.5 and 1.5 are equidistant from two atoms
+    FiniteSet(((0.0,), (1.0,), (2.0,))),
+    FiniteSet(((0.0, 0.0), (1.0, 1.0), (1.0j, -1.0))),
+]
+# centres, atoms, bounds and boundary points, drawn often so that exact
+# hits on them (d = 0, ties, clipping at a bound) are common
+SPECIAL = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 1.5, 1.0j, 0.5 + 0.5j, 2.5 + 0.5j, 1.5j])
+COORD = st.floats(-4.0, 4.0)
+POINT = st.one_of(SPECIAL, st.builds(complex, COORD, COORD))
+
+
+@st.composite
+def projection_cases(draw):
+    kset = draw(st.sampled_from(PROJECTION_SETS))
+    n = draw(st.integers(min_value=1, max_value=8))
+    values = draw(st.lists(POINT, min_size=n * kset.dim, max_size=n * kset.dim))
+    return kset, np.array(values, dtype=complex).reshape(n, kset.dim)
+
+
+def _case(kset, points):
+    return kset, np.array(points, dtype=complex).reshape(-1, kset.dim)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(projection_cases())
+@hypothesis.example(_case(Circle(0.5 + 0.5j, 2.0), [0.5 + 0.5j, 3.0 + 4.0j, 0.5 + 0.5j]))
+@hypothesis.example(_case(Circle(0.0, 1.0), [0.0, 1e-300, 1.0, 1.0j, -0.6 + 0.8j]))
+@hypothesis.example(_case(Disk(0.0, 1.5), [0.0, 0.3 - 0.4j, 1.5, -1.5j, 3.0 + 4.0j, -2.0]))
+@hypothesis.example(_case(FiniteSet(((0.0,), (1.0,), (2.0,))), [0.5, 1.5, 1.0, 0.5 + 0.5j]))
+@hypothesis.example(_case(Box(((-1.0, 1.0), (0.0, 2.0))), [-1.0, 0.0, 1.0, 2.0, 3.0 + 1j, -0.0]))
+@hypothesis.example(
+    _case(ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))), [0.3, 0.0, -2.0, 1.0j])
+)
+def test_batched_projection_is_per_point_projection(case):
+    kset, points = case
+    got = kset.project(points)
+    want = project_each(kset, points)
+    assert got.shape == want.shape == points.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kset", PROJECTION_SETS, ids=lambda k: type(k).__name__)
+def test_batched_projection_fixes_points_on_the_set(kset):
+    on_set = kset.grid(6)
+    assert kset.project(on_set).tobytes() == project_each(kset, on_set).tobytes()

@@ -6,8 +6,10 @@ import pytest
 from polyalab import (
     Box,
     Circle,
+    Disk,
     FiniteSet,
     Interval,
+    ProductSet,
     SearchStrategy,
     basis_matrix,
     fekete_search,
@@ -15,10 +17,12 @@ from polyalab import (
     vdm_logdet,
 )
 from polyalab.linalg import logdet
+from polyalab import vandermonde
 from polyalab.multiindex import degree_counts
-from polyalab.vandermonde import vdm_logabs_batch
+from polyalab.vandermonde import _candidate_pool, _exchange_pass, vdm_logabs_batch
 
 from brute_force_oracles import vdm_value
+from per_point_oracles import exchange_pass
 
 
 def test_basis_matrix_orientation():
@@ -174,3 +178,66 @@ def test_search_trace_is_monotone():
     found = fekete_search(Interval(-1.0, 1.0), 8, SearchStrategy(restarts=2), seed=5)
     diffs = np.diff(np.array(found.trace))
     assert np.all(diffs >= -1e-12)
+
+
+EXCHANGE_SETS = [
+    Interval(-1.0, 1.0),
+    Circle(0.5 + 0.5j, 2.0),
+    Disk(0.0, 1.5),
+    # atoms drawn into the pool repeat, and may equal a current point
+    FiniteSet(tuple((v,) for v in np.linspace(-1.0, 2.0, 9))),
+    Box(((-1.0, 1.0), (-1.0, 1.0))),
+    ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("size", [4, 7])
+@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_exchange_pass_matches_per_position_tables(kset, size, seed):
+    rng = np.random.default_rng(seed)
+    pool = _candidate_pool(kset, size, 64, rng, kset.reference_points(size))
+    # a random start of distinct points leaves most positions to swap, so
+    # the table refresh after an accepted swap decides the later scores
+    distinct = np.unique(pool, axis=0)
+    current = distinct[rng.permutation(len(distinct))[:size]]
+    log_abs = vdm_logdet(current).log_abs
+    got = _exchange_pass(current, log_abs, pool, 1e-10)
+    want = exchange_pass(current, log_abs, pool, 1e-10)
+    assert want[2]
+    assert got[2] == want[2]
+    assert (got[0] == want[0]).all()
+    assert got[1] == want[1]
+
+
+def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
+    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    rng = np.random.default_rng(3)
+    pool, current = box.sample(rng, 64), box.sample(rng, 6)
+    widths = []
+    build = vandermonde.basis_matrix
+
+    def counting(points, count):
+        widths.append(len(points))
+        return build(points, count)
+
+    monkeypatch.setattr(vandermonde, "basis_matrix", counting)
+    _, _, improved = _exchange_pass(current, vdm_logdet(current).log_abs, pool, 1e-10)
+    assert improved
+    assert widths.count(len(pool)) == 1
+
+
+def test_refinement_projects_one_batch_per_point(monkeypatch):
+    batches = []
+    project = Interval.project
+
+    def counting(self, z):
+        batches.append(np.shape(z))
+        return project(self, z)
+
+    monkeypatch.setattr(Interval, "project", counting)
+    strategy = SearchStrategy(
+        restarts=1, pool_size=32, exchange_passes=0, refine_levels=1, refine_candidates=12
+    )
+    fekete_search(Interval(-1.0, 1.0), 6, strategy, seed=0)
+    assert batches == [(12, 1)] * 6
