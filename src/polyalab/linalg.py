@@ -17,6 +17,7 @@ H_1..H_n costs one elimination, not n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +83,15 @@ def logdet(matrix: np.ndarray) -> LogDet:
     return LogDet(float(log_abs), complex(sign))
 
 
+@functools.cache
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), built once per size; the arrays are read-only."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def pairwise_difference_logdet(points: np.ndarray) -> LogDet:
     """Classic 1D Vandermonde determinant prod_{i<j} (x_j - x_i), in log form.
 
@@ -92,9 +102,7 @@ def pairwise_difference_logdet(points: np.ndarray) -> LogDet:
     m = pts.shape[0]
     if m <= 1:
         return LogDet(0.0, 1 + 0j)
-    diffs = pts[None, :] - pts[:, None]
-    iu = np.triu_indices(m, 1)
-    upper = diffs[iu]
+    upper = (pts[None, :] - pts[:, None])[_upper_pairs(m)]
     mags = np.abs(upper)
     if np.any(mags == 0.0):
         return LogDet.zero()
@@ -109,9 +117,8 @@ def batch_pairwise_logabs(points: np.ndarray) -> np.ndarray:
     b, m = pts.shape
     if m <= 1:
         return np.zeros(b)
-    diffs = pts[:, None, :] - pts[:, :, None]
-    iu = np.triu_indices(m, 1)
-    mags = np.abs(diffs[:, iu[0], iu[1]])
+    rows, cols = _upper_pairs(m)
+    mags = np.abs((pts[:, None, :] - pts[:, :, None])[:, rows, cols])
     with np.errstate(divide="ignore"):
         return np.sum(np.log(mags), axis=1)
 

@@ -9,16 +9,18 @@ by determinant ratios, and multiscale local refinement, with independent
 restarts merged deterministically.
 
 Each exchange pass builds its fixed tables once: in one variable the table
-log|pool - current|, in several the pool's basis matrix and the inverse of
-the current configuration's.  An accepted swap refreshes only what it
-changed, and is accepted only after an exact re-evaluation of log|V|.
-Refinement projects the candidates around each point as one batch.  Both
-give bit for bit the scores and points of per-position and per-point
-recomputation.
+log|pool - current|, its row sums and every point's own sum over the
+others, in several the pool's basis matrix and the inverse of the current
+configuration's.  An accepted swap refreshes only what it changed, and is
+accepted only after an exact re-evaluation of log|V|.  Each refinement
+level draws the steps around every point in one call and projects them as
+one batch.  Both give bit for bit the scores, points and generator stream
+of per-position and per-point recomputation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -184,22 +186,33 @@ def _run_restart(
     spread = _spread(pool)
     for level in range(strategy.refine_levels):
         h = spread / 8.0 * 0.3**level
-        cand_rows = []
-        for j in range(size):
-            steps = h * (
-                rng.standard_normal((strategy.refine_candidates, current.shape[1]))
-                + 1j * rng.standard_normal((strategy.refine_candidates, current.shape[1]))
-            )
-            cand_rows.append(kset.project(current[j][None, :] + steps))
+        candidates = _refinement_candidates(
+            kset, current, h, strategy.refine_candidates, rng
+        )
         current, log_abs, _ = _exchange_pass(
-            current,
-            log_abs,
-            np.concatenate(cand_rows),
-            strategy.improvement_tol,
+            current, log_abs, candidates, strategy.improvement_tol
         )
         trace.append(log_abs)
 
     return log_abs, current, tuple(trace)
+
+
+def _refinement_candidates(
+    kset: CompactSet,
+    current: np.ndarray,
+    h: float,
+    count: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """count complex Gaussian steps of scale h around each point, projected.
+
+    The draw reads the generator point by point, real parts before
+    imaginary ones, and the result is point-major, shape (size * count, dim).
+    """
+    size, dim = current.shape
+    normal = rng.standard_normal((size, 2, count, dim))
+    steps = h * (normal[:, 0] + 1j * normal[:, 1])
+    return kset.project((current[:, None, :] + steps).reshape(size * count, dim))
 
 
 def _candidate_pool(
@@ -259,59 +272,81 @@ def _exchange_pass(
 ) -> tuple[np.ndarray, float, bool]:
     """One cyclic sweep of best single-point replacements from the pool.
 
-    The tables are built before position 0 and refreshed only where an
-    accepted swap changed them (column j, or the inverse), so each score
-    comes from the same entries in the same layout as a fresh table would:
-    bit for bit the per-position recomputation.
+    The tables are built before position 0 and refreshed only after an
+    accepted swap: in one variable the table log|pool_r - z_c|, its row
+    sums and each point's own sum over the others; in several the pool's
+    basis and the inverse of the configuration's.  Each score comes from
+    the same entries, summed in the same order, as tables rebuilt at every
+    position would give, so the pass is bit for bit the per-position
+    recomputation.
     """
     size, dim = current.shape
     improved = False
     current = current.copy()
-    if dim == 1:
-        table = _log_distances(pool[:, :1], current[None, :, 0])
-    else:
-        pool_basis = basis_matrix(pool, size).T
-        binv = _basis_inverse(current)
-    for j in range(size):
+    # one variable: coincident points give log 0 = -inf, and a candidate
+    # equal to the point under replacement gives -inf - (-inf) = nan
+    quiet = np.errstate(divide="ignore", invalid="ignore")
+    with quiet if dim == 1 else contextlib.nullcontext():
         if dim == 1:
-            gain, k = _best_replacement_1d(table, current, j)
+            table, rowsum, own = _line_tables(pool, current)
         else:
-            gain, k = _best_replacement(pool_basis, binv, j)
-        if gain <= tol or k is None:
-            continue
-        trial = current.copy()
-        trial[j] = pool[k]
-        trial_log = vdm_logdet(trial).log_abs
-        # the ratio estimate nominated the move; accept it only on an
-        # exact re-evaluation so the trace stays monotone
-        if trial_log > log_abs + tol:
-            current, log_abs, improved = trial, trial_log, True
+            pool_basis = basis_matrix(pool, size).T
+            binv = _basis_inverse(current)
+        for j in range(size):
             if dim == 1:
-                table[:, j] = _log_distances(pool[:, 0], current[j, 0])
+                gain, k = _best_replacement_1d(rowsum, table[:, j], own[j])
             else:
-                binv = _basis_inverse(current)
+                gain, k = _best_replacement(pool_basis, binv, j)
+            if gain <= tol or k is None:
+                continue
+            trial = current.copy()
+            trial[j] = pool[k]
+            trial_log = vdm_logdet(trial).log_abs
+            # the ratio estimate nominated the move; accept it only on an
+            # exact re-evaluation so the trace stays monotone
+            if trial_log > log_abs + tol:
+                current, log_abs, improved = trial, trial_log, True
+                if dim == 1:
+                    table[:, j] = np.log(np.abs(pool[:, 0] - current[j, 0]))
+                    rowsum, own = table.sum(axis=1), _own_sums(current[:, 0])
+                else:
+                    binv = _basis_inverse(current)
     return current, log_abs, improved
 
 
+def _line_tables(
+    pool: np.ndarray, current: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """table[r, c] = log|pool_r - z_c|, its row sums, and _own_sums(z)."""
+    table = np.log(np.abs(pool[:, :1] - current[None, :, 0]))
+    return table, table.sum(axis=1), _own_sums(current[:, 0])
+
+
+def _own_sums(z: np.ndarray) -> np.ndarray:
+    """sum over k != j of log|z_j - z_k|, for every j."""
+    m = len(z)
+    # drop the diagonal rather than zero it: each row then sums the same
+    # m - 1 terms in the same order as a sum over the row with z_j deleted,
+    # which numpy adds pairwise, not left to right, from 8 terms on
+    off = (z[:, None] - z[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return np.log(np.abs(off)).sum(axis=1)
+
+
 def _best_replacement_1d(
-    table: np.ndarray, current: np.ndarray, j: int
+    rowsum: np.ndarray, column: np.ndarray, own: float
 ) -> tuple[float, int | None]:
-    """Best log-gain and pool index for position j; table[r, c] = log|pool_r - current_c|."""
-    # a candidate equal to the point under replacement produces inf - inf
-    with np.errstate(invalid="ignore"):
-        scores = table.sum(axis=1) - table[:, j]
-    scores = np.nan_to_num(scores, nan=-np.inf)
-    own = np.sum(np.delete(_log_distances(current[j, 0], current[:, 0]), j))
+    """Best log-gain and pool index for position j.
+
+    column[r] = log|pool_r - z_j|, rowsum[r] the sum of pool point r's row
+    over every position, and own the sum over k != j of log|z_j - z_k|.
+    """
+    # the nan of a candidate equal to z_j becomes -inf, and -inf stays -inf,
+    # so a position with no finite score nominates nothing
+    scores = np.fmax(rowsum - column, -np.inf)
     k = int(np.argmax(scores))
-    if not np.isfinite(scores[k]):
+    if scores[k] == -np.inf:
         return 0.0, None
     return float(scores[k] - own), k
-
-
-def _log_distances(a, b) -> np.ndarray:
-    """log|a - b|, broadcast; coincident points give -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(a - b))
 
 
 def _basis_inverse(current: np.ndarray) -> np.ndarray | None:

@@ -1,10 +1,12 @@
 """Per-position and per-point forms of the search's kernels, for tests only.
 
 The library's exchange pass builds its tables once per pass and refreshes
-them after an accepted swap; its projections take a whole batch of points.
-These helpers are the plain forms they replace: every position rebuilds
-its tables from the current configuration, and every point is projected
-on its own with scalar arithmetic.  Tests compare the two bit for bit.
+them after an accepted swap; refinement draws and projects one batch per
+level; its projections take a whole batch of points.  These helpers are
+the plain forms they replace: every position rebuilds its tables from the
+current configuration, refinement draws its steps and projects them point
+by point, and every point is projected on its own with scalar arithmetic.
+Tests compare the two bit for bit.
 """
 
 import numpy as np
@@ -18,11 +20,11 @@ def exchange_pass(current, log_abs, pool, tol):
     improved = False
     current = current.copy()
     for j in range(size):
-        gain, cand = best_replacement(current, j, pool)
-        if gain <= tol or cand is None:
+        gain, k = best_replacement(current, j, pool)
+        if gain <= tol or k is None:
             continue
         trial = current.copy()
-        trial[j] = cand
+        trial[j] = pool[k]
         trial_log = vdm_logdet(trial).log_abs
         if trial_log > log_abs + tol:
             current, log_abs, improved = trial, trial_log, True
@@ -30,7 +32,7 @@ def exchange_pass(current, log_abs, pool, tol):
 
 
 def best_replacement(current, j, pool):
-    """Best log-gain and candidate point for position j, tables rebuilt."""
+    """Best log-gain and pool index for position j, tables rebuilt."""
     size, dim = current.shape
     if dim == 1:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -43,7 +45,7 @@ def best_replacement(current, j, pool):
         k = int(np.argmax(scores))
         if not np.isfinite(scores[k]):
             return 0.0, None
-        return float(scores[k] - own), pool[k]
+        return float(scores[k] - own), k
     b = basis_matrix(current, size).T
     try:
         binv = np.linalg.inv(b)
@@ -54,7 +56,19 @@ def best_replacement(current, j, pool):
     k = int(np.argmax(ratios))
     if not np.isfinite(ratios[k]) or ratios[k] <= 0.0:
         return 0.0, None
-    return float(np.log(ratios[k])), pool[k]
+    return float(np.log(ratios[k])), k
+
+
+def refinement_candidates(kset, current, h, count, rng):
+    """Refinement candidates drawn and projected one point at a time."""
+    rows = []
+    for j in range(current.shape[0]):
+        steps = h * (
+            rng.standard_normal((count, current.shape[1]))
+            + 1j * rng.standard_normal((count, current.shape[1]))
+        )
+        rows.append(kset.project(current[j][None, :] + steps))
+    return np.concatenate(rows)
 
 
 def project_point(kset, point):

@@ -6,6 +6,7 @@ import pytest
 
 from polyalab.linalg import (
     LogDet,
+    _upper_pairs,
     batch_logabs,
     batch_pairwise_logabs,
     exact_ldl,
@@ -93,6 +94,16 @@ def test_batch_pairwise_matches_loop():
     for r in range(10):
         want = pairwise_difference_logdet(batch[r].reshape(-1, 1)).log_abs
         assert got[r] == pytest.approx(want, abs=1e-12)
+
+
+def test_cached_upper_pairs_are_read_only():
+    rows, cols = _upper_pairs(4)
+    assert rows.tolist() == [0, 0, 0, 1, 1, 2]
+    assert cols.tolist() == [1, 2, 3, 2, 3, 3]
+    for arr in (rows, cols):
+        with pytest.raises(ValueError):
+            arr[0] = 3
+    assert _upper_pairs(4)[0].tolist() == [0, 0, 0, 1, 1, 2]
 
 
 def test_batch_logabs_matches_slogdet_loop():

@@ -19,10 +19,17 @@ from polyalab import (
 from polyalab.linalg import logdet
 from polyalab import vandermonde
 from polyalab.multiindex import degree_counts
-from polyalab.vandermonde import _candidate_pool, _exchange_pass, vdm_logabs_batch
+from polyalab.vandermonde import (
+    _best_replacement_1d,
+    _candidate_pool,
+    _exchange_pass,
+    _line_tables,
+    _refinement_candidates,
+    vdm_logabs_batch,
+)
 
 from brute_force_oracles import vdm_value
-from per_point_oracles import exchange_pass
+from per_point_oracles import best_replacement, exchange_pass, refinement_candidates
 
 
 def test_basis_matrix_orientation():
@@ -227,7 +234,56 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
     assert widths.count(len(pool)) == 1
 
 
-def test_refinement_projects_one_batch_per_point(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("size", [9, 17, 31])
+def test_line_scores_match_per_position_tables(size, seed):
+    # numpy sums 8 or more terms pairwise, so at these sizes an own sum
+    # that zeroed the diagonal instead of dropping it would differ in bits
+    iv = Interval(-1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    pool = _candidate_pool(iv, size, 64, rng, iv.reference_points(size))
+    # drawn from the pool, so candidates coincide with current points
+    current = pool[rng.permutation(len(pool))[:size]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table, rowsum, own = _line_tables(pool, current)
+        got = [_best_replacement_1d(rowsum, table[:, j], own[j]) for j in range(size)]
+    want = [best_replacement(current, j, pool) for j in range(size)]
+    assert got == want
+
+
+def test_coincident_points_nominate_no_swap(monkeypatch):
+    # every candidate equals a current point, and z_1 = z_2: no swap can
+    # raise log|V| above -inf, so none may be sent to the exact evaluation
+    pool = np.array([[0.0], [1.0]], dtype=complex)
+    current = np.array([[0.0], [1.0], [1.0]], dtype=complex)
+    calls = []
+    evaluate = vandermonde.vdm_logdet
+
+    def counting(points):
+        calls.append(points)
+        return evaluate(points)
+
+    monkeypatch.setattr(vandermonde, "vdm_logdet", counting)
+    got, log_abs, improved = _exchange_pass(current, float("-inf"), pool, 1e-10)
+    assert calls == []
+    assert (got == current).all()
+    assert log_abs == float("-inf")
+    assert not improved
+
+
+@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_refinement_candidates_match_per_point_draws(kset):
+    rng = np.random.default_rng(5)
+    current = kset.sample(rng, 6)
+    mine, theirs = np.random.default_rng(6), np.random.default_rng(6)
+    got = _refinement_candidates(kset, current, 0.1, 12, mine)
+    want = refinement_candidates(kset, current, 0.1, 12, theirs)
+    assert got.shape == want.shape == (72, kset.dim)
+    assert got.tobytes() == want.tobytes()
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_refinement_projects_one_batch_per_level(monkeypatch):
     batches = []
     project = Interval.project
 
@@ -240,4 +296,4 @@ def test_refinement_projects_one_batch_per_point(monkeypatch):
         restarts=1, pool_size=32, exchange_passes=0, refine_levels=1, refine_candidates=12
     )
     fekete_search(Interval(-1.0, 1.0), 6, strategy, seed=0)
-    assert batches == [(12, 1)] * 6
+    assert batches == [(72, 1)]
