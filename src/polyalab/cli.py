@@ -57,14 +57,15 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / f"{_slug(cfg.experiment)}-{_slug(cfg.label)}"
+    # the suffix is appended, not swapped in: a label slug may hold dots
+    stem = f"{_slug(cfg.experiment)}-{_slug(cfg.label)}"
     written = []
     if args.format in ("csv", "both"):
-        path = base.with_suffix(".csv")
+        path = out_dir / f"{stem}.csv"
         write_csv(result.rows, path)
         written.append(path)
     if args.format in ("json", "both"):
-        path = base.with_suffix(".json")
+        path = out_dir / f"{stem}.json"
         payload = report_json_payload(
             experiment=cfg.experiment,
             label=cfg.label,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -53,7 +53,7 @@ from .measures import (
     z_s_gram,
     z_s_montecarlo,
 )
-from .multiindex import count_at_most, degree_counts
+from .multiindex import count_at_most, degree_counts, is_integer_at_least
 from .reporting import ReportRow, SCHEMA_VERSION
 from .vandermonde import (
     SearchStrategy,
@@ -333,15 +333,7 @@ def build_germ(spec, ctx: str = "germ") -> GermCoefficients:
     raise ConfigError(f"{ctx}: unknown germ kind {kind!r}")
 
 
-_STRATEGY_KEYS = {
-    "pool_size",
-    "exchange_passes",
-    "refine_levels",
-    "refine_candidates",
-    "restarts",
-    "improvement_tol",
-    "mode",
-}
+_STRATEGY_KEYS = {f.name for f in fields(SearchStrategy)}
 
 
 def build_strategy(spec, ctx: str = "search") -> SearchStrategy:
@@ -358,18 +350,13 @@ def build_strategy(spec, ctx: str = "search") -> SearchStrategy:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _is_integer_at_least(value, minimum: int) -> bool:
-    # the one rule for integer config values: no bool, no float, no string
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
 def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
     raw = _need(spec, key, ctx)
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"{ctx}: {key} must be a non-empty list of integers")
     out = []
     for v in raw:
-        if not _is_integer_at_least(v, minimum):
+        if not is_integer_at_least(v, minimum):
             raise ConfigError(f"{ctx}: {key} entries must be integers >= {minimum}")
         out.append(v)
     return out
@@ -382,7 +369,7 @@ def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int)
     """
     raw = _need(spec, key, ctx) if default is None else spec.get(key, default)
     if kind is int:
-        if not _is_integer_at_least(raw, minimum):
+        if not is_integer_at_least(raw, minimum):
             raise ConfigError(f"{ctx}: {key} must be an integer >= {minimum}, got {raw!r}")
         return raw
     try:
@@ -487,7 +474,7 @@ def _hankel_rows(
     for term in report.terms:
         rows.append(
             ReportRow(
-                cfg.experiment, label, "log_hankel", term.hankel.log_abs,
+                cfg.experiment, label, "log_hankel", term.hankel,
                 cfg.seed, i=term.index, wall_clock=per_term,
             )
         )
@@ -586,15 +573,15 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
         counts = degree_counts(kset.dim, s)
         m = counts.at_most
         t0 = time.perf_counter()
-        log_z = z_s_gram(measure, s).log_abs
+        log_z = z_s_gram(measure, s)
         hank = hankel_logdet(germ, m)
-        hankel_route = log_factorial(m) + hank.log_abs
+        hankel_route = log_factorial(m) + hank
         wall = time.perf_counter() - t0
         if log_z == hankel_route:
             diff = 0.0  # covers the doubly singular case (-inf on both sides)
         else:
             diff = log_z - hankel_route
-        quantity = 0.0 if hank.is_zero else math.exp(hank.log_abs / (2.0 * counts.degree_sum))
+        quantity = math.exp(hank / (2.0 * counts.degree_sum))  # 0 for a singular H
         t0 = time.perf_counter()
         est = _diameter_with_cap(kset, s, strategy, cap, _cell_seed(cfg.seed, 4, s))
         search_wall = time.perf_counter() - t0
@@ -674,7 +661,7 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     result = RunResult(cfg)
     for s in degrees:
         t0 = time.perf_counter()
-        log_gram = z_s_gram(measure, s).log_abs
+        log_gram = z_s_gram(measure, s)
         mc = z_s_montecarlo(
             measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=chunk
         )

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import LogDet, MomentMatrix, moment_matrix
+from .linalg import MomentMatrix, moment_matrix
 from .measures import Measure
 from .multiindex import MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for
 
@@ -144,7 +144,8 @@ def hankel_matrix(germ: GermCoefficients, size: int) -> MomentMatrix:
     )
 
 
-def hankel_logdet(germ: GermCoefficients, size: int) -> LogDet:
+def hankel_logdet(germ: GermCoefficients, size: int) -> float:
+    """log|H_size|, -inf when the Hankel matrix is singular."""
     return hankel_matrix(germ, size).logdet()
 
 
@@ -155,7 +156,7 @@ class PolyaTerm:
     index: int
     degree: int
     degree_sum: int
-    hankel: LogDet
+    hankel: float  # log|H_index|
     quantity: float | None
 
     @property
@@ -172,17 +173,13 @@ def polya_term(germ: GermCoefficients, index: int) -> PolyaTerm:
     return _term(germ.dim, index, hankel_logdet(germ, index))
 
 
-def _term(dim: int, index: int, ld: LogDet) -> PolyaTerm:
-    """The PolyaTerm at index, given H_index as ld."""
+def _term(dim: int, index: int, ld: float) -> PolyaTerm:
+    """The PolyaTerm at index, given log|H_index| as ld; a singular H gives D = 0."""
     s = enumeration_for(dim).degree_of(index)
     counts = degree_counts(dim, s)
     if counts.degree_sum == 0:
         return PolyaTerm(index, s, 0, ld, None)
-    if ld.is_zero:
-        quantity = 0.0
-    else:
-        quantity = math.exp(ld.log_abs / (2.0 * counts.degree_sum))
-    return PolyaTerm(index, s, counts.degree_sum, ld, quantity)
+    return PolyaTerm(index, s, counts.degree_sum, ld, math.exp(ld / (2.0 * counts.degree_sum)))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Determinants of moment and Vandermonde matrices overflow or underflow
 double precision long before the interesting degree range is reached, so
-every determinant in this package is carried as a (log|det|, phase) pair.
-Two computation routes are provided: pivoted LU in doubles (numpy), and an
+every determinant in this package is a float log|det|, -inf when the
+matrix is singular: the quantities studied here use magnitudes only.  Two
+computation routes are provided: pivoted LU in doubles (numpy), and an
 exact integer Bareiss elimination for matrices with rational entries.  The
 exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
@@ -12,7 +13,8 @@ matrices are both built here as a MomentMatrix, which takes the exact
 route whenever every entry is rational.  A whole sequence of leading
 principal minors comes from one elimination without pivoting, whose
 pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
-H_1..H_n costs one elimination, not n.
+H_1..H_n costs one elimination, not n.  A single matrix or configuration
+is evaluated as a batch of one, so each float route has one body.
 """
 
 from __future__ import annotations
@@ -28,59 +30,12 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class LogDet:
-    """A determinant stored as log|det| plus a unit-modulus phase.
-
-    ``log_abs`` is -inf exactly when the determinant vanishes, in which
-    case ``phase`` is 0.
-    """
-
-    log_abs: float
-    phase: complex
-
-    @staticmethod
-    def zero() -> "LogDet":
-        return LogDet(NEG_INF, 0j)
-
-    @staticmethod
-    def of(value: complex) -> "LogDet":
-        value = complex(value)
-        mag = abs(value)
-        if mag == 0.0:
-            return LogDet.zero()
-        return LogDet(math.log(mag), value / mag)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_abs == NEG_INF
-
-    def value(self) -> complex:
-        """Reconstruct phase * exp(log_abs); overflows for huge log_abs."""
-        if self.is_zero:
-            return 0j
-        return self.phase * math.exp(self.log_abs)
-
-    def scaled(self, log_factor: float, phase_factor: complex = 1.0 + 0j) -> "LogDet":
-        """The determinant multiplied by exp(log_factor) * phase_factor."""
-        if self.is_zero:
-            return self
-        phase = self.phase * phase_factor
-        mag = abs(phase)
-        if mag == 0.0:
-            return LogDet.zero()
-        return LogDet(self.log_abs + log_factor, phase / mag)
-
-
-def logdet(matrix: np.ndarray) -> LogDet:
-    """log|det| and phase of a square matrix via pivoted LU (numpy slogdet)."""
+def logdet(matrix: np.ndarray) -> float:
+    """log|det| of a square matrix via pivoted LU; -inf when singular."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    sign, log_abs = np.linalg.slogdet(matrix)
-    if sign == 0 or log_abs == NEG_INF:
-        return LogDet.zero()
-    return LogDet(float(log_abs), complex(sign))
+    return float(batch_logabs(matrix[None])[0])
 
 
 @functools.cache
@@ -92,27 +47,20 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def pairwise_difference_logdet(points: np.ndarray) -> LogDet:
-    """Classic 1D Vandermonde determinant prod_{i<j} (x_j - x_i), in log form.
+def pairwise_difference_logdet(points: np.ndarray) -> float:
+    """Classic 1D Vandermonde determinant prod_{i<j} (x_j - x_i), as log|V|.
 
     Mathematically identical to LU on the monomial matrix but immune to its
     conditioning; used as the 1D fast path everywhere.
     """
-    pts = np.asarray(points, dtype=complex).reshape(-1)
-    m = pts.shape[0]
-    if m <= 1:
-        return LogDet(0.0, 1 + 0j)
-    upper = (pts[None, :] - pts[:, None])[_upper_pairs(m)]
-    mags = np.abs(upper)
-    if np.any(mags == 0.0):
-        return LogDet.zero()
-    log_abs = float(np.sum(np.log(mags)))
-    angle = float(np.sum(np.angle(upper)))
-    return LogDet(log_abs, complex(math.cos(angle), math.sin(angle)))
+    return float(batch_pairwise_logabs(np.asarray(points, dtype=complex).reshape(1, -1))[0])
 
 
 def batch_pairwise_logabs(points: np.ndarray) -> np.ndarray:
-    """log|V| for a batch of 1D configurations, shape (batch, m) -> (batch,)."""
+    """log|V| for a batch of 1D configurations, shape (batch, m) -> (batch,).
+
+    A configuration with two coincident points gives log 0 = -inf.
+    """
     pts = np.asarray(points, dtype=complex)
     b, m = pts.shape
     if m <= 1:
@@ -124,7 +72,7 @@ def batch_pairwise_logabs(points: np.ndarray) -> np.ndarray:
 
 
 def batch_logabs(matrices: np.ndarray) -> np.ndarray:
-    """log|det| for a stack of square matrices, shape (batch, m, m)."""
+    """log|det| for a stack of square matrices, shape (batch, m, m); -inf if singular."""
     _, log_abs = np.linalg.slogdet(matrices)
     return log_abs
 
@@ -132,8 +80,8 @@ def batch_logabs(matrices: np.ndarray) -> np.ndarray:
 Rational = Fraction | int
 
 
-def exact_logdet(rows: Sequence[Sequence[Rational]]) -> LogDet:
-    """Exact log|det| and sign for a matrix with rational entries.
+def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
+    """log|det| of a matrix with rational entries, by exact integer elimination.
 
     Rows are scaled to integers by their denominator lcm and the integer
     determinant is computed by fraction-free Bareiss elimination; only the
@@ -152,7 +100,7 @@ def exact_logdet(rows: Sequence[Sequence[Rational]]) -> LogDet:
     return _scaled_logdet(_bareiss_int_det(scaled), log_scale)
 
 
-def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[LogDet]:
+def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     """exact_logdet of every leading principal submatrix, sizes 1..n, bit for bit.
 
     Each row is scaled by the lcm of its whole row's denominators and one
@@ -172,7 +120,7 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[LogDet]:
         raise ValueError("matrix must be square")
     full_lcm = [math.lcm(*(f.denominator for f in row)) for row in fracs]
     scaled = [[f.numerator * (d // f.denominator) for f in row] for row, d in zip(fracs, full_lcm)]
-    out: list[LogDet] = []
+    out: list[float] = []
     prefix_lcm: list[int] = []  # at size k + 1: row r's lcm over its first k + 1 entries
     full_scale = 1
     prev = 1
@@ -195,12 +143,11 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[LogDet]:
     return out
 
 
-def _scaled_logdet(det: int, log_scale: float) -> LogDet:
-    """The LogDet of det / exp(log_scale), for the integer det of a row-scaled matrix."""
+def _scaled_logdet(det: int, log_scale: float) -> float:
+    """log|det / exp(log_scale)|, for the integer det of a row-scaled matrix."""
     if det == 0:
-        return LogDet.zero()
-    sign = 1.0 if det > 0 else -1.0
-    return LogDet(math.log(abs(det)) - log_scale, complex(sign))
+        return NEG_INF
+    return math.log(abs(det)) - log_scale
 
 
 @dataclass(frozen=True)
@@ -211,12 +158,12 @@ class MomentMatrix:
     matrix: np.ndarray
     exact: tuple[tuple[Fraction, ...], ...] | None
 
-    def logdet(self) -> LogDet:
+    def logdet(self) -> float:
         if self.exact is not None:
             return exact_logdet(self.exact)
         return logdet(self.matrix)
 
-    def prefix_logdets(self) -> list[LogDet]:
+    def prefix_logdets(self) -> list[float]:
         """The logdet of each leading submatrix, sizes 1..size, in order.
 
         Each entry equals the logdet of the matrix built afresh at that size.
@@ -251,23 +198,22 @@ def moment_matrix(
 
 
 def _bareiss_int_det(a: list[list[int]]) -> int:
+    """The integer determinant up to sign, by pivoted Bareiss elimination in place."""
     n = len(a)
     if n == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
                     break
             else:
                 return 0
         _bareiss_step(a, k, prev)
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:

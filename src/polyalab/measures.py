@@ -32,7 +32,7 @@ from .domains import (
     Interval,
     ProductSet,
 )
-from .linalg import LogDet, MomentMatrix, exact_ldl, moment_matrix, unit_lower_inverse
+from .linalg import MomentMatrix, exact_ldl, moment_matrix, unit_lower_inverse
 from .multiindex import as_multi_index, count_at_most, enumeration_for
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
@@ -353,13 +353,13 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def z_s_gram(measure: Measure, s: int) -> LogDet:
+def z_s_gram(measure: Measure, s: int) -> float:
     """log Z_s through the determinant identity Z_s = m_s! det(Gram)."""
     if s < 0:
         raise ValueError("degree must be nonnegative")
     m = count_at_most(measure.dim, s)
     g = gram(measure, m)
-    return g.logdet().scaled(log_factorial(m))
+    return g.logdet() + log_factorial(m)
 
 
 @dataclass(frozen=True)

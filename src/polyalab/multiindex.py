@@ -22,6 +22,11 @@ def degree(k: MultiIndex) -> int:
     return sum(k)
 
 
+def is_integer_at_least(value, minimum: int) -> bool:
+    """The one rule for integer settings: a true int >= minimum; no bool, float or string."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def as_multi_index(k, dim: int) -> MultiIndex:
     """Validate k (an int in one variable, else a sequence) as a dim-variable index."""
     if isinstance(k, (int, np.integer)):
@@ -88,8 +93,6 @@ class GradedEnumeration:
 
     Indices are generated lazily degree block by degree block and cached,
     so prefixes of any length can be requested repeatedly at no cost.
-    Instances are immutable from the caller's point of view and safe to
-    share across threads.
     """
 
     def __init__(self, dim: int):
@@ -130,14 +133,8 @@ def enumerate_indices(dim: int, count: int) -> list[MultiIndex]:
 
 def monomial(k: MultiIndex, z) -> complex:
     """Evaluate z^k = z_1^{k_1} ... z_n^{k_n}; 0^0 counts as 1."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if len(k) != z.shape[0]:
-        raise ValueError(f"index dimension {len(k)} != point dimension {z.shape[0]}")
-    out = 1 + 0j
-    for exp, coord in zip(k, z):
-        if exp:
-            out *= complex(coord) ** exp
-    return out
+    point = np.asarray(z, dtype=complex).reshape(1, -1)
+    return complex(monomial_matrix(point, np.array([k], dtype=np.int64))[0, 0])
 
 
 def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ set.  Its sup over all i-point configurations, normalized by the degree sum
 of the basis, yields the diameter-like quantities this package estimates.
 Search combines a greedy pivoted start, cyclic single-point exchange driven
 by determinant ratios, and multiscale local refinement, with independent
-restarts merged deterministically.
+restarts merged deterministically.  Every candidate pool is fresh samples
+followed by the set's covering grid and reference configuration, which a
+search builds once for all its restarts and passes.
 
 Each exchange pass builds its fixed tables once: in one variable the table
 log|pool - current|, its row sums and every point's own sum over the
@@ -27,14 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import CompactSet
-from .linalg import (
-    LogDet,
-    batch_logabs,
-    batch_pairwise_logabs,
-    logdet,
-    pairwise_difference_logdet,
-)
-from .multiindex import degree_counts, enumeration_for, monomial_matrix
+from .linalg import batch_logabs, batch_pairwise_logabs
+from .multiindex import degree_counts, enumeration_for, is_integer_at_least, monomial_matrix
 
 
 def basis_matrix(points: np.ndarray, count: int) -> np.ndarray:
@@ -46,16 +42,12 @@ def basis_matrix(points: np.ndarray, count: int) -> np.ndarray:
     return monomial_matrix(pts, exps)
 
 
-def vdm_logdet(points: np.ndarray) -> LogDet:
-    """log|V| and phase at one configuration; basis size equals point count."""
+def vdm_logdet(points: np.ndarray) -> float:
+    """log|V| at one configuration, -inf if singular; basis size equals point count."""
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2:
         raise ValueError("points must have shape (npoints, dim)")
-    if pts.shape[1] == 1:
-        # one variable: the basis is 1, z, .., z^(i-1), so the product
-        # formula applies at every truncation length
-        return pairwise_difference_logdet(pts[:, 0])
-    return logdet(basis_matrix(pts, pts.shape[0]).T)
+    return float(vdm_logabs_batch(pts[None])[0])
 
 
 def vdm_logabs_batch(configs: np.ndarray) -> np.ndarray:
@@ -63,13 +55,17 @@ def vdm_logabs_batch(configs: np.ndarray) -> np.ndarray:
     cfg = np.asarray(configs, dtype=complex)
     if cfg.ndim != 3:
         raise ValueError("configs must have shape (batch, npoints, dim)")
-    if cfg.shape[1] <= 1:
-        return np.zeros(cfg.shape[0])
-    if cfg.shape[2] == 1:
+    batch, size, dim = cfg.shape
+    if size <= 1:
+        return np.zeros(batch)
+    if dim == 1:
+        # one variable: the basis is 1, z, .., z^(i-1), so the product
+        # formula applies at every truncation length
         return batch_pairwise_logabs(cfg[:, :, 0])
-    exps = enumeration_for(cfg.shape[2]).exponents(cfg.shape[1])
-    mats = np.prod(cfg[:, None, :, :] ** exps[None, :, None, :], axis=3)
-    return batch_logabs(np.swapaxes(mats, 1, 2))
+    # one basis matrix over every point of every configuration; entry
+    # [b, p, a] is monomial a at point p of configuration b
+    mats = basis_matrix(cfg.reshape(batch * size, dim), size).reshape(size, batch, size)
+    return batch_logabs(mats.transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,14 @@ class SearchStrategy:
     def __post_init__(self):
         if self.mode not in ("search", "reference"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.pool_size, self.restarts) < 1:
-            raise ValueError("pool_size and restarts must be positive")
+        for name, minimum in (("pool_size", 1), ("restarts", 1), ("refine_candidates", 1),
+                              ("exchange_passes", 0), ("refine_levels", 0)):
+            value = getattr(self, name)
+            if not is_integer_at_least(value, minimum):
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        tol = self.improvement_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+            raise ValueError(f"improvement_tol must be a finite real >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def fekete_search(
         if ref is None:
             raise ValueError("set has no reference configuration; use mode='search'")
         pts = np.asarray(ref, dtype=complex)[:size]
-        log_abs = vdm_logdet(pts).log_abs
+        log_abs = vdm_logdet(pts)
         return FeketeResult(pts, log_abs, size, (log_abs,), (log_abs,))
 
     if size == 1:
@@ -139,13 +141,14 @@ def fekete_search(
             pt = kset.sample(np.random.default_rng(as_seed_sequence(seed)), 1)
         return FeketeResult(np.asarray(pt, dtype=complex), 0.0, 1, (0.0,), (0.0,))
 
+    fixed = _fixed_candidates(kset, size, strategy.pool_size, ref)
     children = as_seed_sequence(seed).spawn(strategy.restarts)
-    runs = [_run_restart(kset, size, strategy, child, ref) for child in children]
+    runs = [_run_restart(kset, size, strategy, child, fixed) for child in children]
 
     candidates: list[tuple[float, int, np.ndarray, tuple[float, ...]]] = []
     if ref is not None:
         ref_pts = np.asarray(ref, dtype=complex)[:size]
-        ref_log = vdm_logdet(ref_pts).log_abs
+        ref_log = vdm_logdet(ref_pts)
         candidates.append((ref_log, -1, ref_pts, (ref_log,)))
     for idx, (log_abs, pts, trace) in enumerate(runs):
         candidates.append((log_abs, idx, pts, trace))
@@ -165,16 +168,16 @@ def _run_restart(
     size: int,
     strategy: SearchStrategy,
     child: np.random.SeedSequence,
-    ref: np.ndarray | None,
+    fixed: np.ndarray,
 ) -> tuple[float, np.ndarray, tuple[float, ...]]:
     rng = np.random.default_rng(child)
-    pool = _candidate_pool(kset, size, strategy.pool_size, rng, ref)
+    pool = _candidate_pool(kset, strategy.pool_size, rng, fixed)
     current = _greedy_start(pool, size)
-    log_abs = vdm_logdet(current).log_abs
+    log_abs = vdm_logdet(current)
     trace = [log_abs]
 
     for _ in range(strategy.exchange_passes):
-        pool = _candidate_pool(kset, size, strategy.pool_size, rng, ref)
+        pool = _candidate_pool(kset, strategy.pool_size, rng, fixed)
         before = log_abs
         current, log_abs, _ = _exchange_pass(
             current, log_abs, pool, strategy.improvement_tol
@@ -215,19 +218,22 @@ def _refinement_candidates(
     return kset.project((current[:, None, :] + steps).reshape(size * count, dim))
 
 
-def _candidate_pool(
-    kset: CompactSet,
-    size: int,
-    pool_size: int,
-    rng: np.random.Generator,
-    ref: np.ndarray | None,
+def _fixed_candidates(
+    kset: CompactSet, size: int, pool_size: int, ref: np.ndarray | None
 ) -> np.ndarray:
-    parts = [kset.sample(rng, pool_size)]
+    """The covering grid, then the reference configuration: every pool's undrawn tail."""
     per_axis = max(4, int(round(pool_size ** (1.0 / kset.dim) / 4.0)))
-    parts.append(kset.grid(per_axis))
+    parts = [kset.grid(per_axis)]
     if ref is not None:
         parts.append(np.asarray(ref, dtype=complex)[:size])
     return np.concatenate(parts, axis=0)
+
+
+def _candidate_pool(
+    kset: CompactSet, pool_size: int, rng: np.random.Generator, fixed: np.ndarray
+) -> np.ndarray:
+    """pool_size fresh samples of the set, followed by the fixed candidates."""
+    return np.concatenate([kset.sample(rng, pool_size), fixed], axis=0)
 
 
 def _greedy_start(pool: np.ndarray, size: int) -> np.ndarray:
@@ -301,7 +307,7 @@ def _exchange_pass(
                 continue
             trial = current.copy()
             trial[j] = pool[k]
-            trial_log = vdm_logdet(trial).log_abs
+            trial_log = vdm_logdet(trial)
             # the ratio estimate nominated the move; accept it only on an
             # exact re-evaluation so the trace stays monotone
             if trial_log > log_abs + tol:

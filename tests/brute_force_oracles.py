@@ -17,6 +17,15 @@ MAX_ORACLE_ATOMS = 4
 MAX_ORACLE_SIZE = 3
 
 
+def monomial_value(k, z) -> complex:
+    """z^k as a scalar product of Python complex powers, coordinate by coordinate."""
+    out = 1 + 0j
+    for exp, coord in zip(k, z):
+        if exp:
+            out *= complex(coord) ** int(exp)
+    return out
+
+
 def vdm_value(points: np.ndarray) -> complex:
     """The determinant itself; only safe for small configurations."""
     pts = np.asarray(points, dtype=complex)

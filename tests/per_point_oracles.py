@@ -2,16 +2,44 @@
 
 The library's exchange pass builds its tables once per pass and refreshes
 them after an accepted swap; refinement draws and projects one batch per
-level; its projections take a whole batch of points.  These helpers are
-the plain forms they replace: every position rebuilds its tables from the
-current configuration, refinement draws its steps and projects them point
-by point, and every point is projected on its own with scalar arithmetic.
-Tests compare the two bit for bit.
+level; its projections take a whole batch of points; a search builds the
+fixed part of its candidate pools once; a single configuration's log|V|
+is a batch of one.  These helpers are the plain forms they replace: every
+position rebuilds its tables from the current configuration, refinement
+draws its steps and projects them point by point, every point is
+projected on its own with scalar arithmetic, every pool is built whole,
+and log|V| comes from a formula for one configuration.  Tests compare
+the two bit for bit.
 """
 
 import numpy as np
 
-from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet, basis_matrix, vdm_logdet
+from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet, basis_matrix
+
+
+def vdm_logdet(points):
+    """log|V| of one configuration: the pairwise product in one variable, else LU."""
+    pts = np.asarray(points, dtype=complex)
+    m = pts.shape[0]
+    if pts.shape[1] == 1:
+        if m <= 1:
+            return 0.0
+        z = pts[:, 0]
+        mags = np.abs((z[None, :] - z[:, None])[np.triu_indices(m, 1)])
+        if np.any(mags == 0.0):
+            return -np.inf
+        return float(np.sum(np.log(mags)))
+    return float(np.linalg.slogdet(basis_matrix(pts, m).T)[1])
+
+
+def candidate_pool(kset, size, pool_size, rng, ref):
+    """A candidate pool built whole: fresh samples, the grid, the reference points."""
+    parts = [kset.sample(rng, pool_size)]
+    per_axis = max(4, int(round(pool_size ** (1.0 / kset.dim) / 4.0)))
+    parts.append(kset.grid(per_axis))
+    if ref is not None:
+        parts.append(np.asarray(ref, dtype=complex)[:size])
+    return np.concatenate(parts, axis=0)
 
 
 def exchange_pass(current, log_abs, pool, tol):
@@ -25,7 +53,7 @@ def exchange_pass(current, log_abs, pool, tol):
             continue
         trial = current.copy()
         trial[j] = pool[k]
-        trial_log = vdm_logdet(trial).log_abs
+        trial_log = vdm_logdet(trial)
         if trial_log > log_abs + tol:
             current, log_abs, improved = trial, trial_log, True
     return current, log_abs, improved

@@ -143,7 +143,7 @@ def test_criterion_05_zs_two_routes(capsys):
     worst = 0.0
     for cell, mu, degrees in cells:
         for s in degrees:
-            g = pl.z_s_gram(mu, s).log_abs
+            g = pl.z_s_gram(mu, s)
             mc = pl.z_s_montecarlo(
                 mu, s, samples=100_000,
                 seed=np.random.SeedSequence(SEED, spawn_key=(5, cell, s)),
@@ -171,7 +171,7 @@ def test_criterion_06_hankel_vs_iterated_functional(capsys):
     for mu in measures:
         germ = pl.coeffs_from_measure(mu)
         for i in (1, 2, 3):
-            route = math.exp(log_factorial(i) + pl.hankel_logdet(germ, i).log_abs)
+            route = math.exp(log_factorial(i) + pl.hankel_logdet(germ, i))
             brute = iterated_functional_oracle(mu, i)
             rel = abs(route - brute) / max(abs(brute), 1e-300)
             worst = max(worst, rel)
@@ -214,8 +214,8 @@ def test_criterion_08_sharpness_identity(capsys):
         germ = pl.coeffs_from_measure(mu)
         for s in degrees:
             m = pl.count_at_most(mu.dim, s)
-            lhs = pl.z_s_gram(mu, s).log_abs
-            rhs = log_factorial(m) + pl.hankel_logdet(germ, m).log_abs
+            lhs = pl.z_s_gram(mu, s)
+            rhs = log_factorial(m) + pl.hankel_logdet(germ, m)
             diff = abs(lhs - rhs)
             worst = max(worst, diff)
             ok &= diff <= 1e-10

@@ -151,6 +151,18 @@ def test_build_family_and_strategy():
         build_strategy({"temperature": 1.0})
     with pytest.raises(ConfigError):
         build_strategy({"workers": 2})
+    bad = [
+        ("restarts", 2.5), ("pool_size", 100.5), ("exchange_passes", 1.5),
+        ("restarts", True), ("restarts", 0), ("pool_size", "64"),
+        ("exchange_passes", -1), ("refine_levels", -1), ("refine_levels", 2.0),
+        ("refine_candidates", 0), ("improvement_tol", "x"), ("improvement_tol", -1e-3),
+        ("improvement_tol", math.inf), ("improvement_tol", math.nan), ("improvement_tol", False),
+    ]
+    for key, value in bad:
+        with pytest.raises(ConfigError, match=key):
+            build_strategy({key: value})
+    ok = build_strategy({"exchange_passes": 0, "refine_levels": 0, "improvement_tol": 0})
+    assert (ok.exchange_passes, ok.refine_levels, ok.improvement_tol) == (0, 0, 0)
     with pytest.raises(ConfigError):
         build_family({"kind": "interval", "a": 0, "b": 1, "side": "diagonal"})
 
@@ -422,3 +434,22 @@ def test_cli_format_selection(tmp_path):
                      "--format", "json"]) == 0
     assert not (tmp_path / "j" / "bm-ratio-fmt.csv").exists()
     assert (tmp_path / "j" / "bm-ratio-fmt.json").exists()
+
+
+def test_cli_report_names_keep_dotted_labels(tmp_path):
+    # a label slug may hold dots; neither may be cut at its last dot, or
+    # both runs would write bm-ratio-rate-0.csv and the second overwrite the first
+    out = tmp_path / "r"
+    for label in ("rate-0.5", "rate-0.7"):
+        cfg_path = tmp_path / f"{label}.yaml"
+        cfg_path.write_text(ExperimentConfig(
+            "bm-ratio", label, 0,
+            {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
+        ).dump_text())
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bm-ratio-rate-0.5.csv", "bm-ratio-rate-0.5.json",
+        "bm-ratio-rate-0.7.csv", "bm-ratio-rate-0.7.json",
+    ]
+    for label in ("rate-0.5", "rate-0.7"):
+        assert json.loads((out / f"bm-ratio-{label}.json").read_text())["label"] == label

@@ -128,7 +128,7 @@ def test_hankel_logdet_exact_route_used():
     for s, tol in ((1, 1e-12), (2, 1e-12), (3, 1e-12), (4, 1e-12),
                    (20, 1e-10), (40, 1e-10), (60, 1e-10)):
         ld = hankel_logdet(germ, s + 1)
-        assert ld.log_abs == pytest.approx(-(s * s) * math.log(2.0), abs=tol)
+        assert ld == pytest.approx(-(s * s) * math.log(2.0), abs=tol)
 
 
 def test_polya_term_first_index_is_undefined():
@@ -143,7 +143,7 @@ def test_polya_term_singular_hankel_gives_zero():
     table = {(k,): Fraction(1) if k == 0 else Fraction(0) for k in range(4)}
     germ = coeffs_from_table(1, table)  # rank one
     t = polya_term(germ, 2)
-    assert t.hankel.is_zero
+    assert t.hankel == -math.inf
     assert t.quantity == 0.0
     assert t.defined
 
@@ -188,7 +188,7 @@ def test_polya_sequence_matches_per_size_hankel(make_germ, n):
     assert len(terms) == n
     for i, term in enumerate(terms, start=1):
         want = hankel_logdet(germ, i)
-        assert (term.hankel.log_abs, term.hankel.phase) == (want.log_abs, want.phase), i
+        assert term.hankel == want, i
 
 
 def test_polya_sequence_builds_one_hankel_matrix(monkeypatch):
@@ -271,7 +271,7 @@ def test_oracle_agrees_with_hankel_determinants():
     mu = DiscreteMeasure(atoms, (Fraction(1, 2), Fraction(1, 2)))
     germ = coeffs_from_measure(mu)
     for i in (1, 2):
-        lhs = math.gamma(i + 1) * math.exp(hankel_logdet(germ, i).log_abs)
+        lhs = math.gamma(i + 1) * math.exp(hankel_logdet(germ, i))
         rhs = iterated_functional_oracle(mu, i)
         assert lhs == pytest.approx(rhs, rel=1e-12)
     # the half/half two-atom pair integral works out to exactly 1/2

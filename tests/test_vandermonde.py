@@ -23,13 +23,20 @@ from polyalab.vandermonde import (
     _best_replacement_1d,
     _candidate_pool,
     _exchange_pass,
+    _fixed_candidates,
     _line_tables,
     _refinement_candidates,
     vdm_logabs_batch,
 )
 
 from brute_force_oracles import vdm_value
-from per_point_oracles import best_replacement, exchange_pass, refinement_candidates
+import per_point_oracles
+from per_point_oracles import (
+    best_replacement,
+    candidate_pool,
+    exchange_pass,
+    refinement_candidates,
+)
 
 
 def test_basis_matrix_orientation():
@@ -46,24 +53,23 @@ def test_one_dimensional_routes_agree():
     pts = (rng.normal(size=(6, 1)) + 1j * rng.normal(size=(6, 1))).astype(complex)
     fast = vdm_logdet(pts)
     slow = logdet(basis_matrix(pts, 6).T)
-    assert fast.log_abs == pytest.approx(slow.log_abs, abs=1e-9)
-    assert fast.value() == pytest.approx(slow.value(), rel=1e-8)
+    assert fast == pytest.approx(slow, abs=1e-9)
 
 
 def test_vdm_value_consistent_with_logdet():
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, -1.0]], dtype=complex)
     val = vdm_value(pts)
     ld = vdm_logdet(pts)
-    assert abs(val) == pytest.approx(math.exp(ld.log_abs), rel=1e-12)
+    assert abs(val) == pytest.approx(math.exp(ld), rel=1e-12)
 
 
 def test_vdm_permutation_changes_only_sign():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(5, 2)).astype(complex)
+    # a swap of two points flips the sign of V, which log|V| does not see
     base = vdm_logdet(pts)
     perm = vdm_logdet(pts[[1, 0, 2, 3, 4]])
-    assert perm.log_abs == pytest.approx(base.log_abs, abs=1e-10)
-    assert perm.value() == pytest.approx(-base.value(), rel=1e-9)
+    assert perm == pytest.approx(base, abs=1e-10)
 
 
 def test_batch_matches_loop_in_two_dims():
@@ -71,7 +77,39 @@ def test_batch_matches_loop_in_two_dims():
     cfgs = rng.normal(size=(7, 6, 2)).astype(complex)
     got = vdm_logabs_batch(cfgs)
     for r in range(7):
-        assert got[r] == pytest.approx(vdm_logdet(cfgs[r]).log_abs, abs=1e-9)
+        assert got[r] == pytest.approx(vdm_logdet(cfgs[r]), abs=1e-9)
+
+
+def _complex_line(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(size, 1)) + 1j * rng.normal(size=(size, 1))
+
+
+_BOX = Box(((-1.0, 1.0), (-1.0, 1.0)))
+_CIRCLE_X_INTERVAL = ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [_complex_line(9, 1), _complex_line(17, 2), _complex_line(31, 3)]
+    + [k.sample(np.random.default_rng(m), m)
+       for k in (_BOX, _CIRCLE_X_INTERVAL) for m in (10, 15, 21)],
+    ids=[f"line-{m}" for m in (9, 17, 31)]
+    + [f"{name}-{m}" for name in ("box", "circle-x-interval") for m in (10, 15, 21)],
+)
+def test_vdm_logdet_matches_per_configuration_formulas(points):
+    # a single configuration goes through the batched routes as a batch of
+    # one; that must not change a bit of the one-configuration formulas
+    got = vdm_logdet(points)
+    assert type(got) is float
+    assert got == per_point_oracles.vdm_logdet(points)
+
+
+@pytest.mark.parametrize("kset, size", [(Interval(-1.0, 1.0), 9), (_BOX, 10)])
+def test_coincident_points_give_minus_infinity(kset, size):
+    pts = kset.sample(np.random.default_rng(8), size)
+    pts[-1] = pts[0]
+    assert vdm_logdet(pts) == per_point_oracles.vdm_logdet(pts) == -math.inf
 
 
 def test_batch_single_point_is_log_one():
@@ -203,12 +241,12 @@ EXCHANGE_SETS = [
 @pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
 def test_exchange_pass_matches_per_position_tables(kset, size, seed):
     rng = np.random.default_rng(seed)
-    pool = _candidate_pool(kset, size, 64, rng, kset.reference_points(size))
+    pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
     # a random start of distinct points leaves most positions to swap, so
     # the table refresh after an accepted swap decides the later scores
     distinct = np.unique(pool, axis=0)
     current = distinct[rng.permutation(len(distinct))[:size]]
-    log_abs = vdm_logdet(current).log_abs
+    log_abs = vdm_logdet(current)
     got = _exchange_pass(current, log_abs, pool, 1e-10)
     want = exchange_pass(current, log_abs, pool, 1e-10)
     assert want[2]
@@ -229,7 +267,7 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
         return build(points, count)
 
     monkeypatch.setattr(vandermonde, "basis_matrix", counting)
-    _, _, improved = _exchange_pass(current, vdm_logdet(current).log_abs, pool, 1e-10)
+    _, _, improved = _exchange_pass(current, vdm_logdet(current), pool, 1e-10)
     assert improved
     assert widths.count(len(pool)) == 1
 
@@ -241,7 +279,7 @@ def test_line_scores_match_per_position_tables(size, seed):
     # that zeroed the diagonal instead of dropping it would differ in bits
     iv = Interval(-1.0, 1.0)
     rng = np.random.default_rng(seed)
-    pool = _candidate_pool(iv, size, 64, rng, iv.reference_points(size))
+    pool = candidate_pool(iv, size, 64, rng, iv.reference_points(size))
     # drawn from the pool, so candidates coincide with current points
     current = pool[rng.permutation(len(pool))[:size]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,6 +319,34 @@ def test_refinement_candidates_match_per_point_draws(kset):
     assert got.shape == want.shape == (72, kset.dim)
     assert got.tobytes() == want.tobytes()
     assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_candidate_pools_match_whole_rebuilds(kset):
+    size, pool_size = 5, 48
+    ref = kset.reference_points(size)
+    fixed = _fixed_candidates(kset, size, pool_size, ref)
+    mine, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(3):
+        got = _candidate_pool(kset, pool_size, mine, fixed)
+        want = candidate_pool(kset, size, pool_size, theirs, ref)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_search_builds_the_grid_once(monkeypatch):
+    calls = []
+    grid = Interval.grid
+
+    def counting(self, per_axis):
+        calls.append(per_axis)
+        return grid(self, per_axis)
+
+    monkeypatch.setattr(Interval, "grid", counting)
+    strategy = SearchStrategy(restarts=3, pool_size=32, exchange_passes=4, refine_levels=1)
+    fekete_search(Interval(-1.0, 1.0), 6, strategy, seed=0)
+    assert calls == [8]  # one build, at per_axis = 32 / 4
 
 
 def test_refinement_projects_one_batch_per_level(monkeypatch):
