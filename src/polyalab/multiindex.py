@@ -4,6 +4,19 @@ The basis order used everywhere in this package: multi-indices are sorted
 by total degree first, and within a fixed degree by ascending lexicographic
 order on (k_1, ..., k_n), comparing k_1 first.  So for n = 2 the sequence
 starts (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), ...
+
+Monomials are evaluated from power tables: for each axis k one table
+``points[:, k] ** arange(top + 1)``, whose rows are gathered by the
+exponents on that axis, and the factors are multiplied one axis at a time.
+A row skips every axis where its exponent is 0 and takes its first
+nonzero factor as it is, so only rows with two or more nonzero exponents
+are multiplied (3 of the 10 rows of degree <= 3 in two variables).  Those
+products are written out unfused, ``re = ar*br - ai*bi`` and
+``im = ar*bi + ai*br``: that is the arithmetic of ``np.prod``'s scalar
+reduce over the axes, which numpy's vectorised complex ``*`` (with fused
+multiply-adds) does not reproduce in the last bit.  So every entry equals
+(``==``) the broadcast ``np.prod`` form; the bytes differ at most in the
+sign of an exactly-zero imaginary part.
 """
 
 from __future__ import annotations
@@ -100,6 +113,7 @@ class GradedEnumeration:
         self.dim = dim
         self._indices: list[MultiIndex] = []
         self._generated_degree = -1
+        self._exponents: dict[int, np.ndarray] = {}
 
     def _extend_to(self, count: int) -> None:
         while len(self._indices) < count:
@@ -114,12 +128,13 @@ class GradedEnumeration:
         return self._indices[:count]
 
     def exponents(self, count: int) -> np.ndarray:
-        """Prefix as an integer array of shape (count, dim)."""
-        return np.array(self.prefix(count), dtype=np.int64)
-
-    def degrees(self, count: int) -> list[int]:
-        """Degrees s(i) of the first ``count`` indices."""
-        return [sum(k) for k in self.prefix(count)]
+        """Prefix as a read-only integer array of shape (count, dim), cached per count."""
+        arr = self._exponents.get(count)
+        if arr is None:
+            arr = np.array(self.prefix(count), dtype=np.int64)
+            arr.flags.writeable = False
+            self._exponents[count] = arr
+        return arr
 
     def degree_of(self, i: int) -> int:
         """Degree of the i-th index (1-based position)."""
@@ -140,24 +155,87 @@ def monomial(k: MultiIndex, z) -> complex:
 def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Evaluation matrix M[a, b] = points[b] ** exponents[a] (product over axes).
 
-    ``points`` has shape (npoints, dim), ``exponents`` shape (nbasis, dim).
+    ``points`` has shape (npoints, dim), ``exponents`` shape (nbasis, dim)
+    with entries >= 0.  One power table holds ``points[:, k] ** j`` for
+    every axis k and every j up to the largest exponent.  Row a is the
+    table row of its first axis with a nonzero exponent (z^0 = 1 if it has
+    none) times its later nonzero-exponent factors, multiplied axis by axis
+    in the unfused arithmetic of ``np.prod``'s reduce (see the module
+    docstring); axes where its exponent is 0 are skipped.  Which rows each
+    product and each output row take is planned once per exponent array.
     """
     pts = np.asarray(points, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != exponents.shape[1]:
+    exps = np.asarray(exponents, dtype=np.int64)
+    if pts.ndim != 2 or exps.ndim != 2 or not 0 < pts.shape[1] == exps.shape[1]:
         raise ValueError(
-            f"points shape {pts.shape} incompatible with exponents {exponents.shape}"
+            f"points shape {pts.shape} incompatible with exponents {exps.shape}"
         )
-    # (nbasis, npoints, dim) powers, then product over the axis dimension
-    powers = pts[None, :, :] ** exponents[:, None, :]
-    return np.prod(powers, axis=2)
+    powers, nstage, steps, final = _monomial_plan(exps.shape, exps.tobytes())
+    npoints, dim = pts.shape
+    out = np.empty((len(final), npoints), dtype=complex)
+    # in blocks of points, so the working rows stay small on large grids
+    for start in range(0, npoints, _POINT_BLOCK):
+        block = pts[start : start + _POINT_BLOCK]
+        # rows k * width + j hold block[:, k] ** j, the products follow
+        stage = np.empty((nstage, len(block)), dtype=complex)
+        table = stage[: dim * len(powers)].reshape(dim, len(powers), len(block))
+        np.power(block.T[:, None, :], powers, out=table)
+        for lo, hi, left, right in steps:
+            a, b = stage.take(left, axis=0).ravel(), stage.take(right, axis=0).ravel()
+            # 1-D views: numpy's strided loops run much faster on them than on 2-D ones
+            product = stage[lo:hi].ravel()
+            np.subtract(a.real * b.real, a.imag * b.imag, out=product.real)
+            np.add(a.real * b.imag, a.imag * b.real, out=product.imag)
+        # every index is in range; "clip" writes straight into out, "raise" buffers
+        stage.take(final, axis=0, out=out[:, start : start + _POINT_BLOCK], mode="clip")
+    return out
+
+
+_POINT_BLOCK = 2048
+
+
+@functools.lru_cache(maxsize=256)
+def _monomial_plan(shape: tuple[int, int], key: bytes) -> tuple:
+    """Row plan of ``monomial_matrix`` for one exponent array.
+
+    Returns the table's powers; the number of working rows (the table's,
+    then one per product); for each further factor (the second, third, ...
+    nonzero exponent in axis order, the order of the reduce) the block of
+    rows its products fill, the rows they multiply and the table rows they
+    multiply by; and the row that holds each output row.
+    """
+    exps = np.frombuffer(key, dtype=np.int64).reshape(shape)
+    if exps.min(initial=0) < 0:
+        raise ValueError("monomial exponents must be >= 0")
+    width = int(exps.max(initial=0)) + 1
+    factors = [[k * width + e for k, e in enumerate(row) if e] or [0] for row in exps.tolist()]
+    final = [f[0] for f in factors]
+    steps = []
+    nstage = shape[1] * width
+    for j in range(1, max((len(f) for f in factors), default=1)):
+        rows = [a for a, f in enumerate(factors) if len(f) > j]
+        left = np.array([final[a] for a in rows], dtype=np.intp)
+        right = np.array([factors[a][j] for a in rows], dtype=np.intp)
+        steps.append((nstage, nstage + len(rows), left, right))
+        for a in rows:
+            final[a] = nstage
+            nstage += 1
+    # complex exponents: the same power kernel, without a cast in its loop
+    powers = np.arange(width, dtype=complex)[:, None]
+    return powers, nstage, tuple(steps), np.array(final, dtype=np.intp)
 
 
 def _validate_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
 
 
-@functools.cache
 def enumeration_for(dim: int) -> GradedEnumeration:
-    """Shared per-dimension enumeration; callers must not mutate its arrays."""
-    return GradedEnumeration(int(dim))
+    """Shared per-dimension enumeration; its exponent arrays are read-only."""
+    _validate_dim(dim)
+    return _shared_enumeration(int(dim))
+
+
+@functools.cache
+def _shared_enumeration(dim: int) -> GradedEnumeration:
+    return GradedEnumeration(dim)

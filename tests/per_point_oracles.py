@@ -4,17 +4,25 @@ The library's exchange pass builds its tables once per pass and refreshes
 them after an accepted swap; refinement draws and projects one batch per
 level; its projections take a whole batch of points; a search builds the
 fixed part of its candidate pools once; a single configuration's log|V|
-is a batch of one.  These helpers are the plain forms they replace: every
-position rebuilds its tables from the current configuration, refinement
-draws its steps and projects them point by point, every point is
-projected on its own with scalar arithmetic, every pool is built whole,
-and log|V| comes from a formula for one configuration.  Tests compare
-the two bit for bit.
+is a batch of one; monomials are gathered from per-axis power tables.
+These helpers are the plain forms they replace: every position rebuilds
+its tables from the current configuration, refinement draws its steps
+and projects them point by point, every point is projected on its own
+with scalar arithmetic, every pool is built whole, log|V| comes from a
+formula for one configuration, and every monomial is its own broadcast
+power with a product reduce over the axes.  Tests compare the two bit
+for bit, monomials by ``==``, which ignores the sign of an exact zero.
 """
 
 import numpy as np
 
 from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet, basis_matrix
+
+
+def monomial_matrix(points, exponents):
+    """M[a, b] = points[b] ** exponents[a]: every (basis, point, axis) power, then np.prod."""
+    pts = np.asarray(points, dtype=complex)
+    return np.prod(pts[None, :, :] ** exponents[:, None, :], axis=2)
 
 
 def vdm_logdet(points):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from polyalab import (
+    ArcsineMeasure,
+    Box,
+    Circle,
     GradedEnumeration,
+    Interval,
+    ProductSet,
     count_at_most,
     count_exact,
     degree,
@@ -17,6 +22,7 @@ from polyalab import (
 )
 
 from brute_force_oracles import monomial_value
+from per_point_oracles import monomial_matrix as broadcast_monomial_matrix
 
 
 def brute_order(dim: int, max_degree: int):
@@ -88,7 +94,17 @@ def test_exponent_array_matches_prefix():
     arr = enum.exponents(10)
     assert arr.shape == (10, 2)
     assert [tuple(r) for r in arr] == enum.prefix(10)
-    assert enum.degrees(10) == [sum(k) for k in enum.prefix(10)]
+    assert arr.sum(axis=1).tolist() == [enum.degree_of(i) for i in range(1, 11)]
+
+
+def test_exponent_array_is_cached_read_only():
+    enum = GradedEnumeration(3)
+    arr = enum.exponents(12)
+    assert enum.exponents(12) is arr
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 5
+    assert enum.exponents(4).tolist() == arr[:4].tolist()
 
 
 def test_enumeration_factory_is_shared():
@@ -120,6 +136,62 @@ def test_monomial_matrix_agrees_with_scalar_monomials():
             assert monomial(tuple(k), pts[b]) == mat[a, b]
 
 
+def assert_matches_broadcast_form(points, exponents):
+    got = monomial_matrix(points, exponents)
+    want = broadcast_monomial_matrix(points, exponents)
+    assert got.shape == want.shape == (len(exponents), len(points))
+    assert got.dtype == want.dtype == complex
+    # == ignores only the sign of an exact zero
+    assert np.array_equal(got, want)
+
+
+def graded(dim, count):
+    return GradedEnumeration(dim).exponents(count)
+
+
+def test_monomials_match_broadcast_form_on_arcsine_samples():
+    rng = np.random.default_rng(5)
+    x = ArcsineMeasure(-1.0, 1.0).sample(rng, 4000)
+    y = ArcsineMeasure(-1.0, 0.5).sample(rng, 4000)
+    assert_matches_broadcast_form(x, graded(1, 30))
+    assert_matches_broadcast_form(np.hstack([x, y]), graded(2, 28))
+
+
+def test_monomials_match_broadcast_form_on_box_grid():
+    grid = Box(((-1.0, 1.0), (-1.0, 1.0))).grid(256)
+    assert grid.shape == (256 * 256, 2)
+    assert_matches_broadcast_form(grid, graded(2, 15))
+
+
+def test_monomials_match_broadcast_form_on_complex_points():
+    rng = np.random.default_rng(6)
+    circle_x_interval = ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))).sample(rng, 3000)
+    assert_matches_broadcast_form(circle_x_interval, graded(2, 45))
+    cube = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    assert_matches_broadcast_form(cube, graded(3, 56))
+
+
+def test_monomials_edge_shapes_match_broadcast_form():
+    rng = np.random.default_rng(7)
+    line = rng.standard_normal((9, 1)) + 1j * rng.standard_normal((9, 1))
+    assert_matches_broadcast_form(line, graded(1, 12))
+    with_origin = np.array([[0.0, 0.0], [0.0, 2.0 - 1.0j], [-1.5, 0.0]], dtype=complex)
+    mat = monomial_matrix(with_origin, graded(2, 10))
+    assert mat[0, 0] == 1.0 and np.all(mat[1:, 0] == 0.0)  # 0^0 = 1
+    assert_matches_broadcast_form(with_origin, graded(2, 10))
+    assert_matches_broadcast_form(with_origin, np.zeros((4, 2), dtype=np.int64))
+    assert_matches_broadcast_form(np.zeros((0, 2), dtype=complex), graded(2, 6))
+    assert_matches_broadcast_form(with_origin, np.zeros((0, 2), dtype=np.int64))
+    # exponents need not be graded: repeats, and a later axis before an earlier one
+    mixed = np.array([[0, 3, 1], [2, 0, 0], [0, 3, 1], [1, 1, 1], [0, 0, 4]], dtype=np.int64)
+    assert_matches_broadcast_form(rng.standard_normal((7, 3)) + 0.5j, mixed)
+
+
+def test_monomial_matrix_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        monomial_matrix(np.ones((2, 2)), np.array([[0, -1]]))
+
+
 def test_rejects_bad_dimension():
     with pytest.raises(ValueError):
         GradedEnumeration(0)
@@ -127,3 +199,19 @@ def test_rejects_bad_dimension():
         enumerate_indices(-1, 3)
     with pytest.raises(ValueError):
         GradedEnumeration(2).prefix(0)
+
+
+@pytest.mark.parametrize("dim", [True, False, 2.0, "2"])
+def test_dimension_must_be_a_true_integer(dim):
+    with pytest.raises(ValueError):
+        GradedEnumeration(dim)
+    with pytest.raises(ValueError):
+        degree_counts(dim, 2)
+    with pytest.raises(ValueError):
+        enumeration_for(dim)
+
+
+def test_numpy_integer_dimension_is_accepted():
+    assert GradedEnumeration(np.int64(2)).prefix(3) == [(0, 0), (0, 1), (1, 0)]
+    assert degree_counts(np.int64(3), 2) == degree_counts(3, 2)
+    assert enumeration_for(np.int64(2)) is enumeration_for(2)

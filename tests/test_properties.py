@@ -18,6 +18,7 @@ pytestmark = pytest.mark.filterwarnings(
 from per_point_oracles import project_each  # noqa: E402
 from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
+from test_multiindex import assert_matches_broadcast_form  # noqa: E402
 
 # zero is drawn often enough that many examples have a vanishing leading
 # minor with nonzero minors after it, and many have none
@@ -102,3 +103,22 @@ def test_batched_projection_is_per_point_projection(case):
 def test_batched_projection_fixes_points_on_the_set(kset):
     on_set = kset.grid(6)
     assert kset.project(on_set).tobytes() == project_each(kset, on_set).tobytes()
+
+
+@st.composite
+def monomial_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    npoints = draw(st.integers(min_value=0, max_value=6))
+    nbasis = draw(st.integers(min_value=0, max_value=8))
+    values = draw(st.lists(POINT, min_size=npoints * dim, max_size=npoints * dim))
+    exps = draw(st.lists(st.integers(0, 6), min_size=nbasis * dim, max_size=nbasis * dim))
+    return (
+        np.array(values, dtype=complex).reshape(npoints, dim),
+        np.array(exps, dtype=np.int64).reshape(nbasis, dim),
+    )
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(monomial_cases())
+def test_monomial_kernel_is_broadcast_product(case):
+    assert_matches_broadcast_form(*case)
