@@ -1,7 +1,7 @@
 """Best-of-N timings of `monomial_matrix` at the call shapes of the benchmark workloads.
 
-    python3 scripts/bench_layers.py                        # writes BENCH_monomial.json
-    python3 scripts/bench_layers.py --repeat 9 --out x.json
+    python3 scripts/bench_layers.py                 # writes BENCH_monomial.json
+    python3 scripts/bench_layers.py --out x.json
 
 Each row times `polyalab.monomial_matrix(points, exponents)` on two-variable
 points, with the graded exponents of the first `nbasis` monomials:
@@ -13,7 +13,7 @@ points, with the graded exponents of the first `nbasis` monomials:
   `sampling`
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
 
-A timing is the best, over `--repeat` runs, of the mean over `number`
+A timing is the best, over `REPEAT` runs, of the mean over `number`
 calls, with `number` doubled until one run lasts at least 0.05 s; the
 points come from a fixed seed.  BLAS is pinned to one thread before numpy
 is first imported, and the library is imported from this checkout's
@@ -39,6 +39,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import polyalab  # noqa: E402
+
+REPEAT = 7
 
 
 def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
@@ -79,13 +81,12 @@ def best_of(call, repeat: int, min_run: float = 0.05) -> tuple[float, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_monomial.json")
-    parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
 
     rows = []
     for name, points, nbasis in shapes(np.random.default_rng(1)):
         exps = polyalab.enumeration_for(points.shape[1]).exponents(nbasis)
-        seconds, number = best_of(lambda: polyalab.monomial_matrix(points, exps), args.repeat)
+        seconds, number = best_of(lambda: polyalab.monomial_matrix(points, exps), REPEAT)
         rows.append(
             {
                 "shape": name,
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
                 "dim": int(points.shape[1]),
                 "best_s": seconds,
                 "number": number,
-                "repeat": args.repeat,
+                "repeat": REPEAT,
             }
         )
         print(f"{name:45s} {seconds * 1e6:12.1f} us", file=sys.stderr)

@@ -156,7 +156,7 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Evaluation matrix M[a, b] = points[b] ** exponents[a] (product over axes).
 
     ``points`` has shape (npoints, dim), ``exponents`` shape (nbasis, dim)
-    with entries >= 0.  One power table holds ``points[:, k] ** j`` for
+    with integer entries >= 0.  One power table holds ``points[:, k] ** j`` for
     every axis k and every j up to the largest exponent.  Row a is the
     table row of its first axis with a nonzero exponent (z^0 = 1 if it has
     none) times its later nonzero-exponent factors, multiplied axis by axis
@@ -165,7 +165,10 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     product and each output row take is planned once per exponent array.
     """
     pts = np.asarray(points, dtype=complex)
-    exps = np.asarray(exponents, dtype=np.int64)
+    exps = np.asarray(exponents)
+    if exps.dtype.kind not in "iu":
+        raise ValueError(f"monomial exponents must be integers, got dtype {exps.dtype}")
+    exps = exps.astype(np.int64, copy=False)
     if pts.ndim != 2 or exps.ndim != 2 or not 0 < pts.shape[1] == exps.shape[1]:
         raise ValueError(
             f"points shape {pts.shape} incompatible with exponents {exps.shape}"
@@ -186,7 +189,8 @@ def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
             product = stage[lo:hi].ravel()
             np.subtract(a.real * b.real, a.imag * b.imag, out=product.real)
             np.add(a.real * b.imag, a.imag * b.real, out=product.imag)
-        # every index is in range; "clip" writes straight into out, "raise" buffers
+        # every index is in range; with a single block out is contiguous, and
+        # "clip" then writes straight into it where "raise" buffers
         stage.take(final, axis=0, out=out[:, start : start + _POINT_BLOCK], mode="clip")
     return out
 
@@ -230,12 +234,7 @@ def _validate_dim(dim: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
 
 
+@functools.cache
 def enumeration_for(dim: int) -> GradedEnumeration:
     """Shared per-dimension enumeration; its exponent arrays are read-only."""
-    _validate_dim(dim)
-    return _shared_enumeration(int(dim))
-
-
-@functools.cache
-def _shared_enumeration(dim: int) -> GradedEnumeration:
     return GradedEnumeration(dim)

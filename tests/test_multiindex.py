@@ -190,6 +190,8 @@ def test_monomials_edge_shapes_match_broadcast_form():
 def test_monomial_matrix_rejects_negative_exponents():
     with pytest.raises(ValueError):
         monomial_matrix(np.ones((2, 2)), np.array([[0, -1]]))
+    with pytest.raises(ValueError):
+        monomial_matrix(np.ones((2, 2)), np.array([[0.5, 1.0]]))
 
 
 def test_rejects_bad_dimension():
@@ -203,6 +205,7 @@ def test_rejects_bad_dimension():
 
 @pytest.mark.parametrize("dim", [True, False, 2.0, "2"])
 def test_dimension_must_be_a_true_integer(dim):
+    enumeration_for(1)  # a cached 1 must not answer for True
     with pytest.raises(ValueError):
         GradedEnumeration(dim)
     with pytest.raises(ValueError):
@@ -214,4 +217,4 @@ def test_dimension_must_be_a_true_integer(dim):
 def test_numpy_integer_dimension_is_accepted():
     assert GradedEnumeration(np.int64(2)).prefix(3) == [(0, 0), (0, 1), (1, 0)]
     assert degree_counts(np.int64(3), 2) == degree_counts(3, 2)
-    assert enumeration_for(np.int64(2)) is enumeration_for(2)
+    assert enumeration_for(np.int64(2)).exponents(3).tolist() == [[0, 0], [0, 1], [1, 0]]
