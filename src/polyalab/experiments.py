@@ -100,8 +100,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not is_integer_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if "\r" in self.label or "\n" in self.label:
+            raise ConfigError(f"label must be one line (CSV cell), got {self.label!r}")
         bad = _RESERVED_KEYS & set(self.spec)
         if bad:
             raise ConfigError(f"payload keys collide with reserved names: {sorted(bad)}")

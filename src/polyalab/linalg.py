@@ -13,8 +13,9 @@ matrices are both built here as a MomentMatrix, which takes the exact
 route whenever every entry is rational.  A whole sequence of leading
 principal minors comes from one elimination without pivoting, whose
 pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
-H_1..H_n costs one elimination, not n.  A single matrix or configuration
-is evaluated as a batch of one, so each float route has one body.
+H_1..H_n costs one elimination, not n; run over [cA | I], the same
+kernel gives an exact LDL^T.  A single matrix or configuration is
+evaluated as a batch of one, so each float route has one body.
 """
 
 from __future__ import annotations
@@ -217,46 +218,38 @@ def _bareiss_int_det(a: list[list[int]]) -> int:
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate below the nonzero pivot a[k][k], in place; prev is the last pivot."""
-    n = len(a)
+    """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot."""
     pivot = a[k][k]
     row_k = a[k]
-    for i in range(k + 1, n):
+    for i in range(k + 1, len(a)):
         left = a[i][k]
         row_i = a[i]
-        for j in range(k + 1, n):
+        for j in range(k + 1, len(row_k)):
             # Bareiss identity: the division by the previous pivot is exact
             row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
         row_i[k] = 0
 
 
 def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact LDL^T factorization of a symmetric positive-definite rational matrix.
+    """(L^-1, d) with A = L diag(d) L^T, L unit lower, for a rational SPD matrix A.
 
-    Returns (L, d) with L unit lower-triangular and d the diagonal, such
-    that A = L diag(d) L^T.  Raises ValueError if a pivot is not positive
-    (the matrix is not numerically usable for orthonormalization then).
+    One Bareiss pass without pivoting runs over [cA | I], c the lcm of A's
+    denominators: after step k - 1, row k's right block is D_{k-1} (L^-1)_k,
+    and d_k = D_k / (c D_{k-1}), D_k the pivot of step k and D_{-1} = 1.
+    Raises ValueError at a pivot that is not positive.
     """
-    n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag: list[Fraction] = []
-    for j in range(n):
-        d = a[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
-        if d <= 0:
-            raise ValueError(f"matrix is not positive definite (pivot {j} = {d})")
-        diag.append(d)
-        for i in range(j + 1, n):
-            off = a[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = off / d
-    return lower, diag
-
-
-def unit_lower_inverse(lower: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a unit lower-triangular rational matrix."""
-    n = len(lower)
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            inv[i][j] = -sum(lower[i][k] * inv[k][j] for k in range(j, i))
-    return inv
+    fracs = [[Fraction(v) for v in row] for row in rows]
+    n = len(fracs)
+    c = math.lcm(*(f.denominator for row in fracs for f in row))
+    aug = [
+        [f.numerator * (c // f.denominator) for f in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(fracs)
+    ]
+    pivots = [1]  # pivots[k] = D_{k-1}
+    for k in range(n):
+        if aug[k][k] <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {k} = {aug[k][k]})")
+        _bareiss_step(aug, k, pivots[k])
+        pivots.append(aug[k][k])
+    inverse = [[Fraction(v, pivots[k]) for v in aug[k][n:]] for k in range(n)]
+    return inverse, [Fraction(pivots[k + 1], c * pivots[k]) for k in range(n)]

@@ -32,9 +32,11 @@ from .domains import (
     Interval,
     ProductSet,
 )
-from .linalg import MomentMatrix, exact_ldl, moment_matrix, unit_lower_inverse
+from .linalg import MomentMatrix, exact_ldl, moment_matrix
 from .multiindex import as_multi_index, count_at_most, enumeration_for
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
+
+_GRID_BLOCK = 2048  # grid points per block of the sup/L2 kernel
 
 
 class Measure:
@@ -419,20 +421,16 @@ def z_s_montecarlo(
 def orthonormal_coefficients(measure: Measure, count: int) -> np.ndarray:
     """Lower-triangular C with q = C e orthonormal in L^2 of the measure.
 
-    Uses an exact rational LDL^T factorization when the Gram matrix has
-    one, postponing all rounding to the final float conversion.  Raises
-    for a singular Gram matrix.
+    For an exact Gram matrix, C = diag(d)^(-1/2) L^-1 from linalg.exact_ldl,
+    the Bareiss kernel of the determinants and prefix minors too, so rounding
+    waits for the final float conversion.  Raises for a singular Gram matrix.
     """
     g = gram(measure, count)
     if g.exact is not None:
-        lower, diag = exact_ldl(g.exact)
-        inv = unit_lower_inverse(lower)
-        out = np.zeros((count, count))
-        for i in range(count):
-            scale = 1.0 / math.sqrt(float(diag[i]))
-            for j in range(i + 1):
-                out[i, j] = float(inv[i][j]) * scale
-        return out.astype(complex)
+        inv, diag = exact_ldl(g.exact)
+        scales = [1.0 / math.sqrt(float(d)) for d in diag]
+        out = [[float(v) * scale for v in row] for row, scale in zip(inv, scales)]
+        return np.array(out, dtype=complex).reshape(count, count)
     chol = np.linalg.cholesky(g.matrix)
     return np.linalg.inv(chol)
 
@@ -451,7 +449,8 @@ def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int = 4096) -> fl
     except (ValueError, np.linalg.LinAlgError):
         return math.inf
     pts = measure.support.grid(per_axis)
-    basis = basis_matrix(pts, m)
-    q = coeffs @ basis
-    kernel = np.sum(np.abs(q) ** 2, axis=0)
-    return float(np.sqrt(np.max(kernel.real)))
+    peak = -math.inf
+    for start in range(0, pts.shape[0], _GRID_BLOCK):
+        q = coeffs @ basis_matrix(pts[start : start + _GRID_BLOCK], m)
+        peak = np.maximum(peak, np.max(np.sum(np.abs(q) ** 2, axis=0)))
+    return float(np.sqrt(peak))

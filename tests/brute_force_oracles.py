@@ -1,13 +1,17 @@
-"""Brute-force determinant oracles, for use in tests at small sizes only.
+"""Brute-force determinant and factorization oracles, for tests only.
 
 The library computes Vandermonde and Hankel determinants in log form,
 through LU, Bareiss or the 1D pairwise product.  These helpers compute
 the same quantities literally, as a determinant value and as the
 iterated functional summed over every tuple of atoms, so tests can
-check the fast routes against an independent one.
+check the fast routes against an independent one.  The library's exact
+LDL^T inverse comes from one Bareiss pass over [cA | I]; the oracle here
+is the textbook route in Fraction arithmetic, an LDL^T followed by the
+inverse of the unit lower factor.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,3 +71,33 @@ def iterated_functional_oracle(measure: DiscreteMeasure, size: int) -> float:
         v = vdm_value(atoms[list(tup)])
         total += w * v * v
     return abs(total)
+
+
+def exact_ldl(rows):
+    """(L, d) with L unit lower-triangular and A = L diag(d) L^T, in Fractions.
+
+    Raises ValueError at the first pivot that is not positive.
+    """
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    diag = []
+    for j in range(n):
+        d = a[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        if d <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {j} = {d})")
+        diag.append(d)
+        for i in range(j + 1, n):
+            off = a[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = off / d
+    return lower, diag
+
+
+def unit_lower_inverse(lower):
+    """Inverse of a unit lower-triangular Fraction matrix, by forward substitution."""
+    n = len(lower)
+    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            inv[i][j] = -sum(lower[i][k] * inv[k][j] for k in range(j, i))
+    return inv

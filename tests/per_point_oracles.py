@@ -4,19 +4,33 @@ The library's exchange pass builds its tables once per pass and refreshes
 them after an accepted swap; refinement draws and projects one batch per
 level; its projections take a whole batch of points; a search builds the
 fixed part of its candidate pools once; a single configuration's log|V|
-is a batch of one; monomials are gathered from per-axis power tables.
-These helpers are the plain forms they replace: every position rebuilds
-its tables from the current configuration, refinement draws its steps
-and projects them point by point, every point is projected on its own
-with scalar arithmetic, every pool is built whole, log|V| comes from a
-formula for one configuration, and every monomial is its own broadcast
-power with a product reduce over the axes.  Tests compare the two bit
-for bit, monomials by ``==``, which ignores the sign of an exact zero.
+is a batch of one; monomials are gathered from per-axis power tables;
+the sup/L2 kernel walks its grid in blocks.  These helpers are the plain
+forms they replace: every position rebuilds its tables from the current
+configuration, refinement draws its steps and projects them point by
+point, every point is projected on its own with scalar arithmetic, every
+pool is built whole, log|V| comes from a formula for one configuration,
+every monomial is its own broadcast power with a product reduce over the
+axes, and the kernel is evaluated on the whole grid at once.  Tests
+compare the two bit for bit, monomials by ``==``, which ignores the sign
+of an exact zero.
 """
+
+import math
 
 import numpy as np
 
-from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet, basis_matrix
+from polyalab import (
+    Box,
+    Circle,
+    Disk,
+    FiniteSet,
+    Interval,
+    ProductSet,
+    basis_matrix,
+    count_at_most,
+    orthonormal_coefficients,
+)
 
 
 def monomial_matrix(points, exponents):
@@ -132,3 +146,16 @@ def project_point(kset, point):
 def project_each(kset, points):
     """Per-point projection of every row of an (n, dim) array."""
     return np.stack([project_point(kset, p) for p in np.asarray(points, dtype=complex)])
+
+
+def bernstein_markov_ratio(measure, s, per_axis):
+    """The sup/L2 ratio with the whole grid's basis, q and |q|^2 live at once."""
+    m = count_at_most(measure.dim, s)
+    try:
+        coeffs = orthonormal_coefficients(measure, m)
+    except (ValueError, np.linalg.LinAlgError):
+        return math.inf
+    pts = measure.support.grid(per_axis)
+    q = coeffs @ basis_matrix(pts, m)
+    kernel = np.sum(np.abs(q) ** 2, axis=0)
+    return float(np.sqrt(np.max(kernel.real)))

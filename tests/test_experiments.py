@@ -61,6 +61,14 @@ def test_config_validation():
         make_config(experiment="warp")
     with pytest.raises(ConfigError):
         make_config(seed=-1)
+    for seed in (True, False, 1.0, "1"):
+        with pytest.raises(ConfigError, match="seed"):
+            make_config(seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig.from_dict(yaml.safe_load("experiment: hankel\nseed: true\n"))
+    for label in ("a\rb", "a\nb", "\r\n"):
+        with pytest.raises(ConfigError, match="label"):
+            make_config(label=label)
     with pytest.raises(ConfigError):
         make_config(spec={"seed": 1})  # collides with a reserved key
     with pytest.raises(ConfigError):

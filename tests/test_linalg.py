@@ -13,7 +13,6 @@ from polyalab.linalg import (
     exact_prefix_logdets,
     logdet,
     pairwise_difference_logdet,
-    unit_lower_inverse,
 )
 
 
@@ -181,19 +180,20 @@ def test_prefix_logdets_continue_past_a_zero_minor():
 
 def test_exact_ldl_reconstructs_matrix():
     rows = [
-        [Fraction(4), Fraction(2), Fraction(1)],
+        [Fraction(4), Fraction(2), Fraction(1, 3)],
         [Fraction(2), Fraction(5), Fraction(3)],
-        [Fraction(1), Fraction(3), Fraction(6)],
+        [Fraction(1, 3), Fraction(3), Fraction(7, 2)],
     ]
-    low, diag = exact_ldl(rows)
+    inv, diag = exact_ldl(rows)
     n = 3
-    rebuilt = [[Fraction(0)] * n for _ in range(n)]
+    # L^-1 A L^-T = diag(d), exactly
+    left = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    whitened = [[sum(left[i][k] * inv[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert whitened == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            rebuilt[i][j] = sum(low[i][k] * diag[k] * low[j][k] for k in range(n))
-    assert rebuilt == [[Fraction(v) for v in r] for r in rows]
-    for i in range(n):
-        assert low[i][i] == 1
+        assert inv[i][i] == 1
+        assert all(v == 0 for v in inv[i][i + 1 :])
+    assert diag == [Fraction(4), Fraction(4), fraction_det(rows) / 16]
 
 
 def test_exact_ldl_rejects_indefinite():
@@ -201,15 +201,7 @@ def test_exact_ldl_rejects_indefinite():
         exact_ldl([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
 
 
-def test_unit_lower_inverse():
-    low = [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(1, 2), Fraction(1), Fraction(0)],
-        [Fraction(-3), Fraction(2, 7), Fraction(1)],
-    ]
-    inv = unit_lower_inverse(low)
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            prod = sum(low[i][k] * inv[k][j] for k in range(n))
-            assert prod == (1 if i == j else 0)
+def test_exact_ldl_rejects_singular_semidefinite():
+    # the first pivot is 1, the second is exactly 0
+    with pytest.raises(ValueError, match="pivot 1 = 0"):
+        exact_ldl([[1, 1], [1, 1]])

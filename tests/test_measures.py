@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,13 @@ from polyalab import (
     z_s_gram,
     z_s_montecarlo,
 )
-from polyalab.measures import log_factorial
+from polyalab.linalg import exact_ldl
+from polyalab.measures import _GRID_BLOCK, log_factorial
+
+import brute_force_oracles
+import per_point_oracles
+
+PRODUCT_ARCSINE = ProductMeasure((ArcsineMeasure(-1.0, 1.0), ArcsineMeasure(-1.0, 1.0)))
 
 
 def chebyshev_quadrature_moment(a, b, k, nodes=64):
@@ -352,6 +359,51 @@ def test_bm_ratio_closed_forms():
         )
     uni = UniformSegment(-1.0, 1.0)
     assert bernstein_markov_ratio(uni, 3, per_axis=4096) == pytest.approx(4.0, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        PRODUCT_ARCSINE,
+        ProductMeasure((ArcsineMeasure(0.0, 2.0), UniformSegment(-1.0, 0.5))),
+        ArcsineMeasure(-1.0, 1.0),
+    ],
+    ids=["product-arcsine", "arcsine-x-uniform", "arcsine"],
+)
+@pytest.mark.parametrize("count", [15, 28, 45])
+def test_exact_ldl_matches_fraction_oracle_on_gram(measure, count):
+    rows = gram(measure, count).exact
+    lower, diag = brute_force_oracles.exact_ldl(rows)
+    assert exact_ldl(rows) == (brute_force_oracles.unit_lower_inverse(lower), diag)
+
+
+@pytest.mark.parametrize(
+    "measure, s, per_axis",
+    [
+        (PRODUCT_ARCSINE, 4, 64),
+        (PRODUCT_ARCSINE, 6, 100),
+        (CircleUniform(1.5), 5, 5000),
+        (DiskUniform(2.0), 3, 200),
+        (ArcsineMeasure(-1.0, 1.0), 3, 4096),
+    ],
+)
+def test_bm_ratio_blocks_equal_whole_grid(measure, s, per_axis):
+    # every grid holds more than one block, and most end in a partial one
+    assert measure.support.grid(per_axis).shape[0] > _GRID_BLOCK
+    whole = per_point_oracles.bernstein_markov_ratio(measure, s, per_axis)
+    assert bernstein_markov_ratio(measure, s, per_axis) == whole
+
+
+def test_bm_ratio_memory_stays_within_a_few_blocks():
+    # the whole-grid kernel peaks near 73 MiB here: 65,536 points x 28 basis rows
+    bernstein_markov_ratio(PRODUCT_ARCSINE, 6, per_axis=256)  # warm the caches
+    tracemalloc.start()
+    try:
+        bernstein_markov_ratio(PRODUCT_ARCSINE, 6, per_axis=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_bm_ratio_singular_is_infinite():

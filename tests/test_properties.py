@@ -1,5 +1,6 @@
 """Property tests drawn by hypothesis (a test-only dependency)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,23 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 )
 
+import brute_force_oracles  # noqa: E402
 from per_point_oracles import project_each  # noqa: E402
-from polyalab import Box, Circle, Disk, FiniteSet, Interval, ProductSet  # noqa: E402
+from polyalab import (  # noqa: E402
+    Box,
+    Circle,
+    ConfigError,
+    Disk,
+    ExperimentConfig,
+    FiniteSet,
+    Interval,
+    ProductSet,
+    ReportRow,
+    parse_csv_text,
+    rows_to_csv_text,
+)
+from polyalab.experiments import EXPERIMENT_KINDS  # noqa: E402
+from polyalab.linalg import exact_ldl  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
 from test_multiindex import assert_matches_broadcast_form  # noqa: E402
 
@@ -45,6 +61,59 @@ def rational_matrices(draw):
 @hypothesis.given(rational_matrices())
 def test_prefix_logdets_match_per_size_on_random_matrices(rows):
     assert_prefixes_match_per_size(rows)
+
+
+@st.composite
+def spd_rational_matrices(draw):
+    """B B^T + I for a small rational B: symmetric positive definite."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    b = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    return [
+        [sum(b[i][k] * b[j][k] for k in range(n)) + (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(spd_rational_matrices())
+def test_exact_ldl_is_the_fraction_oracle_on_random_spd_matrices(rows):
+    lower, diag = brute_force_oracles.exact_ldl(rows)
+    assert exact_ldl(rows) == (brute_force_oracles.unit_lower_inverse(lower), diag)
+
+
+def _is_config_label(label):
+    try:
+        ExperimentConfig(experiment="hankel", label=label, seed=0, spec={})
+    except ConfigError:
+        return False
+    return True
+
+
+FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+)
+INDEX = st.one_of(st.none(), st.integers(min_value=0, max_value=10**6))
+REPORT_ROW = st.builds(
+    ReportRow,
+    experiment=st.sampled_from(EXPERIMENT_KINDS),
+    label=st.text().filter(_is_config_label),
+    quantity=st.sampled_from(["log_vdm", "d_s", "bm_ratio", "zscore"]),
+    value=FLOAT,
+    seed=st.integers(min_value=0, max_value=2**63),
+    s=INDEX,
+    i=INDEX,
+    j=INDEX,
+    std_error=st.one_of(st.none(), FLOAT),
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(st.lists(REPORT_ROW, max_size=5))
+@hypothesis.example([ReportRow("hankel", 'a,"b"', "d_s", math.nan, 0, s=0, std_error=-math.inf)])
+def test_csv_text_survives_a_parse_round_trip(rows):
+    text = rows_to_csv_text(rows)
+    assert rows_to_csv_text(parse_csv_text(text)) == text
 
 
 PROJECTION_SETS = [
