@@ -1,10 +1,11 @@
-"""Best-of-N timings of `monomial_matrix` at the call shapes of the benchmark workloads.
+"""Best-of-N timings of two layers at the call shapes of the benchmark workloads.
 
-    python3 scripts/bench_layers.py                 # writes BENCH_monomial.json
-    python3 scripts/bench_layers.py --out x.json
+    python3 scripts/bench_layers.py                  # writes BENCH_monomial.json, BENCH_exchange.json
+    python3 scripts/bench_layers.py --out-dir /tmp   # the same two files elsewhere
 
-Each row times `polyalab.monomial_matrix(points, exponents)` on two-variable
-points, with the graded exponents of the first `nbasis` monomials:
+BENCH_monomial.json times `polyalab.monomial_matrix(points, exponents)` on
+two-variable points, with the graded exponents of the first `nbasis`
+monomials:
 
 - 15 x 15: one 15-point configuration, the size of an exchange re-evaluation
   in `search-2d` (circle x interval)
@@ -12,6 +13,12 @@ points, with the graded exponents of the first `nbasis` monomials:
 - 20,480 x 10: one Monte Carlo chunk of the product-arcsine `zs-check` in
   `sampling`
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
+
+BENCH_exchange.json times one exchange pass, `vandermonde._exchange_pass`,
+at the largest configuration of each `search-2d` set: the box at m = 21 and
+circle x interval at m = 15.  The pass is the first of a restart under the
+default `SearchStrategy`: a pool built as `fekete_search` builds it, the
+greedy start from it, then the next pool, which the pass scores against.
 
 A timing is the best, over `REPEAT` runs, of the mean over `number`
 calls, with `number` doubled until one run lasts at least 0.05 s; the
@@ -39,6 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import polyalab  # noqa: E402
+from polyalab import vandermonde  # noqa: E402
 
 REPEAT = 7
 
@@ -78,9 +86,45 @@ def best_of(call, repeat: int, min_run: float = 0.05) -> tuple[float, int]:
     return best, number
 
 
+def exchange_cases() -> list[tuple[str, np.ndarray, float, np.ndarray]]:
+    """(name, current, log|V|, pool) of the first pass of a default restart."""
+    strategy = polyalab.SearchStrategy()
+    box = polyalab.Box(((-1.0, 1.0), (-1.0, 1.0)))
+    circle_x_interval = polyalab.ProductSet(
+        (polyalab.Circle(0.0, 1.0), polyalab.Interval(-1.0, 1.0))
+    )
+    cases = []
+    for name, kset, size in (
+        ("box m=21", box, 21),
+        ("circle x interval m=15", circle_x_interval, 15),
+    ):
+        rng = np.random.default_rng(1)
+        fixed = vandermonde._fixed_candidates(
+            kset, size, strategy.pool_size, kset.reference_points(size)
+        )
+        start = vandermonde._candidate_pool(kset, strategy.pool_size, rng, fixed)
+        current = vandermonde._greedy_start(start, size)
+        pool = vandermonde._candidate_pool(kset, strategy.pool_size, rng, fixed)
+        cases.append((name, current, polyalab.vdm_logdet(current), pool))
+    return cases
+
+
+def record(kernel: str, rows: list[dict]) -> dict:
+    return {
+        "kernel": kernel,
+        "metric": "best_s: best of repeat runs of the mean seconds per call",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "rows": rows,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_monomial.json")
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
     rows = []
@@ -99,17 +143,32 @@ def main(argv=None) -> int:
             }
         )
         print(f"{name:45s} {seconds * 1e6:12.1f} us", file=sys.stderr)
-    record = {
-        "kernel": "multiindex.monomial_matrix",
-        "metric": "best_s: best of repeat runs of the mean seconds per call",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "blas_threads": 1,
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    monomial = record("multiindex.monomial_matrix", rows)
+
+    rows = []
+    tol = polyalab.SearchStrategy().improvement_tol
+    for name, current, log_abs, pool in exchange_cases():
+        _, after, _ = vandermonde._exchange_pass(current, log_abs, pool, tol)
+        seconds, number = best_of(
+            lambda: vandermonde._exchange_pass(current, log_abs, pool, tol), REPEAT
+        )
+        rows.append(
+            {
+                "shape": name,
+                "size": int(current.shape[0]),
+                "npool": int(pool.shape[0]),
+                "dim": int(current.shape[1]),
+                "log_gain": after - log_abs,
+                "best_s": seconds,
+                "number": number,
+                "repeat": REPEAT,
+            }
+        )
+        print(f"exchange pass, {name:30s} {seconds * 1e6:12.1f} us", file=sys.stderr)
+    exchange = record("vandermonde._exchange_pass", rows)
+
+    for filename, payload in (("BENCH_monomial.json", monomial), ("BENCH_exchange.json", exchange)):
+        (args.out_dir / filename).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

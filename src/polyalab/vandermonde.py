@@ -12,9 +12,12 @@ search builds once for all its restarts and passes.
 
 Each exchange pass builds its fixed tables once: in one variable the table
 log|pool - current|, its row sums and every point's own sum over the
-others, in several the pool's basis matrix and the inverse of the current
-configuration's.  An accepted swap refreshes only what it changed, and is
-accepted only after an exact re-evaluation of log|V|.  Each refinement
+others, in several the basis rows of the pool and of the current
+configuration and the inverse of the latter.  An accepted swap refreshes
+only what it changed, and is accepted only after an exact re-evaluation
+of log|V|; in several variables the trial and the refreshed inverse come
+from the cached basis rows, so each pass evaluates monomials twice, once
+for the pool and once for the configuration.  Each refinement
 level draws the steps around every point in one call and projects them as
 one batch.  Both give bit for bit the scores, points and generator stream
 of per-position and per-point recomputation.
@@ -252,7 +255,7 @@ def _greedy_start(pool: np.ndarray, size: int) -> np.ndarray:
         return pool[chosen]
     # column-by-column elimination with row pivoting; the pivot rows are
     # exactly a discrete analogue of a nested maximal-determinant choice
-    a = basis_matrix(pool, size).T.astype(complex).copy()
+    a = basis_matrix(pool, size).T.astype(complex)
     chosen: list[int] = []
     free = np.ones(npts, dtype=bool)
     for k in range(size):
@@ -265,8 +268,8 @@ def _greedy_start(pool: np.ndarray, size: int) -> np.ndarray:
         free[p] = False
         piv = a[p, k]
         if piv != 0:
-            rows = free.nonzero()[0]
-            a[rows] -= np.outer(a[rows, k] / piv, a[p])
+            # the chosen rows change too, but none of them is read again
+            a -= np.outer(a[:, k] / piv, a[p])
     return pool[chosen]
 
 
@@ -280,11 +283,14 @@ def _exchange_pass(
 
     The tables are built before position 0 and refreshed only after an
     accepted swap: in one variable the table log|pool_r - z_c|, its row
-    sums and each point's own sum over the others; in several the pool's
-    basis and the inverse of the configuration's.  Each score comes from
-    the same entries, summed in the same order, as tables rebuilt at every
-    position would give, so the pass is bit for bit the per-position
-    recomputation.
+    sums and each point's own sum over the others; in several the basis
+    rows of the pool and of the configuration, and the inverse of the
+    latter.  There a trial is the configuration's rows with row j replaced
+    by a pool row, and an accepted swap inverts the trial's rows: a point's
+    monomials have the same bits whichever points share the call, so no
+    basis row is evaluated twice.  Each score comes from the same entries,
+    summed in the same order, as tables rebuilt at every position would
+    give, so the pass is bit for bit the per-position recomputation.
     """
     size, dim = current.shape
     improved = False
@@ -296,8 +302,10 @@ def _exchange_pass(
         if dim == 1:
             table, rowsum, own = _line_tables(pool, current)
         else:
+            # points as rows: row r holds every basis monomial at point r
             pool_basis = basis_matrix(pool, size).T
-            binv = _basis_inverse(current)
+            rows = basis_matrix(current, size).T
+            binv = _inverse(rows)
         for j in range(size):
             if dim == 1:
                 gain, k = _best_replacement_1d(rowsum, table[:, j], own[j])
@@ -307,7 +315,12 @@ def _exchange_pass(
                 continue
             trial = current.copy()
             trial[j] = pool[k]
-            trial_log = vdm_logdet(trial)
+            if dim == 1:
+                trial_log = vdm_logdet(trial)
+            else:
+                trial_rows = rows.copy()
+                trial_rows[j] = pool_basis[k]
+                trial_log = float(batch_logabs(trial_rows[None])[0])
             # the ratio estimate nominated the move; accept it only on an
             # exact re-evaluation so the trace stays monotone
             if trial_log > log_abs + tol:
@@ -316,7 +329,7 @@ def _exchange_pass(
                     table[:, j] = np.log(np.abs(pool[:, 0] - current[j, 0]))
                     rowsum, own = table.sum(axis=1), _own_sums(current[:, 0])
                 else:
-                    binv = _basis_inverse(current)
+                    rows, binv = trial_rows, _inverse(trial_rows)
     return current, log_abs, improved
 
 
@@ -355,9 +368,9 @@ def _best_replacement_1d(
     return float(scores[k] - own), k
 
 
-def _basis_inverse(current: np.ndarray) -> np.ndarray | None:
+def _inverse(rows: np.ndarray) -> np.ndarray | None:
     try:
-        return np.linalg.inv(basis_matrix(current, current.shape[0]).T)
+        return np.linalg.inv(rows)
     except np.linalg.LinAlgError:
         return None
 
@@ -373,9 +386,9 @@ def _best_replacement(
     if binv is None:
         return 0.0, None
     ratios = np.abs(pool_basis @ binv[:, j])
-    ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
+    ratios[~np.isfinite(ratios)] = 0.0
     k = int(np.argmax(ratios))
-    if not np.isfinite(ratios[k]) or ratios[k] <= 0.0:
+    if ratios[k] <= 0.0:
         return 0.0, None
     return float(np.log(ratios[k])), k
 

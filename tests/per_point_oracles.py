@@ -1,13 +1,16 @@
 """Per-position and per-point forms of the search's kernels, for tests only.
 
 The library's exchange pass builds its tables once per pass and refreshes
-them after an accepted swap; refinement draws and projects one batch per
-level; its projections take a whole batch of points; a search builds the
-fixed part of its candidate pools once; a single configuration's log|V|
-is a batch of one; monomials are gathered from per-axis power tables;
-the sup/L2 kernel walks its grid in blocks.  These helpers are the plain
-forms they replace: every position rebuilds its tables from the current
-configuration, refinement draws its steps and projects them point by
+them after an accepted swap, in several variables from basis rows it
+already holds; its greedy start eliminates over the whole pool;
+refinement draws and projects one batch per level; its projections take
+a whole batch of points; a search builds the fixed part of its candidate
+pools once; a single configuration's log|V| is a batch of one; monomials
+are gathered from per-axis power tables; the sup/L2 kernel walks its grid
+in blocks.  These helpers are the plain forms they replace: every
+position rebuilds its tables from the current configuration and every
+trial evaluates its own basis, the greedy start updates only the rows
+not yet chosen, refinement draws its steps and projects them point by
 point, every point is projected on its own with scalar arithmetic, every
 pool is built whole, log|V| comes from a formula for one configuration,
 every monomial is its own broadcast power with a product reduce over the
@@ -62,6 +65,27 @@ def candidate_pool(kset, size, pool_size, rng, ref):
     if ref is not None:
         parts.append(np.asarray(ref, dtype=complex)[:size])
     return np.concatenate(parts, axis=0)
+
+
+def greedy_start(pool, size):
+    """Pivoted greedy start in several variables, updating only the free rows."""
+    npts = pool.shape[0]
+    a = basis_matrix(pool, size).T.astype(complex).copy()
+    chosen = []
+    free = np.ones(npts, dtype=bool)
+    for k in range(size):
+        col = np.abs(a[:, k])
+        col[~free] = -1.0
+        p = int(np.argmax(col))
+        if col[p] <= 0.0:
+            p = int(np.argmax(free))
+        chosen.append(p)
+        free[p] = False
+        piv = a[p, k]
+        if piv != 0:
+            rows = free.nonzero()[0]
+            a[rows] -= np.outer(a[rows, k] / piv, a[p])
+    return pool[chosen]
 
 
 def exchange_pass(current, log_abs, pool, tol):

@@ -20,6 +20,7 @@ from polyalab import (
     monomial,
     monomial_matrix,
 )
+from polyalab.multiindex import _POINT_BLOCK
 
 from brute_force_oracles import monomial_value
 from per_point_oracles import monomial_matrix as broadcast_monomial_matrix
@@ -185,6 +186,31 @@ def test_monomials_edge_shapes_match_broadcast_form():
     # exponents need not be graded: repeats, and a later axis before an earlier one
     mixed = np.array([[0, 3, 1], [2, 0, 0], [0, 3, 1], [1, 1, 1], [0, 0, 4]], dtype=np.int64)
     assert_matches_broadcast_form(rng.standard_normal((7, 3)) + 0.5j, mixed)
+
+
+def _straddling_block_boundary(rng):
+    """Point sets longer than one 2,048-point block of the kernel."""
+    box = Box(((-1.0, 1.0), (-1.0, 1.0))).sample(rng, 2100)
+    box[::97, 0] = 0.0  # exact zeros, and with them signed zeros in the products
+    circle_x_interval = ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))).sample(rng, 2100)
+    cube = rng.standard_normal((2100, 3)) + 1j * rng.standard_normal((2100, 3))
+    return [(box, graded(2, 21)), (circle_x_interval, graded(2, 15)), (cube, graded(3, 20))]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["box", "circle-x-interval", "complex-cube"])
+def test_monomial_column_is_independent_of_the_other_points(case):
+    # a point's column has the same bytes whichever points share the call,
+    # so the exchange pass may reuse basis rows across configurations
+    points, exps = _straddling_block_boundary(np.random.default_rng(8))[case]
+    assert len(points) > _POINT_BLOCK
+    full = monomial_matrix(points, exps)
+    differ = [
+        i for i in range(len(points))
+        if full[:, i].tobytes() != monomial_matrix(points[i : i + 1], exps)[:, 0].tobytes()
+    ]
+    assert differ == []
+    tail = points[_POINT_BLOCK - 3 :]
+    assert monomial_matrix(tail, exps).tobytes() == full[:, _POINT_BLOCK - 3 :].tobytes()
 
 
 def test_monomial_matrix_rejects_negative_exponents():

@@ -24,6 +24,7 @@ from polyalab.vandermonde import (
     _candidate_pool,
     _exchange_pass,
     _fixed_candidates,
+    _greedy_start,
     _line_tables,
     _refinement_candidates,
     vdm_logabs_batch,
@@ -35,6 +36,7 @@ from per_point_oracles import (
     best_replacement,
     candidate_pool,
     exchange_pass,
+    greedy_start,
     refinement_candidates,
 )
 
@@ -236,9 +238,18 @@ EXCHANGE_SETS = [
 ]
 
 
+ND_EXCHANGE_SETS = [k for k in EXCHANGE_SETS if k.dim > 1]
+
+# 15 and 21 are the search-2d sizes, where the inverses are ill-conditioned
+EXCHANGE_CASES = [(k, m) for k in EXCHANGE_SETS for m in (4, 7)] + [
+    (k, m) for k in ND_EXCHANGE_SETS for m in (15, 21)
+]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("size", [4, 7])
-@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize(
+    "kset, size", EXCHANGE_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in EXCHANGE_CASES]
+)
 def test_exchange_pass_matches_per_position_tables(kset, size, seed):
     rng = np.random.default_rng(seed)
     pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
@@ -255,10 +266,33 @@ def test_exchange_pass_matches_per_position_tables(kset, size, seed):
     assert got[1] == want[1]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("size", [4, 7, 15, 21])
+@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_rejected_swap_leaves_the_cached_rows_unchanged(kset, size, seed):
+    rng = np.random.default_rng(seed)
+    pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
+    distinct = np.unique(pool, axis=0)
+    current = distinct[rng.permutation(len(distinct))[:size]]
+    # a log|V| just above what position 0's nomination reaches: the exact
+    # re-evaluation turns it down, and later positions score against rows
+    # that must still hold the current point 0
+    gain, _ = best_replacement(current, 0, pool)
+    assert gain > 1e-10
+    stale = vdm_logdet(current) + gain + 1e-6
+    got = _exchange_pass(current, stale, pool, 1e-10)
+    want = exchange_pass(current, stale, pool, 1e-10)
+    assert (want[0][0] == current[0]).all()
+    assert got[2] == want[2]
+    assert (got[0] == want[0]).all()
+    assert got[1] == want[1]
+
+
 def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
     box = Box(((-1.0, 1.0), (-1.0, 1.0)))
     rng = np.random.default_rng(3)
     pool, current = box.sample(rng, 64), box.sample(rng, 6)
+    log_abs = vdm_logdet(current)
     widths = []
     build = vandermonde.basis_matrix
 
@@ -267,9 +301,19 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
         return build(points, count)
 
     monkeypatch.setattr(vandermonde, "basis_matrix", counting)
-    _, _, improved = _exchange_pass(current, vdm_logdet(current), pool, 1e-10)
+    _, _, improved = _exchange_pass(current, log_abs, pool, 1e-10)
     assert improved
-    assert widths.count(len(pool)) == 1
+    # trials and refreshed inverses reuse these rows: no point is evaluated twice
+    assert widths == [len(pool), len(current)]
+
+
+@pytest.mark.parametrize("size", [4, 7, 15])
+@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_greedy_start_matches_free_row_elimination(kset, size):
+    pool = candidate_pool(kset, size, 64, np.random.default_rng(size), kset.reference_points(size))
+    got = _greedy_start(pool, size)
+    want = greedy_start(pool, size)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [1, 2])
