@@ -1,4 +1,4 @@
-"""Best-of-N timings of two layers at the call shapes of the benchmark workloads.
+"""Block timings of two layers at the call shapes of the benchmark workloads.
 
     python3 scripts/bench_layers.py                  # writes BENCH_monomial.json, BENCH_exchange.json
     python3 scripts/bench_layers.py --out-dir /tmp   # the same two files elsewhere
@@ -14,17 +14,22 @@ monomials:
   `sampling`
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
 
-BENCH_exchange.json times one exchange pass, `vandermonde._exchange_pass`,
-at the largest configuration of each `search-2d` set: the box at m = 21 and
-circle x interval at m = 15.  The pass is the first of a restart under the
-default `SearchStrategy`: a pool built as `fekete_search` builds it, the
-greedy start from it, then the next pool, which the pass scores against.
+BENCH_exchange.json times one lockstep exchange pass,
+`vandermonde._exchange_pass`, over the 8 restarts of a default search: at
+the largest configuration of each `search-2d` set (the box at m = 21,
+circle x interval at m = 15) and on the interval at m = 9, the largest
+searched size of the `examples` configs.  The pass is the first of each
+restart under the default `SearchStrategy`: pools built as `fekete_search`
+builds them, the greedy starts from them, then the next pools, which the
+pass scores against.
 
-A timing is the best, over `REPEAT` runs, of the mean over `number`
-calls, with `number` doubled until one run lasts at least 0.05 s; the
-points come from a fixed seed.  BLAS is pinned to one thread before numpy
-is first imported, and the library is imported from this checkout's
-`src/`.  Needs only numpy.
+A timing is the mean seconds per call over a block of `number` calls,
+with `number` doubled until one block lasts at least 0.2 s; each row
+records the minimum and the median over `BLOCKS` blocks, so that a change
+smaller than 2x stands out of the spread of a shared machine.  The points
+come from a fixed seed.  BLAS is pinned to one thread before numpy is
+first imported, and the library is imported from this checkout's `src/`.
+Needs only numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,7 +54,8 @@ import numpy as np  # noqa: E402
 import polyalab  # noqa: E402
 from polyalab import vandermonde  # noqa: E402
 
-REPEAT = 7
+BLOCKS = 7
+MIN_BLOCK_S = 0.2
 
 
 def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
@@ -67,27 +74,32 @@ def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
     ]
 
 
-def best_of(call, repeat: int, min_run: float = 0.05) -> tuple[float, int]:
-    """Best mean seconds per call over `repeat` runs, and the calls per run."""
+def time_blocks(call) -> dict:
+    """Minimum and median over BLOCKS blocks of the mean seconds per call."""
     number = 1
     while True:
         start = time.perf_counter()
         for _ in range(number):
             call()
-        if time.perf_counter() - start >= min_run:
+        if time.perf_counter() - start >= MIN_BLOCK_S:
             break
         number *= 2
-    best = float("inf")
-    for _ in range(repeat):
+    means = []
+    for _ in range(BLOCKS):
         start = time.perf_counter()
         for _ in range(number):
             call()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best, number
+        means.append((time.perf_counter() - start) / number)
+    return {
+        "min_s": min(means),
+        "median_s": statistics.median(means),
+        "number": number,
+        "blocks": BLOCKS,
+    }
 
 
-def exchange_cases() -> list[tuple[str, np.ndarray, float, np.ndarray]]:
-    """(name, current, log|V|, pool) of the first pass of a default restart."""
+def exchange_cases() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """(name, current, log|V|, pools) of the first pass of a default search's restarts."""
     strategy = polyalab.SearchStrategy()
     box = polyalab.Box(((-1.0, 1.0), (-1.0, 1.0)))
     circle_x_interval = polyalab.ProductSet(
@@ -97,22 +109,27 @@ def exchange_cases() -> list[tuple[str, np.ndarray, float, np.ndarray]]:
     for name, kset, size in (
         ("box m=21", box, 21),
         ("circle x interval m=15", circle_x_interval, 15),
+        ("interval m=9", polyalab.Interval(-1.0, 1.0), 9),
     ):
-        rng = np.random.default_rng(1)
         fixed = vandermonde._fixed_candidates(
             kset, size, strategy.pool_size, kset.reference_points(size)
         )
-        start = vandermonde._candidate_pool(kset, strategy.pool_size, rng, fixed)
-        current = vandermonde._greedy_start(start, size)
-        pool = vandermonde._candidate_pool(kset, strategy.pool_size, rng, fixed)
-        cases.append((name, current, polyalab.vdm_logdet(current), pool))
+        children = np.random.SeedSequence(1).spawn(strategy.restarts)
+        rngs = [np.random.default_rng(child) for child in children]
+
+        def draw():
+            return [vandermonde._candidate_pool(kset, strategy.pool_size, r, fixed) for r in rngs]
+
+        current = np.stack([vandermonde._greedy_start(start, size) for start in draw()])
+        pools = np.stack(draw())
+        cases.append((name, current, vandermonde.vdm_logabs_batch(current), pools))
     return cases
 
 
 def record(kernel: str, rows: list[dict]) -> dict:
     return {
         "kernel": kernel,
-        "metric": "best_s: best of repeat runs of the mean seconds per call",
+        "metric": "min_s, median_s: minimum and median over blocks of the mean seconds per call",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
@@ -130,41 +147,36 @@ def main(argv=None) -> int:
     rows = []
     for name, points, nbasis in shapes(np.random.default_rng(1)):
         exps = polyalab.enumeration_for(points.shape[1]).exponents(nbasis)
-        seconds, number = best_of(lambda: polyalab.monomial_matrix(points, exps), REPEAT)
+        timing = time_blocks(lambda: polyalab.monomial_matrix(points, exps))
         rows.append(
             {
                 "shape": name,
                 "npoints": int(points.shape[0]),
                 "nbasis": nbasis,
                 "dim": int(points.shape[1]),
-                "best_s": seconds,
-                "number": number,
-                "repeat": REPEAT,
+                **timing,
             }
         )
-        print(f"{name:45s} {seconds * 1e6:12.1f} us", file=sys.stderr)
+        print(f"{name:45s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
     monomial = record("multiindex.monomial_matrix", rows)
 
     rows = []
     tol = polyalab.SearchStrategy().improvement_tol
-    for name, current, log_abs, pool in exchange_cases():
-        _, after, _ = vandermonde._exchange_pass(current, log_abs, pool, tol)
-        seconds, number = best_of(
-            lambda: vandermonde._exchange_pass(current, log_abs, pool, tol), REPEAT
-        )
+    for name, current, log_abs, pools in exchange_cases():
+        _, after = vandermonde._exchange_pass(current, log_abs, pools, tol)
+        timing = time_blocks(lambda: vandermonde._exchange_pass(current, log_abs, pools, tol))
         rows.append(
             {
                 "shape": name,
-                "size": int(current.shape[0]),
-                "npool": int(pool.shape[0]),
-                "dim": int(current.shape[1]),
-                "log_gain": after - log_abs,
-                "best_s": seconds,
-                "number": number,
-                "repeat": REPEAT,
+                "restarts": int(current.shape[0]),
+                "size": int(current.shape[1]),
+                "npool": int(pools.shape[1]),
+                "dim": int(current.shape[2]),
+                "log_gain": (after - log_abs).tolist(),
+                **timing,
             }
         )
-        print(f"exchange pass, {name:30s} {seconds * 1e6:12.1f} us", file=sys.stderr)
+        print(f"exchange pass, {name:30s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
     exchange = record("vandermonde._exchange_pass", rows)
 
     for filename, payload in (("BENCH_monomial.json", monomial), ("BENCH_exchange.json", exchange)):

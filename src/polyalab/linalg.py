@@ -67,7 +67,10 @@ def batch_pairwise_logabs(points: np.ndarray) -> np.ndarray:
     if m <= 1:
         return np.zeros(b)
     rows, cols = _upper_pairs(m)
-    mags = np.abs((pts[:, None, :] - pts[:, :, None])[:, rows, cols])
+    # take keeps each configuration's differences contiguous, so every row
+    # is summed pairwise, as a batch of one is; a fancy-indexed batch is
+    # column-major and would be summed left to right
+    mags = np.abs(np.take(pts, cols, axis=1) - np.take(pts, rows, axis=1))
     with np.errstate(divide="ignore"):
         return np.sum(np.log(mags), axis=1)
 
@@ -182,20 +185,23 @@ def moment_matrix(
     """The matrix [entry(a, b)] over a basis prefix, shared by Gram and Hankel.
 
     Exact when every exact entry is rational; the first None switches the
-    whole matrix to the float entries.
+    whole matrix to the float entries.  A rational Gram or Hankel matrix is
+    symmetric (a rational Hermitian entry is real), so each exact entry is
+    evaluated for b >= a only and mirrored.  The float entries are all
+    evaluated: a complex Gram matrix is Hermitian, but its computed
+    entries need not be conjugate bit for bit.
     """
-    exact_rows: list[tuple[Fraction, ...]] = []
-    for a in basis:
-        row = []
-        for b in basis:
-            f = exact_entry(a, b)
+    n = len(basis)
+    exact_rows: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            f = exact_entry(basis[a], basis[b])
             if f is None:
                 floats = [[float_entry(x, y) for y in basis] for x in basis]
-                return MomentMatrix(len(basis), np.array(floats, dtype=complex), None)
-            row.append(f)
-        exact_rows.append(tuple(row))
+                return MomentMatrix(n, np.array(floats, dtype=complex), None)
+            exact_rows[a][b] = exact_rows[b][a] = f
     mat = np.array([[float(v) for v in row] for row in exact_rows], dtype=complex)
-    return MomentMatrix(len(basis), mat, tuple(exact_rows))
+    return MomentMatrix(n, mat, tuple(tuple(row) for row in exact_rows))
 
 
 def _bareiss_int_det(a: list[list[int]]) -> int:

@@ -10,22 +10,31 @@ restarts merged deterministically.  Every candidate pool is fresh samples
 followed by the set's covering grid and reference configuration, which a
 search builds once for all its restarts and passes.
 
+A search advances all its restarts in lockstep.  Each restart keeps its
+own generator, pools, refinement draws and early stop.  In one variable
+the restarts still live share one exchange pass over stacked tables:
+every position nominates a candidate for every restart with one set of
+array operations, and every nominated trial is re-evaluated exactly in
+one batch.  In several variables each restart sweeps alone, because its
+pass holds its pool's basis rows, and holding every restart's at once
+would multiply that memory by the number of restarts.
+
 Each exchange pass builds its fixed tables once: in one variable the table
-log|pool - current|, its row sums and every point's own sum over the
-others, in several the basis rows of the pool and of the current
-configuration and the inverse of the latter.  An accepted swap refreshes
-only what it changed, and is accepted only after an exact re-evaluation
-of log|V|; in several variables the trial and the refreshed inverse come
-from the cached basis rows, so each pass evaluates monomials twice, once
-for the pool and once for the configuration.  Each refinement
-level draws the steps around every point in one call and projects them as
-one batch.  Both give bit for bit the scores, points and generator stream
-of per-position and per-point recomputation.
+log|pool - current| of every restart, its row sums and every point's own
+sum over the others; in several the basis rows of the pool and of the
+current configuration and the inverse of the latter.  An accepted swap
+refreshes only what it changed, and is accepted only after an exact
+re-evaluation of log|V|; in several variables the trial and the refreshed
+inverse come from the cached basis rows, so each pass evaluates
+monomials twice, once for the pool and once for the configuration.  Each
+refinement level draws every restart's steps around every point in one
+call per restart and projects them all as one batch.  All of this gives,
+bit for bit, the scores, points, traces and generator streams of each
+restart run alone with per-position and per-point recomputation.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -146,7 +155,7 @@ def fekete_search(
 
     fixed = _fixed_candidates(kset, size, strategy.pool_size, ref)
     children = as_seed_sequence(seed).spawn(strategy.restarts)
-    runs = [_run_restart(kset, size, strategy, child, fixed) for child in children]
+    runs = _run_restarts(kset, size, strategy, children, fixed)
 
     candidates: list[tuple[float, int, np.ndarray, tuple[float, ...]]] = []
     if ref is not None:
@@ -166,59 +175,75 @@ def fekete_search(
     )
 
 
-def _run_restart(
+def _run_restarts(
     kset: CompactSet,
     size: int,
     strategy: SearchStrategy,
-    child: np.random.SeedSequence,
+    children: list[np.random.SeedSequence],
     fixed: np.ndarray,
-) -> tuple[float, np.ndarray, tuple[float, ...]]:
-    rng = np.random.default_rng(child)
-    pool = _candidate_pool(kset, strategy.pool_size, rng, fixed)
-    current = _greedy_start(pool, size)
-    log_abs = vdm_logdet(current)
-    trace = [log_abs]
+) -> list[tuple[float, np.ndarray, tuple[float, ...]]]:
+    """Every restart of a search, advanced in lockstep: (log|V|, points, trace) each.
 
+    Restart r draws its pools and refinement steps from its own generator,
+    in the order a restart run alone would draw them, and stops its
+    exchange passes when one gains less than improvement_tol; the restarts
+    still live share each pass, and every restart shares each refinement
+    level.
+    """
+    tol = strategy.improvement_tol
+    rngs = [np.random.default_rng(child) for child in children]
+    pools = np.stack([_candidate_pool(kset, strategy.pool_size, rng, fixed) for rng in rngs])
+    current = np.stack([_greedy_start(pool, size) for pool in pools])
+    log_abs = vdm_logabs_batch(current)
+    traces = [[float(v)] for v in log_abs]
+
+    live = np.arange(len(rngs))
     for _ in range(strategy.exchange_passes):
-        pool = _candidate_pool(kset, strategy.pool_size, rng, fixed)
-        before = log_abs
-        current, log_abs, _ = _exchange_pass(
-            current, log_abs, pool, strategy.improvement_tol
-        )
-        trace.append(log_abs)
-        if log_abs - before < strategy.improvement_tol:
+        if not live.size:
             break
+        for r in live:
+            pools[r] = _candidate_pool(kset, strategy.pool_size, rngs[r], fixed)
+        before = log_abs[live]
+        current[live], log_abs[live] = _exchange_pass(current[live], before, pools[live], tol)
+        for r in live:
+            traces[r].append(float(log_abs[r]))
+        # not "gain >= tol": a pass from -inf to -inf gains nan and goes on
+        with np.errstate(invalid="ignore"):
+            live = live[~(log_abs[live] - before < tol)]
 
-    spread = _spread(pool)
+    spreads = np.array([_spread(pool) for pool in pools])
     for level in range(strategy.refine_levels):
-        h = spread / 8.0 * 0.3**level
         candidates = _refinement_candidates(
-            kset, current, h, strategy.refine_candidates, rng
+            kset, current, spreads / 8.0 * 0.3**level, strategy.refine_candidates, rngs
         )
-        current, log_abs, _ = _exchange_pass(
-            current, log_abs, candidates, strategy.improvement_tol
-        )
-        trace.append(log_abs)
+        current, log_abs = _exchange_pass(current, log_abs, candidates, tol)
+        for trace, value in zip(traces, log_abs):
+            trace.append(float(value))
 
-    return log_abs, current, tuple(trace)
+    return [(trace[-1], pts, tuple(trace)) for pts, trace in zip(current, traces)]
 
 
 def _refinement_candidates(
     kset: CompactSet,
     current: np.ndarray,
-    h: float,
+    h: np.ndarray,
     count: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """count complex Gaussian steps of scale h around each point, projected.
+    """count complex Gaussian steps of scale h[r] around each point of restart r, projected.
 
-    The draw reads the generator point by point, real parts before
-    imaginary ones, and the result is point-major, shape (size * count, dim).
+    current has shape (restarts, size, dim).  Restart r's draw reads rngs[r]
+    point by point, real parts before imaginary ones; every restart's
+    candidates are projected as one batch, and each restart's are
+    point-major, shape (restarts, size * count, dim).
     """
-    size, dim = current.shape
-    normal = rng.standard_normal((size, 2, count, dim))
-    steps = h * (normal[:, 0] + 1j * normal[:, 1])
-    return kset.project((current[:, None, :] + steps).reshape(size * count, dim))
+    nrun, size, dim = current.shape
+    steps = np.empty((nrun, size, count, dim), dtype=complex)
+    for r, rng in enumerate(rngs):
+        normal = rng.standard_normal((size, 2, count, dim))
+        steps[r] = h[r] * (normal[:, 0] + 1j * normal[:, 1])
+    moved = (current[:, :, None, :] + steps).reshape(nrun * size * count, dim)
+    return kset.project(moved).reshape(nrun, size * count, dim)
 
 
 def _fixed_candidates(
@@ -275,97 +300,132 @@ def _greedy_start(pool: np.ndarray, size: int) -> np.ndarray:
 
 def _exchange_pass(
     current: np.ndarray,
-    log_abs: float,
-    pool: np.ndarray,
+    log_abs: np.ndarray,
+    pools: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, float, bool]:
-    """One cyclic sweep of best single-point replacements from the pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cyclic sweep of best single-point replacements, for a stack of restarts.
 
-    The tables are built before position 0 and refreshed only after an
-    accepted swap: in one variable the table log|pool_r - z_c|, its row
-    sums and each point's own sum over the others; in several the basis
-    rows of the pool and of the configuration, and the inverse of the
-    latter.  There a trial is the configuration's rows with row j replaced
-    by a pool row, and an accepted swap inverts the trial's rows: a point's
-    monomials have the same bits whichever points share the call, so no
-    basis row is evaluated twice.  Each score comes from the same entries,
-    summed in the same order, as tables rebuilt at every position would
-    give, so the pass is bit for bit the per-position recomputation.
+    current has shape (restarts, size, dim), log_abs (restarts,) and pools
+    (restarts, npool, dim): restart r draws its candidates from pools[r].
+    Each restart's result is bit for bit its own per-position sweep.  In
+    one variable the restarts sweep together; in several each sweeps alone
+    (see the module docstring).
     """
-    size, dim = current.shape
-    improved = False
-    current = current.copy()
-    # one variable: coincident points give log 0 = -inf, and a candidate
-    # equal to the point under replacement gives -inf - (-inf) = nan
-    quiet = np.errstate(divide="ignore", invalid="ignore")
-    with quiet if dim == 1 else contextlib.nullcontext():
-        if dim == 1:
-            table, rowsum, own = _line_tables(pool, current)
-        else:
-            # points as rows: row r holds every basis monomial at point r
-            pool_basis = basis_matrix(pool, size).T
-            rows = basis_matrix(current, size).T
-            binv = _inverse(rows)
-        for j in range(size):
-            if dim == 1:
-                gain, k = _best_replacement_1d(rowsum, table[:, j], own[j])
-            else:
-                gain, k = _best_replacement(pool_basis, binv, j)
-            if gain <= tol or k is None:
+    if current.shape[2] == 1:
+        return _line_pass(current, log_abs, pools, tol)
+    swept = [_basis_pass(c, float(v), pool, tol) for c, v, pool in zip(current, log_abs, pools)]
+    return np.array([c for c, _ in swept]), np.array([v for _, v in swept])
+
+
+def _line_pass(
+    current: np.ndarray,
+    log_abs: np.ndarray,
+    pools: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_exchange_pass in one variable, every restart at each position at once.
+
+    Each score comes from the same entries, summed in the same order, as
+    one restart's tables rebuilt at every position would give.
+    """
+    current, log_abs = current.copy(), log_abs.copy()
+    runs = np.arange(len(current))
+    # coincident points give log 0 = -inf, and a candidate equal to the
+    # point under replacement gives -inf - (-inf) = nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table, rowsum, own = _line_tables(pools, current)
+        for j in range(current.shape[1]):
+            gain, k = _best_replacement_1d(rowsum, table[:, :, j], own[:, j])
+            nominated = runs[~(gain <= tol)]
+            if not nominated.size:
                 continue
-            trial = current.copy()
-            trial[j] = pool[k]
-            if dim == 1:
-                trial_log = vdm_logdet(trial)
-            else:
-                trial_rows = rows.copy()
-                trial_rows[j] = pool_basis[k]
-                trial_log = float(batch_logabs(trial_rows[None])[0])
-            # the ratio estimate nominated the move; accept it only on an
+            trials = current[nominated]
+            trials[:, j] = pools[nominated, k[nominated]]
+            trial_log = vdm_logabs_batch(trials)
+            # the table estimate nominated the move; accept it only on an
             # exact re-evaluation so the trace stays monotone
-            if trial_log > log_abs + tol:
-                current, log_abs, improved = trial, trial_log, True
-                if dim == 1:
-                    table[:, j] = np.log(np.abs(pool[:, 0] - current[j, 0]))
-                    rowsum, own = table.sum(axis=1), _own_sums(current[:, 0])
-                else:
-                    rows, binv = trial_rows, _inverse(trial_rows)
-    return current, log_abs, improved
+            accepted = trial_log > log_abs[nominated] + tol
+            won = nominated[accepted]
+            if not won.size:
+                continue
+            current[won, j] = pools[won, k[won]]
+            log_abs[won] = trial_log[accepted]
+            table[won, :, j] = np.log(np.abs(pools[won, :, 0] - current[won, j]))
+            # the rows of the other restarts are unchanged and sum to the same bits
+            table.sum(axis=2, out=rowsum)
+            own[won] = _own_sums(current[won, :, 0])
+    return current, log_abs
 
 
 def _line_tables(
-    pool: np.ndarray, current: np.ndarray
+    pools: np.ndarray, current: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """table[r, c] = log|pool_r - z_c|, its row sums, and _own_sums(z)."""
-    table = np.log(np.abs(pool[:, :1] - current[None, :, 0]))
-    return table, table.sum(axis=1), _own_sums(current[:, 0])
+    """table[r, p, c] = log|pools[r, p] - z_rc|, its sums over c, and _own_sums(z_r)."""
+    table = np.empty(pools.shape[:2] + current.shape[1:2])
+    # restart by restart, so that only one restart's differences are held
+    for pool, points, out in zip(pools, current, table):
+        np.log(np.abs(pool[:, :1] - points[None, :, 0]), out=out)
+    return table, table.sum(axis=2), _own_sums(current[:, :, 0])
 
 
 def _own_sums(z: np.ndarray) -> np.ndarray:
-    """sum over k != j of log|z_j - z_k|, for every j."""
-    m = len(z)
+    """sum over k != j of log|z_rj - z_rk|, for every restart r and position j."""
+    nrun, m = z.shape
+    rows, cols = (~np.eye(m, dtype=bool)).nonzero()
     # drop the diagonal rather than zero it: each row then sums the same
     # m - 1 terms in the same order as a sum over the row with z_j deleted,
-    # which numpy adds pairwise, not left to right, from 8 terms on
-    off = (z[:, None] - z[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    return np.log(np.abs(off)).sum(axis=1)
+    # which numpy adds pairwise, not left to right, from 8 terms on; take
+    # keeps the terms of a row contiguous, where fancy indexing would not
+    off = np.take(z, rows, axis=1) - np.take(z, cols, axis=1)
+    return np.log(np.abs(off)).reshape(nrun, m, m - 1).sum(axis=2)
 
 
 def _best_replacement_1d(
-    rowsum: np.ndarray, column: np.ndarray, own: float
-) -> tuple[float, int | None]:
-    """Best log-gain and pool index for position j.
+    rowsum: np.ndarray, column: np.ndarray, own: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best log-gain and pool index of position j, for every restart.
 
-    column[r] = log|pool_r - z_j|, rowsum[r] the sum of pool point r's row
-    over every position, and own the sum over k != j of log|z_j - z_k|.
+    column[r, p] = log|pool_rp - z_rj|, rowsum[r, p] the sum of that pool
+    point's row over every position, and own[r] the sum over k != j of
+    log|z_rj - z_rk|.  The gain is -inf where no score is finite.
     """
     # the nan of a candidate equal to z_j becomes -inf, and -inf stays -inf,
     # so a position with no finite score nominates nothing
     scores = np.fmax(rowsum - column, -np.inf)
-    k = int(np.argmax(scores))
-    if scores[k] == -np.inf:
-        return 0.0, None
-    return float(scores[k] - own), k
+    k = scores.argmax(axis=1)
+    best = scores[np.arange(len(k)), k]
+    return np.where(best == -np.inf, -np.inf, best - own), k
+
+
+def _basis_pass(
+    current: np.ndarray, log_abs: float, pool: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """_exchange_pass in several variables, for one restart.
+
+    A trial is the configuration's basis rows with row j replaced by a pool
+    row, and an accepted swap inverts the trial's rows: a point's monomials
+    have the same bits whichever points share the call, so no basis row is
+    evaluated twice.
+    """
+    size = current.shape[0]
+    current = current.copy()
+    # points as rows: row r holds every basis monomial at point r
+    pool_basis = basis_matrix(pool, size).T
+    rows = basis_matrix(current, size).T
+    binv = _inverse(rows)
+    for j in range(size):
+        gain, k = _best_replacement(pool_basis, binv, j)
+        if gain <= tol or k is None:
+            continue
+        trial_rows = rows.copy()
+        trial_rows[j] = pool_basis[k]
+        trial_log = float(batch_logabs(trial_rows[None])[0])
+        if trial_log > log_abs + tol:
+            current[j] = pool[k]
+            log_abs = trial_log
+            rows, binv = trial_rows, _inverse(trial_rows)
+    return current, log_abs
 
 
 def _inverse(rows: np.ndarray) -> np.ndarray | None:

@@ -1,24 +1,30 @@
-"""Per-position and per-point forms of the search's kernels, for tests only.
+"""Per-restart, per-position and per-point forms of the search's kernels, for tests only.
 
-The library's exchange pass builds its tables once per pass and refreshes
-them after an accepted swap, in several variables from basis rows it
-already holds; its greedy start eliminates over the whole pool;
-refinement draws and projects one batch per level; its projections take
-a whole batch of points; a search builds the fixed part of its candidate
-pools once; a single configuration's log|V| is a batch of one; monomials
-are gathered from per-axis power tables; the sup/L2 kernel walks its grid
-in blocks.  These helpers are the plain forms they replace: every
+The library's search advances all its restarts in lockstep, in one
+variable with one stacked exchange pass per step; its exchange pass
+builds its tables once per pass and refreshes them after an accepted
+swap, in several variables from basis rows it already holds; its greedy
+start eliminates over the whole pool; refinement draws and projects one
+batch per level; its projections take a whole batch of points; a search
+builds the fixed part of its candidate pools once; a single
+configuration's log|V| is a batch of one; monomials are gathered from
+per-axis power tables; the sup/L2 kernel walks its grid in blocks; an
+exact moment matrix evaluates its upper triangle.  These helpers are the
+plain forms they replace: each restart runs alone, with a table-based
+pass of its own (``run_restart``, ``restart_exchange_pass``); every
 position rebuilds its tables from the current configuration and every
-trial evaluates its own basis, the greedy start updates only the rows
-not yet chosen, refinement draws its steps and projects them point by
-point, every point is projected on its own with scalar arithmetic, every
-pool is built whole, log|V| comes from a formula for one configuration,
-every monomial is its own broadcast power with a product reduce over the
-axes, and the kernel is evaluated on the whole grid at once.  Tests
+trial evaluates its own basis (``exchange_pass``); the greedy start
+updates only the rows not yet chosen, refinement draws its steps and
+projects them point by point, every point is projected on its own with
+scalar arithmetic, every pool is built whole, log|V| comes from a
+formula for one configuration, every monomial is its own broadcast power
+with a product reduce over the axes, the kernel is evaluated on the
+whole grid at once, and a moment matrix evaluates every entry.  Tests
 compare the two bit for bit, monomials by ``==``, which ignores the sign
 of an exact zero.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -34,6 +40,8 @@ from polyalab import (
     count_at_most,
     orthonormal_coefficients,
 )
+from polyalab.linalg import batch_logabs
+from polyalab.vandermonde import FeketeResult, _greedy_start, _spread, as_seed_sequence
 
 
 def monomial_matrix(points, exponents):
@@ -183,3 +191,129 @@ def bernstein_markov_ratio(measure, s, per_axis):
     q = coeffs @ basis_matrix(pts, m)
     kernel = np.sum(np.abs(q) ** 2, axis=0)
     return float(np.sqrt(np.max(kernel.real)))
+
+
+def fekete_search(kset, size, strategy, seed):
+    """fekete_search with each restart run alone, one after another."""
+    ref = kset.reference_points(size)
+    children = as_seed_sequence(seed).spawn(strategy.restarts)
+    runs = [run_restart(kset, size, strategy, child, ref) for child in children]
+    candidates = []
+    if ref is not None:
+        ref_pts = np.asarray(ref, dtype=complex)[:size]
+        ref_log = vdm_logdet(ref_pts)
+        candidates.append((ref_log, -1, ref_pts, (ref_log,)))
+    for idx, (log_abs, pts, trace) in enumerate(runs):
+        candidates.append((log_abs, idx, pts, trace))
+    best = max(candidates, key=lambda c: (c[0], -c[1]))
+    return FeketeResult(best[2], best[0], size, best[3], tuple(r[0] for r in runs))
+
+
+def run_restart(kset, size, strategy, child, ref):
+    """One restart alone: greedy start, exchange passes until one gains < tol, refinement."""
+    rng = np.random.default_rng(child)
+    pool = candidate_pool(kset, size, strategy.pool_size, rng, ref)
+    current = _greedy_start(pool, size)
+    log_abs = vdm_logdet(current)
+    trace = [log_abs]
+    for _ in range(strategy.exchange_passes):
+        pool = candidate_pool(kset, size, strategy.pool_size, rng, ref)
+        before = log_abs
+        current, log_abs, _ = restart_exchange_pass(
+            current, log_abs, pool, strategy.improvement_tol
+        )
+        trace.append(log_abs)
+        if log_abs - before < strategy.improvement_tol:
+            break
+    spread = _spread(pool)
+    for level in range(strategy.refine_levels):
+        h = spread / 8.0 * 0.3**level
+        candidates = refinement_candidates(kset, current, h, strategy.refine_candidates, rng)
+        current, log_abs, _ = restart_exchange_pass(
+            current, log_abs, candidates, strategy.improvement_tol
+        )
+        trace.append(log_abs)
+    return log_abs, current, tuple(trace)
+
+
+def restart_exchange_pass(current, log_abs, pool, tol):
+    """One restart's cyclic sweep, tables built once and refreshed after an accepted swap."""
+    size, dim = current.shape
+    improved = False
+    current = current.copy()
+    quiet = np.errstate(divide="ignore", invalid="ignore")
+    with quiet if dim == 1 else contextlib.nullcontext():
+        if dim == 1:
+            table = np.log(np.abs(pool[:, :1] - current[None, :, 0]))
+            rowsum, own = table.sum(axis=1), own_sums(current[:, 0])
+        else:
+            pool_basis = basis_matrix(pool, size).T
+            rows = basis_matrix(current, size).T
+            binv = inverse(rows)
+        for j in range(size):
+            if dim == 1:
+                gain, k = line_replacement(rowsum, table[:, j], own[j])
+            else:
+                gain, k = ratio_replacement(pool_basis, binv, j)
+            if gain <= tol or k is None:
+                continue
+            trial = current.copy()
+            trial[j] = pool[k]
+            if dim == 1:
+                trial_log = vdm_logdet(trial)
+            else:
+                trial_rows = rows.copy()
+                trial_rows[j] = pool_basis[k]
+                trial_log = float(batch_logabs(trial_rows[None])[0])
+            if trial_log > log_abs + tol:
+                current, log_abs, improved = trial, trial_log, True
+                if dim == 1:
+                    table[:, j] = np.log(np.abs(pool[:, 0] - current[j, 0]))
+                    rowsum, own = table.sum(axis=1), own_sums(current[:, 0])
+                else:
+                    rows, binv = trial_rows, inverse(trial_rows)
+    return current, log_abs, improved
+
+
+def own_sums(z):
+    """sum over k != j of log|z_j - z_k|, for every j of one configuration."""
+    m = len(z)
+    off = (z[:, None] - z[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return np.log(np.abs(off)).sum(axis=1)
+
+
+def line_replacement(rowsum, column, own):
+    """Best log-gain and pool index of one position, from one restart's line tables."""
+    scores = np.fmax(rowsum - column, -np.inf)
+    k = int(np.argmax(scores))
+    if scores[k] == -np.inf:
+        return 0.0, None
+    return float(scores[k] - own), k
+
+
+def inverse(rows):
+    """The inverse of one basis matrix, None when it is singular."""
+    try:
+        return np.linalg.inv(rows)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def ratio_replacement(pool_basis, binv, j):
+    """Best log-gain and pool index of position j, by one restart's determinant ratios."""
+    if binv is None:
+        return 0.0, None
+    ratios = np.abs(pool_basis @ binv[:, j])
+    ratios[~np.isfinite(ratios)] = 0.0
+    k = int(np.argmax(ratios))
+    if ratios[k] <= 0.0:
+        return 0.0, None
+    return float(np.log(ratios[k])), k
+
+
+def moment_matrix_entries(basis, exact_entry):
+    """Every exact entry [exact_entry(a, b)] of a moment matrix, None if any is not rational."""
+    rows = [[exact_entry(a, b) for b in basis] for a in basis]
+    if any(f is None for row in rows for f in row):
+        return None
+    return tuple(tuple(row) for row in rows)

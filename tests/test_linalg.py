@@ -12,6 +12,7 @@ from polyalab.linalg import (
     exact_logdet,
     exact_prefix_logdets,
     logdet,
+    moment_matrix,
     pairwise_difference_logdet,
 )
 
@@ -89,6 +90,34 @@ def test_batch_pairwise_matches_loop():
     for r in range(10):
         want = pairwise_difference_logdet(batch[r].reshape(-1, 1))
         assert got[r] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_batch_pairwise_rows_equal_their_batch_of_one(m):
+    # a search evaluates its restarts' trials as one batch, so each row must
+    # be summed as a batch of one is: pairwise from 8 terms on, where a
+    # column-major batch would be added left to right
+    rng = np.random.default_rng(m)
+    for batch in range(1, 65):
+        configs = np.sqrt(rng.uniform(size=(batch, m))) * np.exp(
+            2j * np.pi * rng.uniform(size=(batch, m))
+        )
+        got = batch_pairwise_logabs(configs)
+        alone = [batch_pairwise_logabs(configs[r : r + 1])[0] for r in range(batch)]
+        assert got.tolist() == alone
+
+
+def test_moment_matrix_evaluates_the_upper_triangle_once():
+    calls = []
+
+    def exact_entry(a, b):
+        calls.append((a, b))
+        return Fraction(1, 1 + a + b)
+
+    mat = moment_matrix(range(5), exact_entry, lambda a, b: 1.0 / (1 + a + b))
+    assert sorted(calls) == [(a, b) for a in range(5) for b in range(a, 5)]
+    assert mat.exact == tuple(tuple(Fraction(1, 1 + a + b) for b in range(5)) for a in range(5))
+    assert np.array_equal(mat.matrix, np.array([[float(v) for v in row] for row in mat.exact]))
 
 
 def test_cached_upper_pairs_are_read_only():

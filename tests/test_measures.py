@@ -17,6 +17,7 @@ from polyalab import (
     bernstein_markov_ratio,
     coeffs_from_measure,
     count_at_most,
+    enumeration_for,
     gram,
     hankel_matrix,
     orthonormal_coefficients,
@@ -214,6 +215,27 @@ def test_gram_modes_coincide_for_real_measures():
     assert g.exact is not None
     assert g.exact == h.exact
     assert np.array_equal(g.matrix, h.matrix)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        ArcsineMeasure(-1.0, 2.0),
+        ProductMeasure((ArcsineMeasure(0.0, 2.0), UniformSegment(-1.0, 0.5))),
+        ScaledMeasure(PRODUCT_ARCSINE, Fraction(3, 2)),
+        DiskUniform(1.5),
+        CircleUniform(2.0),
+        DiscreteMeasure(((0.0,), (1.0,), (-0.5,)), (Fraction(1, 2), Fraction(1, 4), Fraction(2))),
+    ],
+    ids=["arcsine", "product", "scaled", "disk", "circle", "discrete"],
+)
+def test_exact_gram_mirrors_the_full_build(measure):
+    # the exact Gram matrix evaluates b >= a only; a rational Hermitian
+    # matrix is symmetric, so the mirror must equal every entry evaluated
+    idx = enumeration_for(measure.dim).prefix(15)
+    want = per_point_oracles.moment_matrix_entries(idx, measure.hermitian_moment_fraction)
+    assert want is not None
+    assert gram(measure, 15).exact == want
 
 
 def test_gram_arcsine_closed_form():

@@ -27,6 +27,7 @@ from polyalab.vandermonde import (
     _greedy_start,
     _line_tables,
     _refinement_candidates,
+    _run_restarts,
     vdm_logabs_batch,
 )
 
@@ -246,53 +247,96 @@ EXCHANGE_CASES = [(k, m) for k in EXCHANGE_SETS for m in (4, 7)] + [
 ]
 
 
+def _random_starts(kset, size, seed, restarts):
+    """(current, log|V|, pool) of each restart: distinct pool points in random order."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(restarts):
+        pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
+        # a random start of distinct points leaves most positions to swap, so
+        # the table refresh after an accepted swap decides the later scores
+        distinct = np.unique(pool, axis=0)
+        current = distinct[rng.permutation(len(distinct))[:size]]
+        starts.append((current, vdm_logdet(current), pool))
+    return starts
+
+
+def _stacked_pass(starts, tol=1e-10):
+    current, log_abs, pools = (np.array(part) for part in zip(*starts))
+    return _exchange_pass(current, log_abs, pools, tol)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
     "kset, size", EXCHANGE_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in EXCHANGE_CASES]
 )
 def test_exchange_pass_matches_per_position_tables(kset, size, seed):
-    rng = np.random.default_rng(seed)
-    pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
-    # a random start of distinct points leaves most positions to swap, so
-    # the table refresh after an accepted swap decides the later scores
-    distinct = np.unique(pool, axis=0)
-    current = distinct[rng.permutation(len(distinct))[:size]]
-    log_abs = vdm_logdet(current)
-    got = _exchange_pass(current, log_abs, pool, 1e-10)
-    want = exchange_pass(current, log_abs, pool, 1e-10)
-    assert want[2]
-    assert got[2] == want[2]
-    assert (got[0] == want[0]).all()
-    assert got[1] == want[1]
+    # three restarts in one stacked pass: each must be its own sweep
+    starts = _random_starts(kset, size, seed, 3)
+    got_points, got_logs = _stacked_pass(starts)
+    for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
+        want = exchange_pass(current, log_abs, pool, 1e-10)
+        assert want[2] or r > 0
+        assert points.tobytes() == want[0].tobytes()
+        assert log == want[1]
+
+
+@pytest.mark.parametrize("size", [4, 7, 15])
+@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+def test_singular_restart_leaves_the_others_swapping(kset, size):
+    starts = _random_starts(kset, size, 3, 3)
+    # a repeated point makes restart 1's basis singular: its inverse fails,
+    # and it must nominate nothing without stopping the other restarts
+    current, _, pool = starts[1]
+    current = current.copy()
+    current[-1] = current[0]
+    starts[1] = (current, vdm_logdet(current), pool)
+    assert starts[1][1] == -math.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(basis_matrix(current, size).T)
+    got_points, got_logs = _stacked_pass(starts)
+    for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
+        want = exchange_pass(current, log_abs, pool, 1e-10)
+        # the singular restart nominates nothing; the others still swap
+        assert want[2] == (r != 1)
+        assert points.tobytes() == want[0].tobytes()
+        assert log == want[1]
+
+
+# a finite set's random start often has no better atom for position 0
+REJECT_CASES = [(k, m) for k, m in EXCHANGE_CASES if not isinstance(k, FiniteSet)]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("size", [4, 7, 15, 21])
-@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize(
+    "kset, size", REJECT_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in REJECT_CASES]
+)
 def test_rejected_swap_leaves_the_cached_rows_unchanged(kset, size, seed):
-    rng = np.random.default_rng(seed)
-    pool = candidate_pool(kset, size, 64, rng, kset.reference_points(size))
-    distinct = np.unique(pool, axis=0)
-    current = distinct[rng.permutation(len(distinct))[:size]]
+    starts = _random_starts(kset, size, seed, 2)
+    current, log_abs, pool = starts[0]
     # a log|V| just above what position 0's nomination reaches: the exact
-    # re-evaluation turns it down, and later positions score against rows
-    # that must still hold the current point 0
+    # re-evaluation turns it down, restart 0 keeps that log|V|, and later
+    # positions score against tables that must still hold the current
+    # point 0; restart 1, in the same stack, accepts its swaps
     gain, _ = best_replacement(current, 0, pool)
     assert gain > 1e-10
-    stale = vdm_logdet(current) + gain + 1e-6
-    got = _exchange_pass(current, stale, pool, 1e-10)
-    want = exchange_pass(current, stale, pool, 1e-10)
-    assert (want[0][0] == current[0]).all()
-    assert got[2] == want[2]
-    assert (got[0] == want[0]).all()
-    assert got[1] == want[1]
+    starts[0] = (current, log_abs + gain + 1e-6, pool)
+    got_points, got_logs = _stacked_pass(starts)
+    for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
+        want = exchange_pass(current, log_abs, pool, 1e-10)
+        if r == 0:
+            assert (want[0][0] == current[0]).all()
+        else:
+            assert want[2]
+        assert points.tobytes() == want[0].tobytes()
+        assert log == want[1]
 
 
 def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
     box = Box(((-1.0, 1.0), (-1.0, 1.0)))
     rng = np.random.default_rng(3)
-    pool, current = box.sample(rng, 64), box.sample(rng, 6)
-    log_abs = vdm_logdet(current)
+    pools, current = box.sample(rng, 128).reshape(2, 64, 2), box.sample(rng, 12).reshape(2, 6, 2)
+    log_abs = vdm_logabs_batch(current)
     widths = []
     build = vandermonde.basis_matrix
 
@@ -301,10 +345,11 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
         return build(points, count)
 
     monkeypatch.setattr(vandermonde, "basis_matrix", counting)
-    _, _, improved = _exchange_pass(current, log_abs, pool, 1e-10)
-    assert improved
-    # trials and refreshed inverses reuse these rows: no point is evaluated twice
-    assert widths == [len(pool), len(current)]
+    _, after = _exchange_pass(current, log_abs, pools, 1e-10)
+    assert (after > log_abs).all()
+    # each restart's pool, then its configuration; trials and refreshed
+    # inverses reuse these rows: no point is evaluated twice
+    assert widths == [64, 6, 64, 6]
 
 
 @pytest.mark.parametrize("size", [4, 7, 15])
@@ -323,14 +368,16 @@ def test_line_scores_match_per_position_tables(size, seed):
     # that zeroed the diagonal instead of dropping it would differ in bits
     iv = Interval(-1.0, 1.0)
     rng = np.random.default_rng(seed)
-    pool = candidate_pool(iv, size, 64, rng, iv.reference_points(size))
+    pools = [candidate_pool(iv, size, 64, rng, iv.reference_points(size)) for _ in range(2)]
     # drawn from the pool, so candidates coincide with current points
-    current = pool[rng.permutation(len(pool))[:size]]
+    current = [pool[rng.permutation(len(pool))[:size]] for pool in pools]
     with np.errstate(divide="ignore", invalid="ignore"):
-        table, rowsum, own = _line_tables(pool, current)
-        got = [_best_replacement_1d(rowsum, table[:, j], own[j]) for j in range(size)]
-    want = [best_replacement(current, j, pool) for j in range(size)]
-    assert got == want
+        table, rowsum, own = _line_tables(np.array(pools), np.array(current))
+        stacked = [_best_replacement_1d(rowsum, table[:, :, j], own[:, j]) for j in range(size)]
+    for r, (pool, points) in enumerate(zip(pools, current)):
+        # -inf: no finite score, which the per-position form returns as (0.0, None)
+        got = [(0.0, None) if g[r] == -np.inf else (float(g[r]), int(k[r])) for g, k in stacked]
+        assert got == [best_replacement(points, j, pool) for j in range(size)]
 
 
 def test_coincident_points_nominate_no_swap(monkeypatch):
@@ -339,30 +386,32 @@ def test_coincident_points_nominate_no_swap(monkeypatch):
     pool = np.array([[0.0], [1.0]], dtype=complex)
     current = np.array([[0.0], [1.0], [1.0]], dtype=complex)
     calls = []
-    evaluate = vandermonde.vdm_logdet
+    evaluate = vandermonde.vdm_logabs_batch
 
-    def counting(points):
-        calls.append(points)
-        return evaluate(points)
+    def counting(configs):
+        calls.append(configs)
+        return evaluate(configs)
 
-    monkeypatch.setattr(vandermonde, "vdm_logdet", counting)
-    got, log_abs, improved = _exchange_pass(current, float("-inf"), pool, 1e-10)
+    monkeypatch.setattr(vandermonde, "vdm_logabs_batch", counting)
+    got, log_abs = _exchange_pass(current[None], np.array([-np.inf]), pool[None], 1e-10)
     assert calls == []
-    assert (got == current).all()
-    assert log_abs == float("-inf")
-    assert not improved
+    assert (got[0] == current).all()
+    assert log_abs[0] == float("-inf")
 
 
 @pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
 def test_refinement_candidates_match_per_point_draws(kset):
     rng = np.random.default_rng(5)
-    current = kset.sample(rng, 6)
-    mine, theirs = np.random.default_rng(6), np.random.default_rng(6)
-    got = _refinement_candidates(kset, current, 0.1, 12, mine)
-    want = refinement_candidates(kset, current, 0.1, 12, theirs)
-    assert got.shape == want.shape == (72, kset.dim)
-    assert got.tobytes() == want.tobytes()
-    assert mine.bit_generator.state == theirs.bit_generator.state
+    current = kset.sample(rng, 12).reshape(2, 6, kset.dim)
+    h = np.array([0.1, 0.03])
+    mine = [np.random.default_rng(6), np.random.default_rng(7)]
+    theirs = [np.random.default_rng(6), np.random.default_rng(7)]
+    got = _refinement_candidates(kset, current, h, 12, mine)
+    assert got.shape == (2, 72, kset.dim)
+    for r in range(2):
+        want = refinement_candidates(kset, current[r], float(h[r]), 12, theirs[r])
+        assert got[r].tobytes() == want.tobytes()
+        assert mine[r].bit_generator.state == theirs[r].bit_generator.state
 
 
 @pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
@@ -407,3 +456,59 @@ def test_refinement_projects_one_batch_per_level(monkeypatch):
     )
     fekete_search(Interval(-1.0, 1.0), 6, strategy, seed=0)
     assert batches == [(72, 1)]
+
+
+SEARCH_CASES = [(k, m) for k in EXCHANGE_SETS for m in (2, 4, 7)] + [
+    (k, m) for k in ND_EXCHANGE_SETS for m in (15, 21)
+]
+SEARCH_STRATEGY = SearchStrategy(pool_size=64, restarts=4, refine_levels=2, refine_candidates=6)
+
+
+def _float_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "kset, size", SEARCH_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in SEARCH_CASES]
+)
+def test_search_matches_restarts_run_alone(kset, size, seed):
+    got = fekete_search(kset, size, SEARCH_STRATEGY, seed)
+    want = per_point_oracles.fekete_search(kset, size, SEARCH_STRATEGY, seed)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert _float_bytes(got.log_abs) == _float_bytes(want.log_abs)
+    assert _float_bytes(got.trace) == _float_bytes(want.trace)
+    assert _float_bytes(got.restart_logs) == _float_bytes(want.restart_logs)
+
+
+def test_restarts_stop_after_different_numbers_of_passes():
+    # lockstep restarts must each keep their own early stop: in these cases
+    # some restarts of one search run more exchange passes than others
+    uneven = []
+    for kset, size in SEARCH_CASES:
+        ref = kset.reference_points(size)
+        children = np.random.SeedSequence(1).spawn(SEARCH_STRATEGY.restarts)
+        runs = [
+            per_point_oracles.run_restart(kset, size, SEARCH_STRATEGY, child, ref)
+            for child in children
+        ]
+        fixed = _fixed_candidates(kset, size, SEARCH_STRATEGY.pool_size, ref)
+        children = np.random.SeedSequence(1).spawn(SEARCH_STRATEGY.restarts)
+        got = _run_restarts(kset, size, SEARCH_STRATEGY, children, fixed)
+        assert [_float_bytes(g[2]) for g in got] == [_float_bytes(w[2]) for w in runs]
+        if len({len(w[2]) for w in runs}) > 1:
+            uneven.append((type(kset).__name__, size))
+    assert uneven
+
+
+def test_search_that_stays_singular_runs_every_pass():
+    # two atoms cannot hold three distinct points: every pass goes from -inf
+    # to -inf, a gain of nan, which is not below the tolerance, so no
+    # restart stops early
+    strategy = SearchStrategy(pool_size=16, restarts=2, exchange_passes=3, refine_levels=2)
+    two_atoms = FiniteSet(((0.0,), (1.0,)))
+    got = fekete_search(two_atoms, 3, strategy, seed=1)
+    want = per_point_oracles.fekete_search(two_atoms, 3, strategy, 1)
+    assert got.trace == want.trace == (-math.inf,) * 6
+    assert got.restart_logs == want.restart_logs == (-math.inf,) * 2
+    assert got.points.tobytes() == want.points.tobytes()
