@@ -65,7 +65,7 @@ def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
     product_arcsine = polyalab.ProductMeasure(
         (polyalab.ArcsineMeasure(-1.0, 1.0), polyalab.ArcsineMeasure(-1.0, 1.0))
     )
-    box = polyalab.Box(((-1.0, 1.0), (-1.0, 1.0)))
+    box = polyalab.ProductSet((polyalab.Interval(-1.0, 1.0), polyalab.Interval(-1.0, 1.0)))
     return [
         ("15x15 circle x interval configuration", circle_x_interval.sample(rng, 15), 15),
         ("548x15 circle x interval pool", circle_x_interval.sample(rng, 548), 15),
@@ -101,7 +101,7 @@ def time_blocks(call) -> dict:
 def exchange_cases() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     """(name, current, log|V|, pools) of the first pass of a default search's restarts."""
     strategy = polyalab.SearchStrategy()
-    box = polyalab.Box(((-1.0, 1.0), (-1.0, 1.0)))
+    box = polyalab.ProductSet((polyalab.Interval(-1.0, 1.0), polyalab.Interval(-1.0, 1.0)))
     circle_x_interval = polyalab.ProductSet(
         (polyalab.Circle(0.0, 1.0), polyalab.Interval(-1.0, 1.0))
     )

@@ -9,6 +9,7 @@ one-dimensional sets cover the multivariate cases.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -82,8 +83,8 @@ class Interval(CompactSet):
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:  # also rejects NaN
+            raise ValueError(f"need -inf < a < b < inf, got [{self.a}, {self.b}]")
 
     @property
     def is_real(self) -> bool:
@@ -126,8 +127,8 @@ def gauss_lobatto_points(count: int, a: float = -1.0, b: float = 1.0) -> np.ndar
 
 
 @dataclass(frozen=True)
-class Circle(CompactSet):
-    """Circle |z - center| = radius."""
+class _Round(CompactSet):
+    """A finite centre and 0 < radius < inf: what Circle and Disk share."""
 
     center: complex = 0j
     radius: float = 1.0
@@ -136,8 +137,15 @@ class Circle(CompactSet):
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not 0.0 < self.radius < math.inf:  # also rejects NaN
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+
+
+@dataclass(frozen=True)
+class Circle(_Round):
+    """Circle |z - center| = radius."""
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         w = as_point(z, 1)[0]
@@ -168,18 +176,8 @@ class Circle(CompactSet):
 
 
 @dataclass(frozen=True)
-class Disk(CompactSet):
+class Disk(_Round):
     """Closed disk |z - center| <= radius."""
-
-    center: complex = 0j
-    radius: float = 1.0
-    dim: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         w = as_point(z, 1)[0]
@@ -217,58 +215,18 @@ class Disk(CompactSet):
 
 
 @dataclass(frozen=True)
-class Box(CompactSet):
-    """Cartesian product of real segments, one per complex coordinate."""
-
-    bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        clean = tuple((float(a), float(b)) for a, b in self.bounds)
-        object.__setattr__(self, "bounds", clean)
-        for a, b in clean:
-            if not a < b:
-                raise ValueError(f"need a < b per axis, got [{a}, {b}]")
-        object.__setattr__(self, "dim", len(clean))
-
-    @property
-    def is_real(self) -> bool:
-        return True
-
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, self.dim)
-        for (a, b), v in zip(self.bounds, w):
-            if abs(v.imag) > tol or not (a - tol <= v.real <= b + tol):
-                return False
-        return True
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        cols = [rng.uniform(a, b, size=count) for a, b in self.bounds]
-        return np.stack(cols, axis=1).astype(complex)
-
-    def grid(self, per_axis: int) -> np.ndarray:
-        axes = [np.linspace(a, b, per_axis) for a, b in self.bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1).astype(complex)
-
-    def project(self, z) -> np.ndarray:
-        # axis by axis: np.clip with scalar bounds keeps the sign of a zero
-        # as min(max(x, a), b) does, with array bounds it does not
-        w = as_points(z, self.dim).real
-        cols = [np.clip(w[:, i], a, b) for i, (a, b) in enumerate(self.bounds)]
-        return np.stack(cols, axis=1).astype(complex)
-
-    def reference_points(self, count: int) -> np.ndarray | None:
-        return None
-
-
-@dataclass(frozen=True)
 class ProductSet(CompactSet):
-    """Product of one-dimensional sets; coordinates are independent."""
+    """Product of one-dimensional sets; coordinates are independent.
+
+    A box is the product of its intervals.
+    """
 
     factors: tuple[CompactSet, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        if not self.factors:
+            raise ValueError("need at least one factor")
         for f in self.factors:
             if f.dim != 1:
                 raise ValueError("product factors must be one-dimensional")
@@ -297,18 +255,21 @@ class ProductSet(CompactSet):
             [f.project(w[:, i : i + 1]) for i, f in enumerate(self.factors)], axis=1
         )
 
-    def reference_points(self, count: int) -> np.ndarray | None:
-        return None
-
 
 @dataclass(frozen=True)
 class FiniteSet(CompactSet):
-    """Finite point set; supports of discrete measures and brute-force tests."""
+    """Finite point set; supports of discrete measures and brute-force tests.
+
+    A point is a sequence of coordinates, or a scalar for a one-coordinate point.
+    """
 
     points: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
-        clean = tuple(tuple(complex(v) for v in p) for p in self.points)
+        clean = tuple(
+            tuple(complex(v) for v in (p if isinstance(p, (tuple, list, np.ndarray)) else (p,)))
+            for p in self.points
+        )
         object.__setattr__(self, "points", clean)
         if not clean:
             raise ValueError("need at least one point")
@@ -356,7 +317,6 @@ class CompactFamily:
     (nested increasing inside it), or "constant".
     """
 
-    label: str
     direction: str
     limit: CompactSet
     member_fn: Callable[[int], CompactSet]
@@ -392,9 +352,8 @@ def interval_family(
             )
         return Interval(a + eps, b - eps)
 
-    label = f"interval[{a},{b}] {side} j^-{rate}"
-    return CompactFamily(label, side, Interval(a, b), member)
+    return CompactFamily(side, Interval(a, b), member)
 
 
 def constant_family(base: CompactSet) -> CompactFamily:
-    return CompactFamily("constant", "constant", base, lambda j: base)
+    return CompactFamily("constant", base, lambda j: base)

@@ -20,7 +20,6 @@ import numpy as np
 import yaml
 
 from .domains import (
-    Box,
     Circle,
     CompactFamily,
     CompactSet,
@@ -107,6 +106,7 @@ class ExperimentConfig:
         bad = _RESERVED_KEYS & set(self.spec)
         if bad:
             raise ConfigError(f"payload keys collide with reserved names: {sorted(bad)}")
+        _check_keys(self.spec, _PAYLOAD_KEYS[self.experiment], self.experiment)
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +148,12 @@ class ExperimentConfig:
 
     def dump_text(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
+
+
+def _check_keys(spec: dict, accepted: set, ctx: str) -> None:
+    unknown = set(spec) - accepted
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}; accepted {sorted(accepted)}")
 
 
 def _need(spec: dict, key: str, ctx: str):
@@ -212,7 +218,8 @@ def build_compact(spec, ctx: str = "set") -> CompactSet:
             center = _as_scalar(spec.get("center", 0.0), "center", ctx)
             return Disk(center, _real(spec, "radius", ctx))
         if kind == "box":
-            return Box(_bounds(_need(spec, "bounds", ctx), ctx))
+            bounds = _bounds(_need(spec, "bounds", ctx), ctx)
+            return ProductSet(tuple(Interval(a, b) for a, b in bounds))
         if kind == "product":
             factors = _need(spec, "factors", ctx)
             return ProductSet(
@@ -343,9 +350,7 @@ def build_strategy(spec, ctx: str = "search") -> SearchStrategy:
         return SearchStrategy()
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
-    unknown = set(spec) - _STRATEGY_KEYS
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown strategy keys {sorted(unknown)}")
+    _check_keys(spec, _STRATEGY_KEYS, ctx)
     try:
         return SearchStrategy(**spec)
     except (TypeError, ValueError) as exc:
@@ -514,6 +519,7 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
         ctx = f"polya-check.pairs[{p_idx}]"
         if not isinstance(pair, dict):
             raise ConfigError(f"{ctx}: expected a mapping")
+        _check_keys(pair, _PAIR_KEYS, ctx)
         plabel = str(pair.get("label", f"pair{p_idx}"))
         kset = build_compact(_need(pair, "set", ctx), f"{ctx}.set")
         germ = build_germ(_need(pair, "germ", ctx), f"{ctx}.germ")
@@ -659,13 +665,12 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     measure = build_measure(_need(spec, "measure", "zs-check"))
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
     samples = _number_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
-    chunk = _number_at_least(spec, "chunk_size", DEFAULT_CHUNK, 1, "zs-check")
     result = RunResult(cfg)
     for s in degrees:
         t0 = time.perf_counter()
         log_gram = z_s_gram(measure, s)
         mc = z_s_montecarlo(
-            measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=chunk
+            measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=DEFAULT_CHUNK
         )
         wall = time.perf_counter() - t0
         if log_gram == mc.log_value:
@@ -713,6 +718,19 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
             result.flags.append(f"s={s}: ratio is infinite (singular Gram matrix)")
     return result
 
+
+# the payload keys each experiment reads; any other key is a config error
+_PAYLOAD_KEYS = {
+    "tdiam": {"set", "degrees", "search_cap", "search"},
+    "fekete": {"set", "sizes", "search"},
+    "hankel": {"germ", "i_max"},
+    "polya-check": {"pairs", "slack", "search_cap", "search"},
+    "sharpness": {"set", "measure", "degrees", "search_cap", "tolerance", "search"},
+    "stability": {"family", "s", "j_values", "search_cap", "search"},
+    "zs-check": {"measure", "degrees", "samples"},
+    "bm-ratio": {"measure", "degrees", "grid"},
+}
+_PAIR_KEYS = {"label", "set", "germ", "s_max", "i_max"}
 
 _RUNNERS = {
     "tdiam": run_tdiam,

@@ -159,10 +159,6 @@ class PolyaTerm:
     hankel: float  # log|H_index|
     quantity: float | None
 
-    @property
-    def defined(self) -> bool:
-        return self.quantity is not None
-
 
 def polya_term(germ: GermCoefficients, index: int) -> PolyaTerm:
     """D_index = |H_index|^(1 / (2 l_s)), s the degree of the index-th monomial.

@@ -49,6 +49,9 @@ class Measure:
 
     dim: int = 1
 
+    def __post_init__(self):
+        self.support  # building the support checks the parameters
+
     @property
     def support(self) -> CompactSet:
         raise NotImplementedError
@@ -113,11 +116,7 @@ class ArcsineMeasure(Measure):
     b: float = 1.0
     dim: int = field(default=1, init=False)
 
-    def __post_init__(self):
-        if not float(self.a) < float(self.b):
-            raise ValueError("need a < b")
-
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
@@ -139,11 +138,7 @@ class UniformSegment(Measure):
     b: float
     dim: int = field(default=1, init=False)
 
-    def __post_init__(self):
-        if not float(self.a) < float(self.b):
-            raise ValueError("need a < b")
-
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
@@ -153,7 +148,7 @@ class UniformSegment(Measure):
         return (hi ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * (hi - lo))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(self.a, self.b, size=(count, 1)).astype(complex)
+        return self.support.sample(rng, count)
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,7 @@ class CircleUniform(Measure):
     radius: float = 1.0
     dim: int = field(default=1, init=False)
 
-    def __post_init__(self):
-        if float(self.radius) <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return Circle(0j, self.radius)
 
@@ -179,8 +170,7 @@ class CircleUniform(Measure):
         return Fraction(self.radius) ** (2 * dj)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        theta = rng.uniform(0.0, 2 * math.pi, size=count)
-        return (self.radius * np.exp(1j * theta)).reshape(-1, 1)
+        return self.support.sample(rng, count)
 
 
 @dataclass(frozen=True)
@@ -190,11 +180,7 @@ class DiskUniform(Measure):
     radius: float = 1.0
     dim: int = field(default=1, init=False)
 
-    def __post_init__(self):
-        if float(self.radius) <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return Disk(0j, self.radius)
 
@@ -206,9 +192,7 @@ class DiskUniform(Measure):
         return Fraction(self.radius) ** (2 * dj) / (dj + 1)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        r = self.radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
-        theta = rng.uniform(0.0, 2 * math.pi, size=count)
-        return (r * np.exp(1j * theta)).reshape(-1, 1)
+        return self.support.sample(rng, count)
 
 
 @dataclass(frozen=True)
@@ -219,23 +203,17 @@ class DiscreteMeasure(Measure):
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        pts = tuple(
-            tuple(complex(v) for v in (p if isinstance(p, (tuple, list, np.ndarray)) else (p,)))
-            for p in self.atoms
-        )
+        # the support normalises the atoms and rejects mixed dimensions
+        object.__setattr__(self, "atoms", self.support.points)
+        object.__setattr__(self, "dim", self.support.dim)
         w = tuple(Fraction(x) for x in self.weights)
-        if len(pts) != len(w) or not pts:
-            raise ValueError("need matching nonempty atoms and weights")
+        if len(w) != len(self.atoms):
+            raise ValueError("need one weight per atom")
         if any(x <= 0 for x in w):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "atoms", pts)
         object.__setattr__(self, "weights", w)
-        dims = {len(p) for p in pts}
-        if len(dims) != 1:
-            raise ValueError("atoms have mixed dimensions")
-        object.__setattr__(self, "dim", dims.pop())
 
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return FiniteSet(self.atoms)
 
@@ -281,15 +259,11 @@ class ProductMeasure(Measure):
     factors: tuple[Measure, ...]
 
     def __post_init__(self):
+        # the support rejects an empty product and multivariate factors
         object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        for f in self.factors:
-            if f.dim != 1:
-                raise ValueError("product factors must be one-dimensional")
-        object.__setattr__(self, "dim", len(self.factors))
+        object.__setattr__(self, "dim", self.support.dim)
 
-    @property
+    @functools.cached_property
     def support(self) -> CompactSet:
         return ProductSet(tuple(f.support for f in self.factors))
 

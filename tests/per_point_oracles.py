@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 from polyalab import (
-    Box,
     Circle,
     Disk,
     FiniteSet,
@@ -165,8 +164,6 @@ def project_point(kset, point):
         if abs(d) == 0.0:
             return np.array([kset.center + kset.radius])
         return np.array([kset.center + kset.radius * d / abs(d)])
-    if isinstance(kset, Box):
-        return np.array([complex(min(max(v.real, a), b)) for (a, b), v in zip(kset.bounds, w)])
     if isinstance(kset, ProductSet):
         return np.array([project_point(f, w[i : i + 1])[0] for i, f in enumerate(kset.factors)])
     if isinstance(kset, FiniteSet):

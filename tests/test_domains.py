@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polyalab import (
-    Box,
     Circle,
     Disk,
     FiniteSet,
@@ -15,6 +14,8 @@ from polyalab import (
 )
 from polyalab.domains import gauss_lobatto_points
 
+from boxes import box, set_id
+
 
 ALL_SETS = [
     Interval(-1.0, 1.0),
@@ -22,13 +23,13 @@ ALL_SETS = [
     Circle(0.0, 1.0),
     Circle(0.5 + 0.5j, 2.0),
     Disk(0.0, 1.5),
-    Box(((-1.0, 1.0), (0.0, 2.0))),
+    box(((-1.0, 1.0), (0.0, 2.0))),
     ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))),
     FiniteSet(((0.0,), (1.0,), (0.5,))),
 ]
 
 
-@pytest.mark.parametrize("kset", ALL_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)
 def test_samples_belong_to_the_set(kset):
     rng = np.random.default_rng(0)
     pts = kset.sample(rng, 40)
@@ -37,7 +38,7 @@ def test_samples_belong_to_the_set(kset):
         assert kset.contains(p)
 
 
-@pytest.mark.parametrize("kset", ALL_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)
 def test_grid_points_belong_to_the_set(kset):
     pts = kset.grid(5)
     assert pts.ndim == 2 and pts.shape[1] == kset.dim
@@ -45,7 +46,7 @@ def test_grid_points_belong_to_the_set(kset):
         assert kset.contains(p)
 
 
-@pytest.mark.parametrize("kset", ALL_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)
 def test_projection_lands_on_the_set(kset):
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(20, kset.dim)) + 1j * rng.normal(size=(20, kset.dim))
@@ -85,7 +86,7 @@ def test_membership_tolerances():
 
 def test_reality_flags():
     assert Interval(-1.0, 1.0).is_real
-    assert Box(((-1.0, 1.0),)).is_real
+    assert box(((-1.0, 1.0),)).is_real
     assert not Circle(0.0, 1.0).is_real
     assert not Disk(0.0, 1.0).is_real
     assert ProductSet((Interval(0.0, 1.0), Interval(0.0, 1.0))).is_real
@@ -97,6 +98,35 @@ def test_reality_flags():
 def test_interval_rejects_empty():
     with pytest.raises(ValueError):
         Interval(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Interval(-math.inf, 1.0),
+        lambda: Interval(0.0, math.nan),
+        lambda: Circle(0.0, math.nan),
+        lambda: Circle(complex(math.inf, 0.0), 1.0),
+        lambda: Disk(0.0, math.inf),
+        lambda: Disk(math.nan, 1.0),
+    ],
+    ids=["interval-inf", "interval-nan", "circle-nan", "circle-centre-inf", "disk-inf",
+         "disk-centre-nan"],
+)
+def test_non_finite_parameters_are_rejected(make):
+    with pytest.raises(ValueError, match="inf|finite"):
+        make()
+
+
+def test_empty_product_is_rejected():
+    with pytest.raises(ValueError, match="at least one factor"):
+        ProductSet(())
+
+
+def test_finite_set_takes_a_scalar_as_a_one_coordinate_point():
+    assert FiniteSet((0.5, (1j,))).points == ((0.5 + 0j,), (1j,))
+    with pytest.raises(ValueError, match="mixed"):
+        FiniteSet(((0.0,), (1.0, 2.0)))
 
 
 def test_gauss_lobatto_structure():
@@ -173,8 +203,7 @@ def test_constant_family():
 
 
 def test_product_and_box_dims():
-    box = Box(((-1.0, 1.0), (0.0, 2.0), (3.0, 4.0)))
-    assert box.dim == 3
+    assert box(((-1.0, 1.0), (0.0, 2.0), (3.0, 4.0))).dim == 3
     prod = ProductSet((Interval(0.0, 1.0), Interval(0.0, 1.0)))
     assert prod.dim == 2
     assert FiniteSet(((0.0, 1.0),)).dim == 2

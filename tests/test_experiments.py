@@ -1,13 +1,13 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 
 from polyalab import (
     ArcsineMeasure,
-    Box,
     Circle,
     ConfigError,
     DiscreteMeasure,
@@ -83,7 +83,7 @@ def test_build_compact_kinds():
     circ = build_compact({"kind": "circle", "radius": 1, "center": {"re": 1, "im": -1}})
     assert circ.center == 1.0 - 1.0j
     box = build_compact({"kind": "box", "bounds": [[0, 1], [2, 3]]})
-    assert isinstance(box, Box) and box.dim == 2
+    assert box == ProductSet((Interval(0.0, 1.0), Interval(2.0, 3.0)))
     prod = build_compact(
         {"kind": "product", "factors": [{"kind": "interval", "a": 0, "b": 1}] * 2}
     )
@@ -308,7 +308,7 @@ def test_zs_check_runner():
 
 @pytest.mark.parametrize(
     "experiment, key, value",
-    [("zs-check", "chunk_size", 0), ("zs-check", "samples", 1), ("bm-ratio", "grid", 0)],
+    [("zs-check", "samples", 1), ("bm-ratio", "grid", 0)],
 )
 def test_bad_sampling_sizes_are_config_errors(experiment, key, value):
     cfg = ExperimentConfig(
@@ -357,6 +357,64 @@ def _contour_grid(grid):
 def test_non_numeric_scalars_are_config_errors(experiment, key, spec):
     with pytest.raises(ConfigError, match=rf"\b{key} must be "):
         run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+_VALID_PAYLOADS = {
+    "tdiam": {"set": _INTERVAL, "degrees": [2]},
+    "zs-check": {"measure": _ARCSINE, "degrees": [1]},
+    "hankel": {"germ": _ARCSINE_GERM, "i_max": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("tdiam", "serach", {"restarts": 1}),
+        ("zs-check", "sampels", 10),
+        ("zs-check", "chunk_size", 0),
+        ("hankel", "degrees", [2]),
+    ],
+)
+def test_unknown_payload_keys_are_config_errors(experiment, key, value):
+    spec = _VALID_PAYLOADS[experiment]
+    ExperimentConfig(experiment, "ok", 0, spec)
+    with pytest.raises(ConfigError, match=rf"{experiment}: unknown keys \['{key}'\]"):
+        ExperimentConfig(experiment, "bad", 0, {**spec, key: value})
+
+
+def test_every_shipped_config_passes_the_key_check():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("configs/*.yaml")) + sorted(root.glob("perfbench/workloads/*/*.yaml"))
+    assert paths
+    for path in paths:
+        ExperimentConfig.load(path)
+
+
+def test_unknown_polya_check_pair_keys_are_config_errors():
+    pair = {"set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": 1, "smax": 2}
+    cfg = ExperimentConfig("polya-check", "bad", 0, {"pairs": [pair]})
+    with pytest.raises(ConfigError, match=r"pairs\[0\]: unknown keys \['smax'\]"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "circle", "radius": math.inf},
+        {"kind": "disk", "radius": math.inf},
+        {"kind": "circle", "radius": 1.0, "center": {"re": math.inf}},
+        {"kind": "interval", "a": -math.inf, "b": 1.0},
+        {"kind": "box", "bounds": [[-1.0, 1.0], [0.0, math.inf]]},
+        {"kind": "product", "factors": []},
+        {"kind": "box", "bounds": []},
+    ],
+    ids=["circle-inf", "disk-inf", "circle-centre-inf", "interval-inf", "box-inf",
+         "empty-product", "empty-box"],
+)
+def test_unbounded_or_empty_sets_are_config_errors(spec):
+    cfg = ExperimentConfig("tdiam", "bad", 0, {"set": spec, "degrees": [2]})
+    with pytest.raises(ConfigError, match=r"^set: "):
+        run_experiment(cfg)
 
 
 def test_run_experiment_is_serial():

@@ -446,6 +446,21 @@ def test_log_factorial():
     assert log_factorial(0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ArcsineMeasure(-1.0, math.inf),
+        lambda: UniformSegment(math.nan, 1.0),
+        lambda: CircleUniform(math.nan),
+        lambda: DiskUniform(math.inf),
+    ],
+    ids=["arcsine-inf", "uniform-nan", "circle-nan", "disk-inf"],
+)
+def test_measures_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="inf|finite"):
+        make()
+
+
 def test_measure_validation():
     with pytest.raises(ValueError):
         ArcsineMeasure(1.0, -1.0)
@@ -453,3 +468,12 @@ def test_measure_validation():
         DiscreteMeasure(((0.0,), (1.0,)), (Fraction(1),))
     with pytest.raises(ValueError):
         CircleUniform(0.0)
+    # the support's own checks: empty and multivariate factors, mixed atoms
+    with pytest.raises(ValueError, match="at least one factor"):
+        ProductMeasure(())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ProductMeasure((ArcsineMeasure(), PRODUCT_ARCSINE))
+    with pytest.raises(ValueError, match="mixed"):
+        DiscreteMeasure(((0.0,), (1.0, 2.0)), (1, 1))
+    mu = DiscreteMeasure((0.5, (1j,)), (1, 2))
+    assert mu.atoms == mu.support.points == ((0.5 + 0j,), (1j,))

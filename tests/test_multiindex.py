@@ -6,7 +6,6 @@ import pytest
 
 from polyalab import (
     ArcsineMeasure,
-    Box,
     Circle,
     GradedEnumeration,
     Interval,
@@ -22,6 +21,7 @@ from polyalab import (
 )
 from polyalab.multiindex import _POINT_BLOCK
 
+from boxes import box
 from brute_force_oracles import monomial_value
 from per_point_oracles import monomial_matrix as broadcast_monomial_matrix
 
@@ -159,7 +159,7 @@ def test_monomials_match_broadcast_form_on_arcsine_samples():
 
 
 def test_monomials_match_broadcast_form_on_box_grid():
-    grid = Box(((-1.0, 1.0), (-1.0, 1.0))).grid(256)
+    grid = box(((-1.0, 1.0), (-1.0, 1.0))).grid(256)
     assert grid.shape == (256 * 256, 2)
     assert_matches_broadcast_form(grid, graded(2, 15))
 
@@ -190,11 +190,11 @@ def test_monomials_edge_shapes_match_broadcast_form():
 
 def _straddling_block_boundary(rng):
     """Point sets longer than one 2,048-point block of the kernel."""
-    box = Box(((-1.0, 1.0), (-1.0, 1.0))).sample(rng, 2100)
-    box[::97, 0] = 0.0  # exact zeros, and with them signed zeros in the products
+    square = box(((-1.0, 1.0), (-1.0, 1.0))).sample(rng, 2100)
+    square[::97, 0] = 0.0  # exact zeros, and with them signed zeros in the products
     circle_x_interval = ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))).sample(rng, 2100)
     cube = rng.standard_normal((2100, 3)) + 1j * rng.standard_normal((2100, 3))
-    return [(box, graded(2, 21)), (circle_x_interval, graded(2, 15)), (cube, graded(3, 20))]
+    return [(square, graded(2, 21)), (circle_x_interval, graded(2, 15)), (cube, graded(3, 20))]
 
 
 @pytest.mark.parametrize("case", range(3), ids=["box", "circle-x-interval", "complex-cube"])

@@ -17,9 +17,9 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 import brute_force_oracles  # noqa: E402
+from boxes import box, set_id  # noqa: E402
 from per_point_oracles import project_each  # noqa: E402
 from polyalab import (  # noqa: E402
-    Box,
     Circle,
     ConfigError,
     Disk,
@@ -123,7 +123,7 @@ PROJECTION_SETS = [
     Circle(0.5 + 0.5j, 2.0),
     Disk(0.0, 1.5),
     Disk(1.0j, 0.5),
-    Box(((-1.0, 1.0), (0.0, 2.0))),
+    box(((-1.0, 1.0), (0.0, 2.0))),
     ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))),
     ProductSet((Disk(0.0, 1.0), Circle(2.0, 0.5))),
     # 0.5 and 1.5 are equidistant from two atoms
@@ -155,7 +155,7 @@ def _case(kset, points):
 @hypothesis.example(_case(Circle(0.0, 1.0), [0.0, 1e-300, 1.0, 1.0j, -0.6 + 0.8j]))
 @hypothesis.example(_case(Disk(0.0, 1.5), [0.0, 0.3 - 0.4j, 1.5, -1.5j, 3.0 + 4.0j, -2.0]))
 @hypothesis.example(_case(FiniteSet(((0.0,), (1.0,), (2.0,))), [0.5, 1.5, 1.0, 0.5 + 0.5j]))
-@hypothesis.example(_case(Box(((-1.0, 1.0), (0.0, 2.0))), [-1.0, 0.0, 1.0, 2.0, 3.0 + 1j, -0.0]))
+@hypothesis.example(_case(box(((-1.0, 1.0), (0.0, 2.0))), [-1.0, 0.0, 1.0, 2.0, 3.0 + 1j, -0.0]))
 @hypothesis.example(
     _case(ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))), [0.3, 0.0, -2.0, 1.0j])
 )
@@ -168,7 +168,7 @@ def test_batched_projection_is_per_point_projection(case):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kset", PROJECTION_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", PROJECTION_SETS, ids=set_id)
 def test_batched_projection_fixes_points_on_the_set(kset):
     on_set = kset.grid(6)
     assert kset.project(on_set).tobytes() == project_each(kset, on_set).tobytes()

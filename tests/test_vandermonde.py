@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polyalab import (
-    Box,
     Circle,
     Disk,
     FiniteSet,
@@ -31,6 +30,7 @@ from polyalab.vandermonde import (
     vdm_logabs_batch,
 )
 
+from boxes import box, set_id
 from brute_force_oracles import vdm_value
 import per_point_oracles
 from per_point_oracles import (
@@ -88,7 +88,7 @@ def _complex_line(size, seed):
     return rng.normal(size=(size, 1)) + 1j * rng.normal(size=(size, 1))
 
 
-_BOX = Box(((-1.0, 1.0), (-1.0, 1.0)))
+_BOX = box(((-1.0, 1.0), (-1.0, 1.0)))
 _CIRCLE_X_INTERVAL = ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0)))
 
 
@@ -161,9 +161,9 @@ def test_seed_sequence_accepted_directly():
 
 
 def test_reference_mode_requires_reference_points():
-    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    square = box(((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
-        fekete_search(box, 3, SearchStrategy(mode="reference"), seed=0)
+        fekete_search(square, 3, SearchStrategy(mode="reference"), seed=0)
 
 
 def test_single_point_configuration():
@@ -234,7 +234,7 @@ EXCHANGE_SETS = [
     Disk(0.0, 1.5),
     # atoms drawn into the pool repeat, and may equal a current point
     FiniteSet(tuple((v,) for v in np.linspace(-1.0, 2.0, 9))),
-    Box(((-1.0, 1.0), (-1.0, 1.0))),
+    box(((-1.0, 1.0), (-1.0, 1.0))),
     ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))),
 ]
 
@@ -268,7 +268,7 @@ def _stacked_pass(starts, tol=1e-10):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
-    "kset, size", EXCHANGE_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in EXCHANGE_CASES]
+    "kset, size", EXCHANGE_CASES, ids=[f"{set_id(k)}-{m}" for k, m in EXCHANGE_CASES]
 )
 def test_exchange_pass_matches_per_position_tables(kset, size, seed):
     # three restarts in one stacked pass: each must be its own sweep
@@ -282,7 +282,7 @@ def test_exchange_pass_matches_per_position_tables(kset, size, seed):
 
 
 @pytest.mark.parametrize("size", [4, 7, 15])
-@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=set_id)
 def test_singular_restart_leaves_the_others_swapping(kset, size):
     starts = _random_starts(kset, size, 3, 3)
     # a repeated point makes restart 1's basis singular: its inverse fails,
@@ -309,7 +309,7 @@ REJECT_CASES = [(k, m) for k, m in EXCHANGE_CASES if not isinstance(k, FiniteSet
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
-    "kset, size", REJECT_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in REJECT_CASES]
+    "kset, size", REJECT_CASES, ids=[f"{set_id(k)}-{m}" for k, m in REJECT_CASES]
 )
 def test_rejected_swap_leaves_the_cached_rows_unchanged(kset, size, seed):
     starts = _random_starts(kset, size, seed, 2)
@@ -333,9 +333,10 @@ def test_rejected_swap_leaves_the_cached_rows_unchanged(kset, size, seed):
 
 
 def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
-    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    square = box(((-1.0, 1.0), (-1.0, 1.0)))
     rng = np.random.default_rng(3)
-    pools, current = box.sample(rng, 128).reshape(2, 64, 2), box.sample(rng, 12).reshape(2, 6, 2)
+    pools = square.sample(rng, 128).reshape(2, 64, 2)
+    current = square.sample(rng, 12).reshape(2, 6, 2)
     log_abs = vdm_logabs_batch(current)
     widths = []
     build = vandermonde.basis_matrix
@@ -353,7 +354,7 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [4, 7, 15])
-@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=set_id)
 def test_greedy_start_matches_free_row_elimination(kset, size):
     pool = candidate_pool(kset, size, 64, np.random.default_rng(size), kset.reference_points(size))
     got = _greedy_start(pool, size)
@@ -399,7 +400,7 @@ def test_coincident_points_nominate_no_swap(monkeypatch):
     assert log_abs[0] == float("-inf")
 
 
-@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=set_id)
 def test_refinement_candidates_match_per_point_draws(kset):
     rng = np.random.default_rng(5)
     current = kset.sample(rng, 12).reshape(2, 6, kset.dim)
@@ -414,7 +415,7 @@ def test_refinement_candidates_match_per_point_draws(kset):
         assert mine[r].bit_generator.state == theirs[r].bit_generator.state
 
 
-@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kset", EXCHANGE_SETS, ids=set_id)
 def test_candidate_pools_match_whole_rebuilds(kset):
     size, pool_size = 5, 48
     ref = kset.reference_points(size)
@@ -470,7 +471,7 @@ def _float_bytes(values):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
-    "kset, size", SEARCH_CASES, ids=[f"{type(k).__name__}-{m}" for k, m in SEARCH_CASES]
+    "kset, size", SEARCH_CASES, ids=[f"{set_id(k)}-{m}" for k, m in SEARCH_CASES]
 )
 def test_search_matches_restarts_run_alone(kset, size, seed):
     got = fekete_search(kset, size, SEARCH_STRATEGY, seed)
