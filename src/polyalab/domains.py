@@ -313,8 +313,8 @@ class FiniteSet(CompactSet):
 class CompactFamily:
     """Sequence of compact sets K_1, K_2, ... approaching a limit set.
 
-    direction is "outer" (nested decreasing onto the limit), "inner"
-    (nested increasing inside it), or "constant".
+    direction is "outer" (nested decreasing onto the limit) or "inner"
+    (nested increasing inside it).
     """
 
     direction: str
@@ -353,7 +353,3 @@ def interval_family(
         return Interval(a + eps, b - eps)
 
     return CompactFamily(side, Interval(a, b), member)
-
-
-def constant_family(base: CompactSet) -> CompactFamily:
-    return CompactFamily("constant", base, lambda j: base)

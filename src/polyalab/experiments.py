@@ -9,10 +9,13 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import reduce
+from operator import truediv
 from pathlib import Path
 from typing import Any, Callable
 
@@ -27,7 +30,6 @@ from .domains import (
     FiniteSet,
     Interval,
     ProductSet,
-    constant_family,
     interval_family,
 )
 from .functionals import (
@@ -67,17 +69,6 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_CHUNK = 4096
 DEFAULT_GRID = 4096
 
-EXPERIMENT_KINDS = (
-    "tdiam",
-    "fekete",
-    "hankel",
-    "polya-check",
-    "sharpness",
-    "stability",
-    "zs-check",
-    "bm-ratio",
-)
-
 _RESERVED_KEYS = {"schema", "experiment", "label", "seed"}
 
 
@@ -106,7 +97,7 @@ class ExperimentConfig:
         bad = _RESERVED_KEYS & set(self.spec)
         if bad:
             raise ConfigError(f"payload keys collide with reserved names: {sorted(bad)}")
-        _check_keys(self.spec, _PAYLOAD_KEYS[self.experiment], self.experiment)
+        _check_keys(self.spec, _EXPERIMENTS[self.experiment][0], self.experiment)
 
     def to_dict(self) -> dict:
         return {
@@ -163,183 +154,174 @@ def _need(spec: dict, key: str, ctx: str):
 
 
 def _as_scalar(value, what: str, ctx: str) -> complex:
-    """A config scalar: a real number, or a {re:, im:} mapping; `what` names it."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value))
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        try:
-            return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{ctx}: {what} must be a number or {{re, im}} mapping, got {value!r}")
+    """A finite config scalar: a real number, or a {re:, im:} mapping; `what` names it."""
+    z = None
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            z = complex(float(value))
+        elif isinstance(value, dict) and set(value) <= {"re", "im"}:
+            z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if z is None or not cmath.isfinite(z):
+        raise ConfigError(
+            f"{ctx}: {what} must be a finite number or {{re, im}} mapping, got {value!r}"
+        )
+    return z
 
 
-def _as_point(value, key: str, ctx: str) -> tuple[complex, ...]:
-    what = f"each {key} coordinate"
+def _as_point(value, ctx: str) -> tuple[complex, ...]:
     if isinstance(value, (list, tuple)):
-        return tuple(_as_scalar(v, what, ctx) for v in value)
-    return (_as_scalar(value, what, ctx),)
+        return tuple(_as_scalar(v, "each coordinate", ctx) for v in value)
+    return (_as_scalar(value, "each coordinate", ctx),)
 
 
 def _as_fraction(value, ctx: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(f"{ctx}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    if isinstance(value, str):
+    """A finite number or fraction string such as "1/3", kept exact."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: bad fraction literal {value!r}") from exc
-    raise ConfigError(f"{ctx}: expected a number or fraction string, got {value!r}")
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"{ctx}: expected a finite number or fraction string, got {value!r}")
 
 
 def _bounds(value, ctx: str) -> tuple[tuple[float, float], ...]:
     """A box's bounds: a list of [low, high] pairs of real numbers."""
     try:
         return tuple((float(a), float(b)) for a, b in value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{ctx}: bounds must be a list of [low, high] number pairs, got {value!r}"
         ) from None
 
 
-def build_compact(spec, ctx: str = "set") -> CompactSet:
+def _build(spec, ctx: str, noun: str, kinds: dict, shared: tuple = ()):
+    """One `kind:` mapping, read by its entry (accepted keys, constructor) in `kinds`.
+
+    Keys outside the kind's own, `kind` and `shared` are a config error.
+    """
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
     kind = _need(spec, "kind", ctx)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{ctx}: unknown {noun} kind {kind!r}")
+    keys, make = kinds[kind]
+    _check_keys(spec, {"kind", *keys, *shared}, ctx)
     try:
-        if kind == "interval":
-            return Interval(_real(spec, "a", ctx), _real(spec, "b", ctx))
-        if kind == "circle":
-            center = _as_scalar(spec.get("center", 0.0), "center", ctx)
-            return Circle(center, _real(spec, "radius", ctx))
-        if kind == "disk":
-            center = _as_scalar(spec.get("center", 0.0), "center", ctx)
-            return Disk(center, _real(spec, "radius", ctx))
-        if kind == "box":
-            bounds = _bounds(_need(spec, "bounds", ctx), ctx)
-            return ProductSet(tuple(Interval(a, b) for a, b in bounds))
-        if kind == "product":
-            factors = _need(spec, "factors", ctx)
-            return ProductSet(
-                tuple(build_compact(f, f"{ctx}.factors[{i}]") for i, f in enumerate(factors))
-            )
-        if kind == "finite":
-            points = _need(spec, "points", ctx)
-            return FiniteSet(tuple(_as_point(p, "points", ctx) for p in points))
+        return make(spec, ctx)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: unknown compact-set kind {kind!r}")
+
+
+def _each(build, spec: dict, key: str, ctx: str) -> tuple:
+    """build over the list spec[key], each entry in its own context."""
+    return tuple(build(f, f"{ctx}.{key}[{i}]") for i, f in enumerate(_need(spec, key, ctx)))
+
+
+def _center(spec: dict, ctx: str) -> complex:
+    return _as_scalar(spec.get("center", 0.0), "center", ctx)
+
+
+_SETS = {
+    "interval": ({"a", "b"}, lambda s, c: Interval(_real(s, "a", c), _real(s, "b", c))),
+    "circle": ({"center", "radius"}, lambda s, c: Circle(_center(s, c), _real(s, "radius", c))),
+    "disk": ({"center", "radius"}, lambda s, c: Disk(_center(s, c), _real(s, "radius", c))),
+    "box": ({"bounds"}, lambda s, c: ProductSet(
+        tuple(Interval(a, b) for a, b in _bounds(_need(s, "bounds", c), c))
+    )),
+    "product": ({"factors"}, lambda s, c: ProductSet(_each(build_compact, s, "factors", c))),
+    "finite": ({"points"}, lambda s, c: FiniteSet(_each(_as_point, s, "points", c))),
+}
+
+
+def build_compact(spec, ctx: str = "set") -> CompactSet:
+    return _build(spec, ctx, "compact-set", _SETS)
+
+
+_FAMILIES = {
+    "interval": ({"a", "b", "side", "rate"}, lambda s, c: interval_family(
+        _real(s, "a", c),
+        _real(s, "b", c),
+        side=str(s.get("side", "outer")),
+        rate=_real(s, "rate", c, 1.0),
+    )),
+}
 
 
 def build_family(spec, ctx: str = "family") -> CompactFamily:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
-    kind = _need(spec, "kind", ctx)
-    try:
-        if kind == "interval":
-            return interval_family(
-                _real(spec, "a", ctx),
-                _real(spec, "b", ctx),
-                side=str(spec.get("side", "outer")),
-                rate=_real(spec, "rate", ctx, 1.0),
-            )
-        if kind == "constant":
-            return constant_family(build_compact(_need(spec, "set", ctx), f"{ctx}.set"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: unknown family kind {kind!r}")
+    return _build(spec, ctx, "family", _FAMILIES)
+
+
+_MEASURES = {
+    "arcsine": ({"a", "b"}, lambda s, c: ArcsineMeasure(
+        _real(s, "a", c, -1.0), _real(s, "b", c, 1.0)
+    )),
+    "uniform": ({"a", "b"}, lambda s, c: UniformSegment(_real(s, "a", c), _real(s, "b", c))),
+    "circle": ({"radius"}, lambda s, c: CircleUniform(_real(s, "radius", c, 1.0))),
+    "disk": ({"radius"}, lambda s, c: DiskUniform(_real(s, "radius", c, 1.0))),
+    "discrete": ({"atoms", "weights"}, lambda s, c: DiscreteMeasure(
+        _each(_as_point, s, "atoms", c), _each(_as_fraction, s, "weights", c)
+    )),
+    "product": ({"factors"}, lambda s, c: ProductMeasure(_each(build_measure, s, "factors", c))),
+}
 
 
 def build_measure(spec, ctx: str = "measure") -> Measure:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
-    kind = _need(spec, "kind", ctx)
+    """A measure of any kind, scaled to total mass `mass` when the spec gives one."""
+    out = _build(spec, ctx, "measure", _MEASURES, ("mass",))
     mass = spec.get("mass")
-    try:
-        if kind == "arcsine":
-            out: Measure = ArcsineMeasure(_real(spec, "a", ctx, -1.0), _real(spec, "b", ctx, 1.0))
-        elif kind == "uniform":
-            out = UniformSegment(_real(spec, "a", ctx), _real(spec, "b", ctx))
-        elif kind == "circle":
-            out = CircleUniform(_real(spec, "radius", ctx, 1.0))
-        elif kind == "disk":
-            out = DiskUniform(_real(spec, "radius", ctx, 1.0))
-        elif kind == "discrete":
-            atoms = tuple(
-                _as_point(p, "atoms", ctx) for p in _need(spec, "atoms", ctx)
-            )
-            weights = tuple(
-                _as_fraction(w, f"{ctx}.weights") for w in _need(spec, "weights", ctx)
-            )
-            out = DiscreteMeasure(atoms, weights)
-        elif kind == "product":
-            factors = _need(spec, "factors", ctx)
-            out = ProductMeasure(
-                tuple(build_measure(f, f"{ctx}.factors[{i}]") for i, f in enumerate(factors))
-            )
-        else:
-            raise ConfigError(f"{ctx}: unknown measure kind {kind!r}")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
     if mass is not None:
         out = ScaledMeasure(out, _as_fraction(mass, f"{ctx}.mass"))
     return out
 
 
-def _contour_germ(spec, ctx: str) -> tuple[Callable[..., Any], int, str]:
-    kind = _need(spec, "kind", ctx)
-    if kind == "inverse":
-        return (lambda z: 1.0 / z), 1, "inverse"
-    if kind == "geometric":
-        c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
-        return (lambda z: 1.0 / (z - c)), 1, f"geometric({c})"
-    if kind == "inverse-product":
-        dim = _number_at_least(spec, "dim", 2, 1, ctx)
+def _geometric_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int, str]:
+    c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
+    return (lambda z: 1.0 / (z - c)), 1, f"geometric({c})"
 
-        def germ(*zs):
-            out = 1.0
-            for z in zs:
-                out = out / z
-            return out
 
-        return germ, dim, f"inverse-product(dim={dim})"
-    raise ConfigError(f"{ctx}: unknown contour germ kind {kind!r}")
+def _inverse_product_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int, str]:
+    dim = _number_at_least(spec, "dim", 2, 1, ctx)
+    return (lambda *zs: reduce(truediv, zs, 1.0)), dim, f"inverse-product(dim={dim})"
+
+
+# each contour germ kind gives (function, dimension, label)
+_CONTOUR_GERMS = {
+    "inverse": (set(), lambda s, c: ((lambda z: 1.0 / z), 1, "inverse")),
+    "geometric": ({"c"}, _geometric_contour),
+    "inverse-product": ({"dim"}, _inverse_product_contour),
+}
+
+
+def _point_mass_germ(spec: dict, ctx: str) -> GermCoefficients:
+    # 1/(z - c) = sum_k c^k z^(-k-1): the moments of a unit point mass at c
+    c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
+    return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)), spec["kind"])
+
+
+def _contour_germ(spec: dict, ctx: str) -> GermCoefficients:
+    germ, dim, label = _build(_need(spec, "germ", ctx), f"{ctx}.germ", "contour germ",
+                              _CONTOUR_GERMS)
+    radius = _real(spec, "radius", ctx)
+    grid = _number_at_least(spec, "grid", 64, 1, ctx)
+    return coeffs_from_contour(germ, dim=dim, radius=radius, grid_size=grid, label=label)
+
+
+_GERMS = {
+    "measure": ({"measure"}, lambda s, c: coeffs_from_measure(
+        build_measure(_need(s, "measure", c), f"{c}.measure")
+    )),
+    "point-mass": ({"c"}, _point_mass_germ),
+    "geometric": ({"c"}, _point_mass_germ),
+    "contour": ({"germ", "radius", "grid"}, _contour_germ),
+}
 
 
 def build_germ(spec, ctx: str = "germ") -> GermCoefficients:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
-    kind = _need(spec, "kind", ctx)
-    if kind == "measure":
-        measure = build_measure(_need(spec, "measure", ctx), f"{ctx}.measure")
-        return coeffs_from_measure(measure)
-    if kind in ("point-mass", "geometric"):
-        # 1/(z - c) = sum_k c^k z^(-k-1): the moments of a unit point mass at c
-        c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
-        return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)), kind)
-    if kind == "contour":
-        germ, dim, label = _contour_germ(_need(spec, "germ", ctx), f"{ctx}.germ")
-        radius = _real(spec, "radius", ctx)
-        grid = _number_at_least(spec, "grid", 64, 1, ctx)
-        try:
-            return coeffs_from_contour(
-                germ,
-                dim=dim,
-                radius=radius,
-                grid_size=grid,
-                label=label,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: unknown germ kind {kind!r}")
+    return _build(spec, ctx, "germ", _GERMS)
 
 
 _STRATEGY_KEYS = {f.name for f in fields(SearchStrategy)}
@@ -370,7 +352,7 @@ def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
 
 
 def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int):
-    """spec[key] as an int (or float) >= minimum; a default of None means required.
+    """spec[key] as an int (or finite float) >= minimum; a default of None means required.
 
     An int key takes only a true int, never a float to truncate or a bool.
     """
@@ -381,15 +363,17 @@ def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int)
         return raw
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{ctx}: {key} must be a number, got {raw!r}") from None
-    if not value >= minimum:  # also rejects NaN
+    if not math.isfinite(value):
+        raise ConfigError(f"{ctx}: {key} must be a finite number, got {value}")
+    if value < minimum:
         raise ConfigError(f"{ctx}: {key} must be at least {minimum}, got {value}")
     return value
 
 
 def _real(spec: dict, key: str, ctx: str, default=None) -> float:
-    """spec[key] as any real number but NaN; a default of None means required."""
+    """spec[key] as any finite real number; a default of None means required."""
     return _number_at_least(spec, key, default, -math.inf, ctx, float)
 
 
@@ -415,17 +399,16 @@ def _diameter_with_cap(
     cap: int,
     seed,
 ):
-    """Search below the cap; above it fall back to the reference configuration."""
-    if s <= cap:
-        return transfinite_diameter_estimate(kset, s, strategy, seed)
-    ref_strategy = replace(strategy, mode="reference")
+    """Search up to the cap; above it evaluate the reference configuration alone."""
+    if s > cap:
+        strategy = replace(strategy, restarts=0)
     try:
-        return transfinite_diameter_estimate(kset, s, ref_strategy, seed)
+        return transfinite_diameter_estimate(kset, s, strategy, seed)
     except ValueError as exc:
-        raise ConfigError(
-            f"degree {s} exceeds the search cap {cap} and the set has no "
-            f"reference configuration to evaluate instead"
-        ) from exc
+        if strategy.restarts:
+            raise
+        why = f"degree {s} exceeds the search cap {cap}" if s > cap else "search.restarts is 0"
+        raise ConfigError(f"{why} and {exc}") from exc
 
 
 def run_tdiam(cfg: ExperimentConfig) -> RunResult:
@@ -457,7 +440,12 @@ def run_fekete(cfg: ExperimentConfig) -> RunResult:
     configs: dict[str, list] = {}
     for size in sizes:
         t0 = time.perf_counter()
-        found = fekete_search(kset, size, strategy, _cell_seed(cfg.seed, 2, size))
+        try:
+            found = fekete_search(kset, size, strategy, _cell_seed(cfg.seed, 2, size))
+        except ValueError as exc:
+            if strategy.restarts:
+                raise
+            raise ConfigError(f"search.restarts is 0 and {exc}") from exc
         wall = time.perf_counter() - t0
         result.rows.append(
             ReportRow(
@@ -719,29 +707,21 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
-# the payload keys each experiment reads; any other key is a config error
-_PAYLOAD_KEYS = {
-    "tdiam": {"set", "degrees", "search_cap", "search"},
-    "fekete": {"set", "sizes", "search"},
-    "hankel": {"germ", "i_max"},
-    "polya-check": {"pairs", "slack", "search_cap", "search"},
-    "sharpness": {"set", "measure", "degrees", "search_cap", "tolerance", "search"},
-    "stability": {"family", "s", "j_values", "search_cap", "search"},
-    "zs-check": {"measure", "degrees", "samples"},
-    "bm-ratio": {"measure", "degrees", "grid"},
-}
 _PAIR_KEYS = {"label", "set", "germ", "s_max", "i_max"}
 
-_RUNNERS = {
-    "tdiam": run_tdiam,
-    "fekete": run_fekete,
-    "hankel": run_hankel,
-    "polya-check": run_polya_check,
-    "sharpness": run_sharpness,
-    "stability": run_stability,
-    "zs-check": run_zs_check,
-    "bm-ratio": run_bm_ratio,
+# each experiment's payload keys, any other being a config error, and its driver
+_EXPERIMENTS = {
+    "tdiam": ({"set", "degrees", "search_cap", "search"}, run_tdiam),
+    "fekete": ({"set", "sizes", "search"}, run_fekete),
+    "hankel": ({"germ", "i_max"}, run_hankel),
+    "polya-check": ({"pairs", "slack", "search_cap", "search"}, run_polya_check),
+    "sharpness": ({"set", "measure", "degrees", "search_cap", "tolerance", "search"},
+                  run_sharpness),
+    "stability": ({"family", "s", "j_values", "search_cap", "search"}, run_stability),
+    "zs-check": ({"measure", "degrees", "samples"}, run_zs_check),
+    "bm-ratio": ({"measure", "degrees", "grid"}, run_bm_ratio),
 }
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
@@ -752,7 +732,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """
     if workers != 1:
         raise ConfigError(f"runs are serial; workers must be 1, got {workers!r}")
-    runner = _RUNNERS[cfg.experiment]
+    runner = _EXPERIMENTS[cfg.experiment][1]
     t0 = time.perf_counter()
     result = runner(cfg)
     result.wall_clock = time.perf_counter() - t0

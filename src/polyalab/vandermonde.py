@@ -84,9 +84,9 @@ def vdm_logabs_batch(configs: np.ndarray) -> np.ndarray:
 class SearchStrategy:
     """Knobs of the extremal search; defaults are sized for degree <= 30 work.
 
-    mode "search" runs the full pipeline; mode "reference" skips searching
-    and evaluates the set's distinguished configuration, which is the only
-    honest option at basis sizes too large to optimize.
+    restarts = 0 skips searching and evaluates the set's reference
+    configuration alone, which is the only honest option at basis sizes
+    too large to optimize.
     """
 
     pool_size: int = 512
@@ -95,12 +95,9 @@ class SearchStrategy:
     refine_candidates: int = 12
     restarts: int = 8
     improvement_tol: float = 1e-10
-    mode: str = "search"
 
     def __post_init__(self):
-        if self.mode not in ("search", "reference"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for name, minimum in (("pool_size", 1), ("restarts", 1), ("refine_candidates", 1),
+        for name, minimum in (("pool_size", 1), ("restarts", 0), ("refine_candidates", 1),
                               ("exchange_passes", 0), ("refine_levels", 0)):
             value = getattr(self, name)
             if not is_integer_at_least(value, minimum):
@@ -139,12 +136,8 @@ def fekete_search(
     strategy = strategy or SearchStrategy()
 
     ref = kset.reference_points(size)
-    if strategy.mode == "reference":
-        if ref is None:
-            raise ValueError("set has no reference configuration; use mode='search'")
-        pts = np.asarray(ref, dtype=complex)[:size]
-        log_abs = vdm_logdet(pts)
-        return FeketeResult(pts, log_abs, size, (log_abs,), (log_abs,))
+    if ref is None and strategy.restarts == 0:
+        raise ValueError("the set has no reference configuration to evaluate in place of a search")
 
     if size == 1:
         if ref is not None:
@@ -153,9 +146,11 @@ def fekete_search(
             pt = kset.sample(np.random.default_rng(as_seed_sequence(seed)), 1)
         return FeketeResult(np.asarray(pt, dtype=complex), 0.0, 1, (0.0,), (0.0,))
 
-    fixed = _fixed_candidates(kset, size, strategy.pool_size, ref)
-    children = as_seed_sequence(seed).spawn(strategy.restarts)
-    runs = _run_restarts(kset, size, strategy, children, fixed)
+    runs = []
+    if strategy.restarts:
+        fixed = _fixed_candidates(kset, size, strategy.pool_size, ref)
+        children = as_seed_sequence(seed).spawn(strategy.restarts)
+        runs = _run_restarts(kset, size, strategy, children, fixed)
 
     candidates: list[tuple[float, int, np.ndarray, tuple[float, ...]]] = []
     if ref is not None:

@@ -110,7 +110,7 @@ def test_criterion_03_interval_value_and_trend(capsys):
 
 
 def test_criterion_04_scaling_covariance(capsys):
-    ref = pl.SearchStrategy(mode="reference")
+    ref = pl.SearchStrategy(restarts=0)
     worst = 0.0
     for c in (0.5, 2.0):
         for s in (4, 9):
@@ -237,7 +237,7 @@ def test_criterion_09_limit_comparison(capsys):
             )
         else:  # all larger sizes score the classical reference configuration
             est = pl.transfinite_diameter_estimate(
-                iv, s, pl.SearchStrategy(mode="reference"), seed=SEED
+                iv, s, pl.SearchStrategy(restarts=0), seed=SEED
             )
         gaps.append(abs(term.quantity - est.d_s))
     d60 = pl.polya_quantity(germ, 60).quantity

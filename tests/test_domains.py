@@ -9,7 +9,6 @@ from polyalab import (
     FiniteSet,
     Interval,
     ProductSet,
-    constant_family,
     interval_family,
 )
 from polyalab.domains import gauss_lobatto_points
@@ -191,15 +190,6 @@ def test_family_validation():
         interval_family(0.0, 1.0, side="sideways")
     with pytest.raises(ValueError):
         interval_family(0.0, 1.0, rate=0.0)
-
-
-def test_constant_family():
-    base = Circle(0.0, 1.0)
-    fam = constant_family(base)
-    assert fam.direction == "constant"
-    assert fam.member(1) is base
-    assert fam.member(17) is base
-    assert fam.limit is base
 
 
 def test_product_and_box_dims():

@@ -18,6 +18,7 @@ from polyalab import (
     ScaledMeasure,
     run_experiment,
 )
+from polyalab import experiments
 from polyalab.cli import main as cli_main
 from polyalab.experiments import (
     build_compact,
@@ -150,8 +151,6 @@ def test_build_germ_kinds():
 def test_build_family_and_strategy():
     fam = build_family({"kind": "interval", "a": -1, "b": 1, "side": "inner", "rate": 2})
     assert fam.direction == "inner"
-    const = build_family({"kind": "constant", "set": {"kind": "circle", "radius": 1}})
-    assert const.direction == "constant"
     strat = build_strategy({"restarts": 3, "pool_size": 64})
     assert strat.restarts == 3 and strat.pool_size == 64
     assert build_strategy(None).pool_size == 512
@@ -161,7 +160,7 @@ def test_build_family_and_strategy():
         build_strategy({"workers": 2})
     bad = [
         ("restarts", 2.5), ("pool_size", 100.5), ("exchange_passes", 1.5),
-        ("restarts", True), ("restarts", 0), ("pool_size", "64"),
+        ("restarts", True), ("restarts", -1), ("pool_size", "64"),
         ("exchange_passes", -1), ("refine_levels", -1), ("refine_levels", 2.0),
         ("refine_candidates", 0), ("improvement_tol", "x"), ("improvement_tol", -1e-3),
         ("improvement_tol", math.inf), ("improvement_tol", math.nan), ("improvement_tol", False),
@@ -383,11 +382,154 @@ def test_unknown_payload_keys_are_config_errors(experiment, key, value):
 
 
 def test_every_shipped_config_passes_the_key_check():
+    # every nested mapping is built too, so its keys are checked, but no driver runs
     root = Path(__file__).resolve().parent.parent
     paths = sorted(root.glob("configs/*.yaml")) + sorted(root.glob("perfbench/workloads/*/*.yaml"))
-    assert paths
+    assert len(paths) == 21
+    builders = {"set": build_compact, "measure": build_measure, "germ": build_germ,
+                "family": build_family, "search": build_strategy}
     for path in paths:
-        ExperimentConfig.load(path)
+        spec = ExperimentConfig.load(path).spec
+        for key in spec.keys() & builders.keys():
+            builders[key](spec[key])
+        for pair in spec.get("pairs", []):
+            assert set(pair) <= experiments._PAIR_KEYS, path
+            build_compact(pair["set"])
+            build_germ(pair["germ"])
+
+
+_CONTOUR = {"kind": "contour", "germ": {"kind": "inverse"}, "radius": 2.0, "grid": 16}
+
+# a minimal valid spec of every kind of every `kind:` table, by builder
+_KIND_CASES = {
+    "set": (build_compact, experiments._SETS, [
+        _INTERVAL,
+        {"kind": "circle", "radius": 1},
+        {"kind": "disk", "radius": 1},
+        {"kind": "box", "bounds": [[0, 1], [0, 1]]},
+        {"kind": "product", "factors": [_INTERVAL]},
+        {"kind": "finite", "points": [0, 1]},
+    ]),
+    "family": (build_family, experiments._FAMILIES, [{"kind": "interval", "a": -1, "b": 1}]),
+    "measure": (build_measure, experiments._MEASURES, [
+        _ARCSINE,
+        {"kind": "uniform", "a": 0, "b": 1},
+        {"kind": "circle"},
+        {"kind": "disk"},
+        {"kind": "discrete", "atoms": [0], "weights": [1]},
+        {"kind": "product", "factors": [_ARCSINE]},
+    ]),
+    "germ": (build_germ, experiments._GERMS, [
+        _ARCSINE_GERM,
+        {"kind": "point-mass", "c": 0.5},
+        {"kind": "geometric", "c": 0.5},
+        _CONTOUR,
+    ]),
+    "germ.germ": (lambda g: build_germ({**_CONTOUR, "germ": g}), experiments._CONTOUR_GERMS, [
+        {"kind": "inverse"},
+        {"kind": "geometric", "c": 0.5},
+        {"kind": "inverse-product", "dim": 2},
+    ]),
+}
+
+
+def test_every_kind_has_a_key_check_case():
+    for _, table, specs in _KIND_CASES.values():
+        assert [spec["kind"] for spec in specs] == list(table)
+
+
+@pytest.mark.parametrize(
+    "ctx, spec",
+    [(ctx, spec) for ctx, (_, _, specs) in _KIND_CASES.items() for spec in specs],
+    ids=lambda v: v if isinstance(v, str) else v["kind"],
+)
+def test_unknown_nested_keys_are_config_errors(ctx, spec):
+    build = _KIND_CASES[ctx][0]
+    build(spec)
+    with pytest.raises(ConfigError, match=rf"^{ctx}: unknown keys \['bogus'\]"):
+        build({**spec, "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "experiment, ctx, key, spec",
+    [
+        ("tdiam", "set", "centre",
+         {"set": {"kind": "circle", "radius": 1, "centre": {"re": 1}}, "degrees": [2]}),
+        ("sharpness", "measure", "B",
+         {"set": {"kind": "interval", "a": 0, "b": 2},
+          "measure": {"kind": "arcsine", "a": 0, "B": 2}, "degrees": [1]}),
+        ("hankel", "germ.measure", "bogus",
+         {"germ": {"kind": "measure", "measure": {**_ARCSINE, "bogus": 1}}, "i_max": 2}),
+        ("polya-check", r"polya-check\.pairs\[0\]\.set", "bogus",
+         {"pairs": [{"set": {**_INTERVAL, "bogus": 1}, "germ": _ARCSINE_GERM, "s_max": 1}]}),
+    ],
+    ids=["set-centre", "measure-B", "germ-measure", "pair-set"],
+)
+def test_misspelt_nested_keys_in_runs_are_config_errors(experiment, ctx, key, spec):
+    with pytest.raises(ConfigError, match=rf"^{ctx}: unknown keys \['{key}'\]"):
+        run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+_ONE = {"search": {"restarts": 1}}
+_GEOMETRIC_INF = {"kind": "geometric", "c": math.inf}
+
+
+@pytest.mark.parametrize(
+    "experiment, key, spec",
+    [
+        ("hankel", "radius", {"germ": {**_CONTOUR, "radius": math.inf}, "i_max": 2}),
+        ("polya-check", "slack", {"pairs": [{"set": _INTERVAL, "germ": _ARCSINE_GERM,
+                                             "s_max": 1}], "slack": math.inf, **_ONE}),
+        ("sharpness", "tolerance", {"set": _INTERVAL, "measure": _ARCSINE, "degrees": [1],
+                                    "tolerance": math.inf, **_ONE}),
+        ("stability", "rate", {"family": {"kind": "interval", "a": -1, "b": 1,
+                                          "rate": math.inf}, "s": 1, "j_values": [1], **_ONE}),
+        ("hankel", "c", {"germ": _GEOMETRIC_INF, "i_max": 2}),
+        ("hankel", "c", {"germ": {**_CONTOUR, "germ": _GEOMETRIC_INF}, "i_max": 2}),
+        ("tdiam", "coordinate", {"set": {"kind": "finite", "points": [0, -math.inf]},
+                                 "degrees": [1], **_ONE}),
+    ],
+    ids=["radius", "slack", "tolerance", "rate", "point-mass-c", "contour-c", "point"],
+)
+def test_non_finite_numbers_are_config_errors(experiment, key, spec):
+    with pytest.raises(ConfigError, match=rf"\b{key} must be a finite number"):
+        run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "discrete", "atoms": [0], "weights": [math.inf]},
+        {"kind": "discrete", "atoms": [0], "weights": ["1/0"]},
+        {"kind": "arcsine", "mass": math.inf},
+    ],
+    ids=["weight-inf", "weight-1/0", "mass-inf"],
+)
+def test_non_finite_fractions_are_config_errors(spec):
+    with pytest.raises(ConfigError, match=r"^measure\.(weights\[0\]|mass): expected a finite"):
+        build_measure(spec)
+
+
+_BOX = {"kind": "box", "bounds": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "experiment, spec",
+    [("fekete", {"set": _BOX, "sizes": [3]}), ("tdiam", {"set": _BOX, "degrees": [1]})],
+)
+def test_no_restarts_without_a_reference_configuration_is_a_config_error(experiment, spec):
+    cfg = ExperimentConfig(experiment, "bad", 0, {**spec, "search": {"restarts": 0}})
+    with pytest.raises(ConfigError, match=r"^search\.restarts is 0 and the set has no reference"):
+        run_experiment(cfg)
+
+
+def test_no_restarts_scores_the_reference_configuration():
+    spec = {"set": _INTERVAL, "degrees": [3, 5]}
+    alone = ExperimentConfig("tdiam", "t", 0, {**spec, "search": {"restarts": 0}})
+    capped = ExperimentConfig("tdiam", "t", 0, {**spec, "search_cap": 0})
+    assert rows_to_csv_text(run_experiment(alone).rows) == rows_to_csv_text(
+        run_experiment(capped).rows
+    )
 
 
 def test_unknown_polya_check_pair_keys_are_config_errors():

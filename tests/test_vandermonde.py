@@ -129,7 +129,8 @@ def test_circle_optimum_is_attained(n):
 def test_interval_search_matches_classical_nodes():
     iv = Interval(-1.0, 1.0)
     for size in (3, 5, 7):
-        ref = fekete_search(iv, size, SearchStrategy(mode="reference"), seed=0)
+        ref = fekete_search(iv, size, SearchStrategy(restarts=0), seed=0)
+        assert ref.restart_logs == () and ref.trace == (ref.log_abs,)
         found = fekete_search(iv, size, SearchStrategy(restarts=3), seed=0)
         assert found.log_abs == pytest.approx(ref.log_abs, abs=1e-9)
         assert found.log_abs >= ref.log_abs - 1e-12
@@ -163,7 +164,7 @@ def test_seed_sequence_accepted_directly():
 def test_reference_mode_requires_reference_points():
     square = box(((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
-        fekete_search(square, 3, SearchStrategy(mode="reference"), seed=0)
+        fekete_search(square, 3, SearchStrategy(restarts=0), seed=0)
 
 
 def test_single_point_configuration():
@@ -185,11 +186,8 @@ def test_strategy_defaults_and_validation():
     assert s.restarts == 8
     assert s.exchange_passes == 8
     assert s.improvement_tol == 1e-10
-    assert s.mode == "search"
     with pytest.raises(ValueError):
-        SearchStrategy(mode="anneal")
-    with pytest.raises(ValueError):
-        SearchStrategy(restarts=0)
+        SearchStrategy(restarts=-1)
 
 
 def test_diameter_estimate_fields():
@@ -208,7 +206,7 @@ def test_diameter_estimate_fields():
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_diameter_scales_linearly(scale):
-    ref = SearchStrategy(mode="reference")
+    ref = SearchStrategy(restarts=0)
     for s in (3, 6):
         base = transfinite_diameter_estimate(Interval(-1.0, 1.0), s, ref, seed=0)
         scaled = transfinite_diameter_estimate(Interval(-scale, scale), s, ref, seed=0)
