@@ -1,7 +1,8 @@
-"""Block timings of two layers at the call shapes of the benchmark workloads.
+"""Block timings of three layers at the call shapes of the benchmark workloads.
 
     python3 scripts/bench_layers.py                  # writes BENCH_monomial.json, BENCH_exchange.json
-    python3 scripts/bench_layers.py --out-dir /tmp   # the same two files elsewhere
+                                                     # and BENCH_exact.json
+    python3 scripts/bench_layers.py --out-dir /tmp   # the same three files elsewhere
 
 BENCH_monomial.json times `polyalab.monomial_matrix(points, exponents)` on
 two-variable points, with the graded exponents of the first `nbasis`
@@ -22,6 +23,19 @@ searched size of the `examples` configs.  The pass is the first of each
 restart under the default `SearchStrategy`: pools built as `fekete_search`
 builds them, the greedy starts from them, then the next pools, which the
 pass scores against.
+
+BENCH_exact.json times exact Bareiss elimination and the whole Hankel
+sequence, `linalg.exact_prefix_logdets` and `linalg.exact_ldl`, on exact
+rational moment matrices:
+
+- the arcsine Hankel prefix pass at size 61, the `hankel` config of
+  `exact` (a checkerboard: two classes of nonzero entries)
+- the product-arcsine Gram prefix pass at m = 153 (s = 16; four parity
+  classes), a size past the workloads, where the elimination dominates
+- `exact_ldl` of the product-arcsine Gram at m = 28, the largest
+  `bm-ratio` of `sampling`
+- the arcsine[0, 2] Gram prefix pass at m = 41, whose entries are all
+  nonzero: one class, the control for matrices that do not split
 
 A timing is the mean seconds per call over a block of `number` calls,
 with `number` doubled until one block lasts at least 0.2 s; each row
@@ -52,7 +66,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import polyalab  # noqa: E402
-from polyalab import vandermonde  # noqa: E402
+from polyalab import linalg, vandermonde  # noqa: E402
 
 BLOCKS = 7
 MIN_BLOCK_S = 0.2
@@ -126,6 +140,22 @@ def exchange_cases() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     return cases
 
 
+def exact_cases() -> list[tuple[str, object, list]]:
+    """(name, kernel, exact rows) of each BENCH_exact.json row."""
+    arcsine = polyalab.ArcsineMeasure(-1.0, 1.0)
+    product = polyalab.ProductMeasure((arcsine, arcsine))
+    hankel = polyalab.hankel_matrix(polyalab.coeffs_from_measure(arcsine), 61)
+    return [
+        ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
+        ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
+         polyalab.gram(product, 153).exact),
+        ("product arcsine Gram exact_ldl, m=28", linalg.exact_ldl,
+         polyalab.gram(product, 28).exact),
+        ("arcsine[0, 2] Gram prefix pass, m=41", linalg.exact_prefix_logdets,
+         polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
+    ]
+
+
 def record(kernel: str, rows: list[dict]) -> dict:
     return {
         "kernel": kernel,
@@ -179,7 +209,18 @@ def main(argv=None) -> int:
         print(f"exchange pass, {name:30s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
     exchange = record("vandermonde._exchange_pass", rows)
 
-    for filename, payload in (("BENCH_monomial.json", monomial), ("BENCH_exchange.json", exchange)):
+    rows = []
+    for name, kernel, matrix in exact_cases():
+        timing = time_blocks(lambda: kernel(matrix))
+        rows.append({"shape": name, "size": len(matrix), **timing})
+        print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms", file=sys.stderr)
+    exact = record("linalg.exact_prefix_logdets, linalg.exact_ldl", rows)
+
+    for filename, payload in (
+        ("BENCH_monomial.json", monomial),
+        ("BENCH_exchange.json", exchange),
+        ("BENCH_exact.json", exact),
+    ):
         (args.out_dir / filename).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 

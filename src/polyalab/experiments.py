@@ -37,7 +37,7 @@ from .functionals import (
     HankelSequenceReport,
     coeffs_from_contour,
     coeffs_from_measure,
-    hankel_logdet,
+    hankel_matrix,
     polya_sequence,
 )
 from .measures import (
@@ -50,8 +50,8 @@ from .measures import (
     ScaledMeasure,
     UniformSegment,
     bernstein_markov_ratio,
+    gram,
     log_factorial,
-    z_s_gram,
     z_s_montecarlo,
 )
 from .multiindex import count_at_most, degree_counts, is_integer_at_least
@@ -153,6 +153,13 @@ def _need(spec: dict, key: str, ctx: str):
     return spec[key]
 
 
+def _to_float(value) -> float:
+    """float(value), but a bool is a TypeError: YAML's true is not the number 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_scalar(value, what: str, ctx: str) -> complex:
     """A finite config scalar: a real number, or a {re:, im:} mapping; `what` names it."""
     z = None
@@ -160,7 +167,7 @@ def _as_scalar(value, what: str, ctx: str) -> complex:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             z = complex(float(value))
         elif isinstance(value, dict) and set(value) <= {"re", "im"}:
-            z = complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
+            z = complex(_to_float(value.get("re", 0.0)), _to_float(value.get("im", 0.0)))
     except (TypeError, ValueError, OverflowError):
         pass
     if z is None or not cmath.isfinite(z):
@@ -189,7 +196,7 @@ def _as_fraction(value, ctx: str) -> Fraction:
 def _bounds(value, ctx: str) -> tuple[tuple[float, float], ...]:
     """A box's bounds: a list of [low, high] pairs of real numbers."""
     try:
-        return tuple((float(a), float(b)) for a, b in value)
+        return tuple((_to_float(a), _to_float(b)) for a, b in value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{ctx}: bounds must be a list of [low, high] number pairs, got {value!r}"
@@ -354,7 +361,7 @@ def _degree_list(spec: dict, key: str, ctx: str, minimum: int = 1) -> list[int]:
 def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int):
     """spec[key] as an int (or finite float) >= minimum; a default of None means required.
 
-    An int key takes only a true int, never a float to truncate or a bool.
+    An int key takes only a true int, never a float to truncate; no key takes a bool.
     """
     raw = _need(spec, key, ctx) if default is None else spec.get(key, default)
     if kind is int:
@@ -362,7 +369,7 @@ def _number_at_least(spec: dict, key: str, default, minimum, ctx: str, kind=int)
             raise ConfigError(f"{ctx}: {key} must be an integer >= {minimum}, got {raw!r}")
         return raw
     try:
-        value = float(raw)
+        value = _to_float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{ctx}: {key} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
@@ -563,16 +570,18 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
     cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "sharpness")
     tol = _number_at_least(spec, "tolerance", DEFAULT_SHARPNESS_TOL, 0.0, "sharpness", float)
     strategy = build_strategy(spec.get("search"))
-    germ = coeffs_from_measure(measure)
     result = RunResult(cfg)
+    t0 = time.perf_counter()
+    m_top = count_at_most(kset.dim, max(degrees))
+    gram_logdets = gram(measure, m_top).prefix_logdets()
+    hankel_logdets = hankel_matrix(coeffs_from_measure(measure), m_top).prefix_logdets()
+    result.extras["prefix_pass_s"] = time.perf_counter() - t0
     for s in degrees:
         counts = degree_counts(kset.dim, s)
         m = counts.at_most
-        t0 = time.perf_counter()
-        log_z = z_s_gram(measure, s)
-        hank = hankel_logdet(germ, m)
+        log_z = gram_logdets[m - 1] + log_factorial(m)  # z_s_gram(measure, s)
+        hank = hankel_logdets[m - 1]  # hankel_logdet(germ, m)
         hankel_route = log_factorial(m) + hank
-        wall = time.perf_counter() - t0
         if log_z == hankel_route:
             diff = 0.0  # covers the doubly singular case (-inf on both sides)
         else:
@@ -583,8 +592,7 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
         search_wall = time.perf_counter() - t0
         result.rows.extend(
             [
-                ReportRow(cfg.experiment, cfg.label, "log_zs", log_z, cfg.seed, s=s,
-                          wall_clock=wall),
+                ReportRow(cfg.experiment, cfg.label, "log_zs", log_z, cfg.seed, s=s),
                 ReportRow(cfg.experiment, cfg.label, "log_hankel_route", hankel_route,
                           cfg.seed, s=s),
                 ReportRow(cfg.experiment, cfg.label, "sharpness_diff", diff, cfg.seed, s=s),
@@ -654,9 +662,13 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
     samples = _number_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
     result = RunResult(cfg)
+    t0 = time.perf_counter()
+    gram_logdets = gram(measure, count_at_most(measure.dim, max(degrees))).prefix_logdets()
+    result.extras["prefix_pass_s"] = time.perf_counter() - t0
     for s in degrees:
+        m = count_at_most(measure.dim, s)
+        log_gram = gram_logdets[m - 1] + log_factorial(m)  # z_s_gram(measure, s)
         t0 = time.perf_counter()
-        log_gram = z_s_gram(measure, s)
         mc = z_s_montecarlo(
             measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=DEFAULT_CHUNK
         )

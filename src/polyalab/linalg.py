@@ -14,7 +14,15 @@ route whenever every entry is rational.  A whole sequence of leading
 principal minors comes from one elimination without pivoting, whose
 pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
 H_1..H_n costs one elimination, not n; run over [cA | I], the same
-kernel gives an exact LDL^T.  A single matrix or configuration is
+kernel gives an exact LDL^T.  Each exact route first splits the matrix
+into classes: the connected components of the graph of its nonzero
+entries, found by one O(n^2) scan.  A symmetric measure's moment matrix
+splits by parity, two classes (a checkerboard) in one variable and up to
+2^n in n (Dunkl & Xu 2014, centrally symmetric functionals).  Each class is
+eliminated alone, and a determinant or leading minor is the product of its
+classes' (Bareiss 1968): the eliminations skip the structural zeros, and
+since a zero entry has denominator 1, every row scale, integer and
+logarithm is the one the whole matrix gives.  A single matrix or configuration is
 evaluated as a batch of one, so each float route has one body.
 """
 
@@ -84,50 +92,102 @@ def batch_logabs(matrices: np.ndarray) -> np.ndarray:
 Rational = Fraction | int
 
 
+def _fraction_rows(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
+    """rows as Fractions, checked square; Fraction entries are kept, not copied."""
+    fracs = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
+    if any(len(r) != len(fracs) for r in fracs):
+        raise ValueError("matrix must be square")
+    return fracs
+
+
+def _scaled_rows(fracs: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as integers, and those lcms."""
+    lcms = [math.lcm(*(f.denominator for f in row)) for row in fracs]
+    scaled = [[f.numerator * (d // f.denominator) for f in row] for row, d in zip(fracs, lcms)]
+    return scaled, lcms
+
+
+def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
+    """The connected components of the graph of nonzero entries, each in index order.
+
+    Indices i and j are joined when rows[i][j] or rows[j][i] is nonzero.  No
+    entry links two classes, so every leading principal submatrix is block
+    diagonal over them, up to a permutation, and each block is a leading
+    block of its class's submatrix.
+    """
+    n = len(rows)
+    seen = [False] * n
+    classes = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [start], [start]
+        while stack:
+            i = stack.pop()
+            row = rows[i]
+            for j in range(n):
+                if not seen[j] and (row[j] or rows[j][i]):
+                    seen[j] = True
+                    members.append(j)
+                    stack.append(j)
+        classes.append(sorted(members))
+    return classes
+
+
+def _submatrix(rows: Sequence[Sequence], idx: list[int]) -> list[list]:
+    return [[rows[i][j] for j in idx] for i in idx]
+
+
 def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
     """log|det| of a matrix with rational entries, by exact integer elimination.
 
-    Rows are scaled to integers by their denominator lcm and the integer
-    determinant is computed by fraction-free Bareiss elimination; only the
-    final logarithm is taken in floating point.
+    Rows are scaled to integers by their denominator lcm.  The integer
+    determinant is, up to sign, the product of its classes' determinants,
+    each by fraction-free Bareiss elimination; only the final logarithm is
+    taken in floating point.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+    scaled, lcms = _scaled_rows(_fraction_rows(rows))
     log_scale = 0.0
-    scaled: list[list[int]] = []
-    for row in rows:
-        fracs = [Fraction(v) for v in row]
-        denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        scaled.append([int(f * denom) for f in fracs])
-        log_scale += math.log(denom)
-    return _scaled_logdet(_bareiss_int_det(scaled), log_scale)
+    for d in lcms:
+        log_scale += math.log(d)
+    det = 1
+    for cls in _classes(scaled):
+        det *= _bareiss_int_det(_submatrix(scaled, cls))
+    return _scaled_logdet(det, log_scale)
 
 
 def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     """exact_logdet of every leading principal submatrix, sizes 1..n, bit for bit.
 
-    Each row is scaled by the lcm of its whole row's denominators and one
-    Bareiss elimination without pivoting runs over the result; its pivot k
-    is the integer leading minor of size k + 1.  Size k + 1 is then turned
-    into the determinant of the matrix whose rows are scaled by the lcm of
-    their first k + 1 denominators only, as exact_logdet scales them, so
-    the same integer and the same scale reach the final logarithm.  A zero
-    pivot stops the pass: that size is singular, but later minors need not
-    be ([[0, 1], [1, 0]] has minors 0 and -1), so every larger size falls
-    back to its own pivoted elimination.
+    Each row is scaled by the lcm of its whole row's denominators.  The
+    matrix splits into the classes of its zero pattern, and one Bareiss
+    elimination without pivoting runs over each class's submatrix; its pivot
+    p is the class's integer leading minor of size p + 1.  A zero entry has
+    denominator 1, so a class's rows keep their whole rows' lcms, and the
+    integer leading minor of size k + 1 is, up to sign, the product of each
+    class's leading minor over the indices up to k.  Size k + 1 is then
+    turned into the determinant of the matrix whose rows are scaled by the
+    lcm of their first k + 1 denominators only, as exact_logdet scales them,
+    so the same integer and the same scale reach the final logarithm.  A
+    zero minor stops the pass: that size is singular, but later minors need
+    not be ([[0, 1], [1, 0]] has minors 0 and -1), so every larger size
+    falls back to its own pivoted elimination.
     """
-    # MomentMatrix rows hold Fractions already: keep those, copy nothing
-    fracs = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
+    fracs = _fraction_rows(rows)
     n = len(fracs)
-    if any(len(r) != n for r in fracs):
-        raise ValueError("matrix must be square")
-    full_lcm = [math.lcm(*(f.denominator for f in row)) for row in fracs]
-    scaled = [[f.numerator * (d // f.denominator) for f in row] for row, d in zip(fracs, full_lcm)]
+    scaled, full_lcm = _scaled_rows(fracs)
+    classes = _classes(scaled)
+    class_minors = [_leading_minors(_submatrix(scaled, cls)) for cls in classes]
+    where = [(0, 0)] * n  # index -> (its class, its position in the class)
+    for c, cls in enumerate(classes):
+        for p, i in enumerate(cls):
+            where[i] = (c, p)
+    current = [1] * len(classes)  # each class's leading minor over the indices so far
+    minor = 1  # their product
     out: list[float] = []
     prefix_lcm: list[int] = []  # at size k + 1: row r's lcm over its first k + 1 entries
     full_scale = 1
-    prev = 1
     for k in range(n):
         for r in range(k):
             prefix_lcm[r] = math.lcm(prefix_lcm[r], fracs[r][k].denominator)
@@ -136,12 +196,13 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
         log_scale = 0.0
         for d in prefix_lcm:  # row by row as in exact_logdet, for the same float bits
             log_scale += math.log(d)
-        pivot = scaled[k][k]
-        out.append(_scaled_logdet(pivot * math.prod(prefix_lcm) // full_scale, log_scale))
+        c, p = where[k]
+        pivot = class_minors[c][p]
+        minor = minor // current[c] * pivot
+        current[c] = pivot
+        out.append(_scaled_logdet(minor * math.prod(prefix_lcm) // full_scale, log_scale))
         if pivot == 0:
             break
-        _bareiss_step(scaled, k, prev)
-        prev = pivot
     for size in range(len(out) + 1, n + 1):
         out.append(exact_logdet([row[:size] for row in fracs[:size]]))
     return out
@@ -170,7 +231,9 @@ class MomentMatrix:
     def prefix_logdets(self) -> list[float]:
         """The logdet of each leading submatrix, sizes 1..size, in order.
 
-        Each entry equals the logdet of the matrix built afresh at that size.
+        Each entry equals the logdet of the matrix built afresh at that size,
+        bit for bit, so `sharpness` and `zs-check` read every degree off the
+        matrix of their largest degree.
         """
         if self.exact is not None:
             return exact_prefix_logdets(self.exact)
@@ -223,6 +286,24 @@ def _bareiss_int_det(a: list[list[int]]) -> int:
     return a[n - 1][n - 1]
 
 
+def _leading_minors(a: list[list[int]]) -> list[int]:
+    """The leading principal minors of a's first len(a) columns, by Bareiss in place.
+
+    Elimination runs without pivoting, so pivot k is the minor of size
+    k + 1 (Bareiss 1968); the list ends at the first zero.
+    """
+    minors = []
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        _bareiss_step(a, k, prev)
+        prev = pivot
+    return minors
+
+
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
     """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot."""
     pivot = a[k][k]
@@ -239,23 +320,41 @@ def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
 def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
     """(L^-1, d) with A = L diag(d) L^T, L unit lower, for a rational SPD matrix A.
 
-    One Bareiss pass without pivoting runs over [cA | I], c the lcm of A's
-    denominators: after step k - 1, row k's right block is D_{k-1} (L^-1)_k,
-    and d_k = D_k / (c D_{k-1}), D_k the pivot of step k and D_{-1} = 1.
-    Raises ValueError at a pivot that is not positive.
+    L and L^-1 are zero between the classes of A's zero pattern, so each
+    class is factored alone and its rows are scattered back.  Per class, one
+    Bareiss pass without pivoting runs over [cA | I], A the class's
+    submatrix and c the lcm of its denominators: after step k - 1, row k's
+    right block is D_{k-1} (L^-1)_k, and d_k = D_k / (c D_{k-1}), D_k the
+    pivot of step k and D_{-1} = 1.  Raises ValueError at the first index
+    whose pivot is not positive, quoting that class's pivot.
     """
-    fracs = [[Fraction(v) for v in row] for row in rows]
+    fracs = _fraction_rows(rows)
     n = len(fracs)
-    c = math.lcm(*(f.denominator for row in fracs for f in row))
-    aug = [
-        [f.numerator * (c // f.denominator) for f in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(fracs)
-    ]
-    pivots = [1]  # pivots[k] = D_{k-1}
-    for k in range(n):
-        if aug[k][k] <= 0:
-            raise ValueError(f"matrix is not positive definite (pivot {k} = {aug[k][k]})")
-        _bareiss_step(aug, k, pivots[k])
-        pivots.append(aug[k][k])
-    inverse = [[Fraction(v, pivots[k]) for v in aug[k][n:]] for k in range(n)]
-    return inverse, [Fraction(pivots[k + 1], c * pivots[k]) for k in range(n)]
+    pivots: list[int] = [0] * n
+    blocks = []
+    for cls in _classes(fracs):
+        sub = _submatrix(fracs, cls)
+        m = len(cls)
+        c = math.lcm(*(f.denominator for row in sub for f in row))
+        aug = [
+            [f.numerator * (c // f.denominator) for f in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(sub)
+        ]
+        minors = _leading_minors(aug)
+        for i, d in zip(cls, minors):
+            pivots[i] = d
+        blocks.append((cls, c, aug, [1, *minors]))  # D_{p-1} at position p
+    # in index order: a class's entries past its first zero are never reached
+    for k, d in enumerate(pivots):
+        if d <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {k} = {d})")
+    zero = Fraction(0)
+    inverse = [[zero] * n for _ in range(n)]
+    diag = [zero] * n
+    for cls, c, aug, prev in blocks:
+        m = len(cls)
+        for p, i in enumerate(cls):
+            for j, v in zip(cls, aug[p][m:]):
+                inverse[i][j] = Fraction(v, prev[p])
+            diag[i] = Fraction(prev[p + 1], c * prev[p])
+    return inverse, diag

@@ -7,10 +7,13 @@ iterated functional summed over every tuple of atoms, so tests can
 check the fast routes against an independent one.  The library's exact
 LDL^T inverse comes from one Bareiss pass over [cA | I]; the oracle here
 is the textbook route in Fraction arithmetic, an LDL^T followed by the
-inverse of the unit lower factor.
+inverse of the unit lower factor.  The library's exact determinants split
+a matrix along its zero pattern; the oracle here eliminates the whole
+matrix at once.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -101,3 +104,36 @@ def unit_lower_inverse(lower):
         for j in range(i):
             inv[i][j] = -sum(lower[i][k] * inv[k][j] for k in range(j, i))
     return inv
+
+
+def unsplit_logdet(rows) -> float:
+    """log|det| of a rational matrix by one pivoted Bareiss elimination of the whole matrix.
+
+    Rows are scaled to integers by their denominator lcm, as the library
+    scales them, so a correct split route gives the same float bit for bit.
+    """
+    log_scale = 0.0
+    a = []
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        denom = math.lcm(*(f.denominator for f in fracs))
+        a.append([int(f * denom) for f in fracs])
+        log_scale += math.log(denom)
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if swap is None:
+            return -math.inf
+        a[k], a[swap] = a[swap], a[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return math.log(abs(prev)) - log_scale
+
+
+def unsplit_prefix_logdets(rows) -> list[float]:
+    """unsplit_logdet of every leading principal submatrix, sizes 1..n."""
+    return [unsplit_logdet([row[:size] for row in rows[:size]]) for size in range(1, len(rows) + 1)]

@@ -16,7 +16,11 @@ from polyalab import (
     ProductMeasure,
     ProductSet,
     ScaledMeasure,
+    coeffs_from_measure,
+    count_at_most,
+    hankel_logdet,
     run_experiment,
+    z_s_gram,
 )
 from polyalab import experiments
 from polyalab.cli import main as cli_main
@@ -27,6 +31,7 @@ from polyalab.experiments import (
     build_measure,
     build_strategy,
 )
+from polyalab.measures import log_factorial
 from polyalab.reporting import rows_to_csv_text
 
 
@@ -323,6 +328,58 @@ _ARCSINE = {"kind": "arcsine"}
 _ARCSINE_GERM = {"kind": "measure", "measure": _ARCSINE}
 
 
+# unsorted, with a repeat: every degree is read off the prefix pass at the largest
+_DEGREES = [3, 1, 3, 2]
+_DISCRETE_2 = {"kind": "discrete", "atoms": [-0.5, 0.5], "weights": [1, 1]}
+
+
+def _values(result, quantity):
+    return [r.value for r in result.rows if r.quantity == quantity]
+
+
+@pytest.mark.parametrize(
+    "kset, measure",
+    [
+        (_INTERVAL, _ARCSINE),
+        ({"kind": "box", "bounds": [[-1, 1], [-1, 1]]},
+         {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}),
+        (_INTERVAL, _DISCRETE_2),  # two atoms: singular Gram and Hankel past m = 2
+    ],
+    ids=["arcsine", "product-arcsine", "singular"],
+)
+def test_sharpness_rows_are_the_per_size_determinants(kset, measure):
+    spec = {"set": kset, "measure": measure, "degrees": _DEGREES, "search": {"restarts": 1}}
+    res = run_experiment(ExperimentConfig("sharpness", "p", 0, spec))
+    mu = build_measure(measure)
+    germ = coeffs_from_measure(mu)
+    sizes = [count_at_most(mu.dim, s) for s in _DEGREES]
+    assert _values(res, "log_zs") == [z_s_gram(mu, s) for s in _DEGREES]
+    assert _values(res, "log_hankel_route") == [
+        log_factorial(m) + hankel_logdet(germ, m) for m in sizes
+    ]
+    assert res.extras["prefix_pass_s"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        _ARCSINE,
+        # complex atoms: the Gram matrix takes the float route
+        {"kind": "discrete", "atoms": [{"re": 0.5, "im": 0.5}, 1, {"im": -0.75}, -0.25],
+         "weights": [1, 2, 3, 4]},
+        {"kind": "discrete", "atoms": [{"im": 1}, 0.5], "weights": [1, 1]},  # singular
+        _DISCRETE_2,
+    ],
+    ids=["arcsine", "complex-atoms", "complex-singular", "singular"],
+)
+def test_zs_check_rows_are_the_per_size_determinants(measure):
+    spec = {"measure": measure, "degrees": _DEGREES, "samples": 200}
+    res = run_experiment(ExperimentConfig("zs-check", "z", 0, spec))
+    mu = build_measure(measure)
+    assert _values(res, "log_zs_gram") == [z_s_gram(mu, s) for s in _DEGREES]
+    assert res.extras["prefix_pass_s"] >= 0.0
+
+
 def _contour_grid(grid):
     return {"kind": "contour", "germ": {"kind": "inverse"}, "radius": 1.5, "grid": grid}
 
@@ -350,6 +407,12 @@ def _contour_grid(grid):
         ("tdiam", "bounds", {"set": {"kind": "box", "bounds": [["x", 1], [0, 1]]},
                              "degrees": [2]}),
         ("tdiam", "center", {"set": {"kind": "circle", "center": {"re": "x"}, "radius": 1},
+                             "degrees": [2]}),
+        # YAML's true and false are not the numbers 1 and 0
+        ("tdiam", "a", {"set": {"kind": "interval", "a": True, "b": 2}, "degrees": [2]}),
+        ("tdiam", "radius", {"set": {"kind": "circle", "radius": True}, "degrees": [2]}),
+        ("tdiam", "bounds", {"set": {"kind": "box", "bounds": [[False, True]]}, "degrees": [2]}),
+        ("tdiam", "center", {"set": {"kind": "circle", "center": {"re": True}, "radius": 1},
                              "degrees": [2]}),
     ],
 )

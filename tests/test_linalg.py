@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import brute_force_oracles
+from polyalab import ArcsineMeasure, ProductMeasure, coeffs_from_measure, gram, hankel_matrix
 from polyalab.linalg import (
+    _classes,
     _upper_pairs,
     batch_logabs,
     batch_pairwise_logabs,
@@ -177,6 +180,30 @@ def assert_prefixes_match_per_size(rows):
     for size, ld in enumerate(got, start=1):
         want = exact_logdet([row[:size] for row in rows[:size]])
         assert ld == want, size
+    assert got == brute_force_oracles.unsplit_prefix_logdets(rows)
+
+
+_ARCSINE = ArcsineMeasure(-1.0, 1.0)
+# zero odd moments: a checkerboard, two classes
+CHECKERBOARD = hankel_matrix(coeffs_from_measure(_ARCSINE), 13).exact
+# the product of two: four parity classes, m = 15 (s = 4)
+FOUR_CLASSES = gram(ProductMeasure((_ARCSINE, _ARCSINE)), 15).exact
+# arcsine on [0, 2] has no zero moment: one class
+ONE_CLASS = gram(ArcsineMeasure(0.0, 2.0), 10).exact
+
+
+@pytest.mark.parametrize(
+    "rows, classes",
+    [
+        (CHECKERBOARD, [list(range(0, 13, 2)), list(range(1, 13, 2))]),
+        (FOUR_CLASSES, [[0, 3, 5, 10, 12, 14], [1, 6, 8], [2, 7, 9], [4, 11, 13]]),
+        (ONE_CLASS, [list(range(10))]),
+        ([[1, 0, 2], [0, 0, 0], [0, 0, 3]], [[0, 2], [1]]),  # joined by one entry; a zero row
+    ],
+    ids=["checkerboard", "four-classes", "one-class", "upper-triangular"],
+)
+def test_classes_are_the_components_of_the_nonzero_entries(rows, classes):
+    assert _classes(rows) == classes
 
 
 @pytest.mark.parametrize(
@@ -192,8 +219,11 @@ def assert_prefixes_match_per_size(rows):
         # row denominators grow along the row, so prefix and full lcms differ
         [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)],
         [[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]],
+        CHECKERBOARD,
+        FOUR_CLASSES,
     ],
-    ids=["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators"],
+    ids=["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators", "checkerboard",
+         "four-classes"],
 )
 def test_prefix_logdets_match_per_size(rows):
     assert_prefixes_match_per_size(rows)

@@ -1,6 +1,7 @@
 """Property tests drawn by hypothesis (a test-only dependency)."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from polyalab import (  # noqa: E402
     rows_to_csv_text,
 )
 from polyalab.experiments import EXPERIMENT_KINDS  # noqa: E402
-from polyalab.linalg import exact_ldl  # noqa: E402
+from polyalab.linalg import exact_ldl, exact_logdet, exact_prefix_logdets  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
 from test_multiindex import assert_matches_broadcast_form  # noqa: E402
 
@@ -45,8 +46,8 @@ ENTRY = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def rational_matrices(draw, max_size=6):
+    n = draw(st.integers(min_value=1, max_value=max_size))
     rows = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         # a multiple of an earlier row: the whole matrix is singular
@@ -64,9 +65,9 @@ def test_prefix_logdets_match_per_size_on_random_matrices(rows):
 
 
 @st.composite
-def spd_rational_matrices(draw):
+def spd_rational_matrices(draw, min_size=0, max_size=6):
     """B B^T + I for a small rational B: symmetric positive definite."""
-    n = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
     b = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
     return [
         [sum(b[i][k] * b[j][k] for k in range(n)) + (i == j) for j in range(n)]
@@ -79,6 +80,85 @@ def spd_rational_matrices(draw):
 def test_exact_ldl_is_the_fraction_oracle_on_random_spd_matrices(rows):
     lower, diag = brute_force_oracles.exact_ldl(rows)
     assert exact_ldl(rows) == (brute_force_oracles.unit_lower_inverse(lower), diag)
+
+
+def block_diagonal(blocks, perm):
+    """The block-diagonal matrix of the square blocks, index i moved to perm[i]."""
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                rows[perm[offset + i]][perm[offset + j]] = v
+        offset += len(block)
+    return rows
+
+
+@st.composite
+def permuted_block_matrices(draw, blocks):
+    """Drawn blocks on the diagonal, under a random permutation of the indices.
+
+    A block of size 1 is a singleton class; a block with zeros of its own
+    splits further.
+    """
+    drawn = draw(st.lists(blocks, min_size=1, max_size=4))
+    return block_diagonal(drawn, draw(st.permutations(range(sum(len(b) for b in drawn)))))
+
+
+# classes interleaved by the permutation; the class of index 0 has leading
+# minor 0, so every size falls back to pivoted elimination
+ZERO_FIRST_MINOR = block_diagonal(
+    [[[0, 1], [1, 0]], [[2]], [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]], [3, 0, 1, 4, 2]
+)
+# the class of indices 0 and 3 is singular at size 2, that of 1 and 2
+# indefinite at size 2: the first pivot rejected is index 2, in the later class
+LATE_AND_EARLY_FAILURES = block_diagonal([[[1, 1], [1, 1]], [[2, 1], [1, -1]]], [0, 3, 1, 2])
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(permuted_block_matrices(rational_matrices(max_size=4)))
+@hypothesis.example(ZERO_FIRST_MINOR)
+@hypothesis.example(LATE_AND_EARLY_FAILURES)
+def test_split_determinants_are_the_unsplit_elimination(rows):
+    assert exact_logdet(rows) == brute_force_oracles.unsplit_logdet(rows)
+    assert exact_prefix_logdets(rows) == brute_force_oracles.unsplit_prefix_logdets(rows)
+
+
+@st.composite
+def symmetric_rational_matrices(draw, max_size=4):
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(ENTRY)
+    return rows
+
+
+def _ldl_or_rejected_pivot(factor, rows):
+    """factor(rows), or the index of the pivot it rejects."""
+    try:
+        return factor(rows)
+    except ValueError as exc:
+        return int(re.search(r"pivot (\d+) ", str(exc)).group(1))
+
+
+def _oracle_ldl(rows):
+    lower, diag = brute_force_oracles.exact_ldl(rows)
+    return brute_force_oracles.unit_lower_inverse(lower), diag
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(
+    permuted_block_matrices(
+        st.one_of(spd_rational_matrices(min_size=1, max_size=4), symmetric_rational_matrices())
+    )
+)
+@hypothesis.example(ZERO_FIRST_MINOR)
+@hypothesis.example(LATE_AND_EARLY_FAILURES)
+@hypothesis.example(block_diagonal([[[4, 2], [2, 5]], [[3]], [[1, 0], [0, 2]]], [4, 1, 0, 2, 3]))
+def test_split_exact_ldl_is_the_unsplit_factorization(rows):
+    assert _ldl_or_rejected_pivot(exact_ldl, rows) == _ldl_or_rejected_pivot(_oracle_ldl, rows)
 
 
 def _is_config_label(label):
