@@ -5,6 +5,17 @@ A config file is one YAML mapping: `experiment` picks the driver, `label`,
 driver's payload (sets, measures, germs, degree lists, search knobs).
 Every driver is a pure function of (config, seed), so reports are
 reproducible byte for byte.
+
+The drivers share four cells.  `RunResult.add` appends one report row
+under the run's experiment, seed and label.  `_Search` reads a driver's
+`search` knobs and `search_cap` once; its `d_s` cell times one searched
+d_s(K) estimate (the reference configuration alone above the cap) and adds
+its row.  `_log_zs` reads log Z_s = log m_s! + log det G for every degree
+off one Gram prefix pass (`sharpness`, `zs-check`), and `_hankel_rows`
+turns one `polya_sequence` into log H_i and D_i rows (`hankel`,
+`polya-check`); `sharpness` reads its Hankel route off `polya_sequence`
+too.  A prefix pass's wall time goes to extras["prefix_pass_s"], never
+to the rows read off it.
 """
 
 from __future__ import annotations
@@ -37,7 +48,6 @@ from .functionals import (
     HankelSequenceReport,
     coeffs_from_contour,
     coeffs_from_measure,
-    hankel_matrix,
     polya_sequence,
 )
 from .measures import (
@@ -54,7 +64,7 @@ from .measures import (
     log_factorial,
     z_s_montecarlo,
 )
-from .multiindex import count_at_most, degree_counts, is_integer_at_least
+from .multiindex import count_at_most, is_integer_at_least
 from .reporting import ReportRow, SCHEMA_VERSION
 from .vandermonde import (
     SearchStrategy,
@@ -285,36 +295,32 @@ def build_measure(spec, ctx: str = "measure") -> Measure:
     return out
 
 
-def _geometric_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int, str]:
+def _geometric_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int]:
     c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
-    return (lambda z: 1.0 / (z - c)), 1, f"geometric({c})"
+    return (lambda z: 1.0 / (z - c)), 1
 
 
-def _inverse_product_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int, str]:
-    dim = _number_at_least(spec, "dim", 2, 1, ctx)
-    return (lambda *zs: reduce(truediv, zs, 1.0)), dim, f"inverse-product(dim={dim})"
-
-
-# each contour germ kind gives (function, dimension, label)
+# each contour germ kind gives (function, dimension)
 _CONTOUR_GERMS = {
-    "inverse": (set(), lambda s, c: ((lambda z: 1.0 / z), 1, "inverse")),
+    "inverse": (set(), lambda s, c: ((lambda z: 1.0 / z), 1)),
     "geometric": ({"c"}, _geometric_contour),
-    "inverse-product": ({"dim"}, _inverse_product_contour),
+    "inverse-product": ({"dim"}, lambda s, c: (
+        (lambda *zs: reduce(truediv, zs, 1.0)), _number_at_least(s, "dim", 2, 1, c)
+    )),
 }
 
 
 def _point_mass_germ(spec: dict, ctx: str) -> GermCoefficients:
     # 1/(z - c) = sum_k c^k z^(-k-1): the moments of a unit point mass at c
     c = _as_scalar(_need(spec, "c", ctx), "c", ctx)
-    return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)), spec["kind"])
+    return coeffs_from_measure(DiscreteMeasure(((c,),), (1,)))
 
 
 def _contour_germ(spec: dict, ctx: str) -> GermCoefficients:
-    germ, dim, label = _build(_need(spec, "germ", ctx), f"{ctx}.germ", "contour germ",
-                              _CONTOUR_GERMS)
+    germ, dim = _build(_need(spec, "germ", ctx), f"{ctx}.germ", "contour germ", _CONTOUR_GERMS)
     radius = _real(spec, "radius", ctx)
     grid = _number_at_least(spec, "grid", 64, 1, ctx)
-    return coeffs_from_contour(germ, dim=dim, radius=radius, grid_size=grid, label=label)
+    return coeffs_from_contour(germ, dim=dim, radius=radius, grid_size=grid)
 
 
 _GERMS = {
@@ -388,6 +394,13 @@ def _cell_seed(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=tuple(int(v) for v in key))
 
 
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time in seconds."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
 @dataclass
 class RunResult:
     """Everything one experiment run produced, before serialization."""
@@ -398,43 +411,84 @@ class RunResult:
     extras: dict = field(default_factory=dict)
     wall_clock: float = 0.0
 
+    def add(self, quantity: str, value: float, label: str | None = None, **where) -> None:
+        """Append a row under this run's experiment, seed and, by default, label.
 
-def _diameter_with_cap(
-    kset: CompactSet,
-    s: int,
-    strategy: SearchStrategy,
-    cap: int,
-    seed,
-):
-    """Search up to the cap; above it evaluate the reference configuration alone."""
-    if s > cap:
-        strategy = replace(strategy, restarts=0)
-    try:
-        return transfinite_diameter_estimate(kset, s, strategy, seed)
-    except ValueError as exc:
-        if strategy.restarts:
-            raise
-        why = f"degree {s} exceeds the search cap {cap}" if s > cap else "search.restarts is 0"
-        raise ConfigError(f"{why} and {exc}") from exc
+        `where` holds the row's address (s, i, j), std_error and wall_clock.
+        """
+        cfg = self.config
+        label = cfg.label if label is None else label
+        self.rows.append(ReportRow(cfg.experiment, label, quantity, value, cfg.seed, **where))
+
+
+class _Search:
+    """A driver's `search` knobs and `search_cap`, read once, and its timed search cells.
+
+    Above the cap a cell scores the set's reference configuration alone, as
+    it does with search.restarts 0; a set without one is a config error.
+    """
+
+    def __init__(self, result: RunResult, capped: bool = True):
+        spec, ctx = result.config.spec, result.config.experiment
+        self.result = result
+        self.cap = math.inf
+        if capped:
+            self.cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, ctx)
+        self.strategy = build_strategy(spec.get("search"))
+
+    def run(self, search, kset: CompactSet, n: int, seed):
+        """search(kset, n, strategy, seed) and its wall time; n is a degree or a size."""
+        over = n > self.cap
+        strategy = replace(self.strategy, restarts=0) if over else self.strategy
+        try:
+            return _timed(search, kset, n, strategy, seed)
+        except ValueError as exc:
+            if strategy.restarts:
+                raise
+            why = f"degree {n} exceeds the search cap {self.cap}" if over else None
+            raise ConfigError(f"{why or 'search.restarts is 0'} and {exc}") from exc
+
+    def d_s(self, kset: CompactSet, s: int, seed, quantity="d_s", label=None, **where):
+        """The searched d_s cell: estimate d_s(K), append its timed row, return the estimate."""
+        est, wall = self.run(transfinite_diameter_estimate, kset, s, seed)
+        self.result.add(quantity, est.d_s, label, s=s, wall_clock=wall, **where)
+        return est
+
+
+def _log_zs(result: RunResult, measure: Measure, degrees: list[int]) -> list[float]:
+    """log Z_s = log m_s! + log det G_{m_s} per degree, off one Gram prefix pass.
+
+    Each value equals z_s_gram(measure, s) bit for bit; the pass's wall time
+    goes to extras["prefix_pass_s"].
+    """
+    sizes = [count_at_most(measure.dim, s) for s in degrees]
+    logdets, result.extras["prefix_pass_s"] = _timed(
+        lambda: gram(measure, max(sizes)).prefix_logdets()
+    )
+    return [logdets[m - 1] + log_factorial(m) for m in sizes]
+
+
+def _hankel_rows(
+    result: RunResult, germ: GermCoefficients, i_max: int, label: str | None = None
+) -> tuple[HankelSequenceReport, float]:
+    """log_hankel and, where defined, polya_D rows up to i_max; the sequence and its time."""
+    report, wall = _timed(polya_sequence, germ, i_max)
+    for term in report.terms:
+        result.add("log_hankel", term.hankel, label, i=term.index)
+        if term.quantity is not None:
+            result.add("polya_D", term.quantity, label, i=term.index)
+    return report, wall
 
 
 def run_tdiam(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     kset = build_compact(_need(spec, "set", "tdiam"))
     degrees = _degree_list(spec, "degrees", "tdiam")
-    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "tdiam")
-    strategy = build_strategy(spec.get("search"))
     result = RunResult(cfg)
+    search = _Search(result)
     for s in degrees:
-        t0 = time.perf_counter()
-        est = _diameter_with_cap(kset, s, strategy, cap, _cell_seed(cfg.seed, 1, s))
-        wall = time.perf_counter() - t0
-        result.rows.append(
-            ReportRow(cfg.experiment, cfg.label, "d_s", est.d_s, cfg.seed, s=s, wall_clock=wall)
-        )
-        result.rows.append(
-            ReportRow(cfg.experiment, cfg.label, "log_vdm", est.log_vdm, cfg.seed, s=s)
-        )
+        est = search.d_s(kset, s, _cell_seed(cfg.seed, 1, s))
+        result.add("log_vdm", est.log_vdm, s=s)
     return result
 
 
@@ -442,24 +496,12 @@ def run_fekete(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     kset = build_compact(_need(spec, "set", "fekete"))
     sizes = _degree_list(spec, "sizes", "fekete")
-    strategy = build_strategy(spec.get("search"))
     result = RunResult(cfg)
+    search = _Search(result, capped=False)
     configs: dict[str, list] = {}
     for size in sizes:
-        t0 = time.perf_counter()
-        try:
-            found = fekete_search(kset, size, strategy, _cell_seed(cfg.seed, 2, size))
-        except ValueError as exc:
-            if strategy.restarts:
-                raise
-            raise ConfigError(f"search.restarts is 0 and {exc}") from exc
-        wall = time.perf_counter() - t0
-        result.rows.append(
-            ReportRow(
-                cfg.experiment, cfg.label, "log_vdm", found.log_abs, cfg.seed,
-                i=size, wall_clock=wall,
-            )
-        )
+        found, wall = search.run(fekete_search, kset, size, _cell_seed(cfg.seed, 2, size))
+        result.add("log_vdm", found.log_abs, i=size, wall_clock=wall)
         configs[str(size)] = [
             [[float(v.real), float(v.imag)] for v in point] for point in found.points
         ]
@@ -467,37 +509,12 @@ def run_fekete(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
-def _hankel_rows(
-    cfg: ExperimentConfig, label: str, report: HankelSequenceReport, wall: float
-) -> list[ReportRow]:
-    """log_hankel and, where defined, polya_D rows for each term of the sequence."""
-    rows = []
-    per_term = wall / len(report.terms)
-    for term in report.terms:
-        rows.append(
-            ReportRow(
-                cfg.experiment, label, "log_hankel", term.hankel,
-                cfg.seed, i=term.index, wall_clock=per_term,
-            )
-        )
-        if term.quantity is not None:
-            rows.append(
-                ReportRow(
-                    cfg.experiment, label, "polya_D", term.quantity,
-                    cfg.seed, i=term.index,
-                )
-            )
-    return rows
-
-
 def run_hankel(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     germ = build_germ(_need(spec, "germ", "hankel"))
     i_max = _number_at_least(spec, "i_max", None, 1, "hankel")
     result = RunResult(cfg)
-    t0 = time.perf_counter()
-    report = polya_sequence(germ, i_max)
-    result.rows.extend(_hankel_rows(cfg, cfg.label, report, time.perf_counter() - t0))
+    _, result.extras["prefix_pass_s"] = _hankel_rows(result, germ, i_max)
     return result
 
 
@@ -507,9 +524,9 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError("polya-check: pairs must be a non-empty list")
     slack = _number_at_least(spec, "slack", DEFAULT_SLACK, 0.0, "polya-check", float)
-    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "polya-check")
-    strategy = build_strategy(spec.get("search"))
     result = RunResult(cfg)
+    search = _Search(result)
+    passes = result.extras["prefix_pass_s"] = []
     for p_idx, pair in enumerate(pairs):
         ctx = f"polya-check.pairs[{p_idx}]"
         if not isinstance(pair, dict):
@@ -522,28 +539,13 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
             raise ConfigError(f"{ctx}: set dimension {kset.dim} != germ dimension {germ.dim}")
         s_max = _number_at_least(pair, "s_max", None, 1, ctx)
         i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
-        d_last = None
         for s in range(1, s_max + 1):
-            t0 = time.perf_counter()
-            est = _diameter_with_cap(kset, s, strategy, cap, _cell_seed(cfg.seed, 3, p_idx, s))
-            wall = time.perf_counter() - t0
-            result.rows.append(
-                ReportRow(
-                    cfg.experiment, plabel, "d_s", est.d_s, cfg.seed, s=s, wall_clock=wall
-                )
-            )
-            d_last = est.d_s
-        t0 = time.perf_counter()
-        report = polya_sequence(germ, i_max)
-        result.rows.extend(_hankel_rows(cfg, plabel, report, time.perf_counter() - t0))
+            d_last = search.d_s(kset, s, _cell_seed(cfg.seed, 3, p_idx, s), label=plabel).d_s
+        report, wall = _hankel_rows(result, germ, i_max, plabel)
+        passes.append(wall)
         top = report.max_quantity()
-        result.rows.append(
-            ReportRow(
-                cfg.experiment, plabel, "max_polya_D",
-                top if top is not None else 0.0, cfg.seed, i=i_max,
-            )
-        )
-        if top is not None and d_last is not None and top > d_last + slack:
+        result.add("max_polya_D", top if top is not None else 0.0, plabel, i=i_max)
+        if top is not None and top > d_last + slack:
             result.flags.append(
                 f"{plabel}: max D_i = {top:.6f} exceeds d_{s_max} = {d_last:.6f} "
                 f"+ slack {slack}"
@@ -567,43 +569,26 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
         if not kset.contains(point, tol=1e-6):
             raise ConfigError("sharpness: the measure is not supported on the set")
     degrees = _degree_list(spec, "degrees", "sharpness")
-    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "sharpness")
-    tol = _number_at_least(spec, "tolerance", DEFAULT_SHARPNESS_TOL, 0.0, "sharpness", float)
-    strategy = build_strategy(spec.get("search"))
     result = RunResult(cfg)
-    t0 = time.perf_counter()
+    search = _Search(result)
+    tol = _number_at_least(spec, "tolerance", DEFAULT_SHARPNESS_TOL, 0.0, "sharpness", float)
+    log_zs = _log_zs(result, measure, degrees)
     m_top = count_at_most(kset.dim, max(degrees))
-    gram_logdets = gram(measure, m_top).prefix_logdets()
-    hankel_logdets = hankel_matrix(coeffs_from_measure(measure), m_top).prefix_logdets()
-    result.extras["prefix_pass_s"] = time.perf_counter() - t0
-    for s in degrees:
-        counts = degree_counts(kset.dim, s)
-        m = counts.at_most
-        log_z = gram_logdets[m - 1] + log_factorial(m)  # z_s_gram(measure, s)
-        hank = hankel_logdets[m - 1]  # hankel_logdet(germ, m)
-        hankel_route = log_factorial(m) + hank
-        if log_z == hankel_route:
-            diff = 0.0  # covers the doubly singular case (-inf on both sides)
-        else:
-            diff = log_z - hankel_route
-        quantity = math.exp(hank / (2.0 * counts.degree_sum))  # 0 for a singular H
-        t0 = time.perf_counter()
-        est = _diameter_with_cap(kset, s, strategy, cap, _cell_seed(cfg.seed, 4, s))
-        search_wall = time.perf_counter() - t0
-        result.rows.extend(
-            [
-                ReportRow(cfg.experiment, cfg.label, "log_zs", log_z, cfg.seed, s=s),
-                ReportRow(cfg.experiment, cfg.label, "log_hankel_route", hankel_route,
-                          cfg.seed, s=s),
-                ReportRow(cfg.experiment, cfg.label, "sharpness_diff", diff, cfg.seed, s=s),
-                ReportRow(cfg.experiment, cfg.label, "polya_D", quantity, cfg.seed, s=s),
-                ReportRow(cfg.experiment, cfg.label, "d_s", est.d_s, cfg.seed, s=s,
-                          wall_clock=search_wall),
-                ReportRow(cfg.experiment, cfg.label, "sharpness_gap",
-                          abs(quantity - est.d_s), cfg.seed, s=s),
-            ]
-        )
-        if not math.isnan(diff) and abs(diff) > tol:
+    report, wall = _timed(polya_sequence, coeffs_from_measure(measure), m_top)
+    result.extras["prefix_pass_s"] += wall  # the Hankel route's prefix pass
+    for s, log_z in zip(degrees, log_zs):
+        m = count_at_most(kset.dim, s)
+        term = report.terms[m - 1]  # polya_term(germ, m): log|H_m| and D at degree s
+        hankel_route = log_factorial(m) + term.hankel
+        # equal values cover the doubly singular case (-inf on both sides)
+        diff = 0.0 if log_z == hankel_route else log_z - hankel_route
+        result.add("log_zs", log_z, s=s)
+        result.add("log_hankel_route", hankel_route, s=s)
+        result.add("sharpness_diff", diff, s=s)
+        result.add("polya_D", term.quantity, s=s)  # 0 for a singular H
+        d_s = search.d_s(kset, s, _cell_seed(cfg.seed, 4, s)).d_s
+        result.add("sharpness_gap", abs(term.quantity - d_s), s=s)
+        if abs(diff) > tol:  # False for a NaN diff
             result.flags.append(
                 f"s={s}: Gram and Hankel routes disagree by {diff:.3e} (tolerance {tol})"
             )
@@ -617,42 +602,26 @@ def run_stability(cfg: ExperimentConfig) -> RunResult:
     j_values = _degree_list(spec, "j_values", "stability")
     if any(b <= a for a, b in zip(j_values, j_values[1:])):
         raise ConfigError("stability: j_values must be strictly increasing")
-    cap = _number_at_least(spec, "search_cap", DEFAULT_SEARCH_CAP, 0, "stability")
-    strategy = build_strategy(spec.get("search"))
     result = RunResult(cfg)
+    search = _Search(result)
     values = []
     for j in j_values:
         try:
             member = family.member(j)
         except ValueError as exc:
             raise ConfigError(f"stability: family member j={j} is degenerate: {exc}") from exc
-        t0 = time.perf_counter()
-        est = _diameter_with_cap(member, s, strategy, cap, _cell_seed(cfg.seed, 5, j))
-        wall = time.perf_counter() - t0
-        result.rows.append(
-            ReportRow(cfg.experiment, cfg.label, "d_s", est.d_s, cfg.seed, s=s, j=j,
-                      wall_clock=wall)
+        values.append(search.d_s(member, s, _cell_seed(cfg.seed, 5, j), j=j).d_s)
+    base = search.d_s(family.limit, s, _cell_seed(cfg.seed, 5, 0), "d_s_limit").d_s
+    # an outer column decreases onto the base and an inner one increases onto
+    # it; negating an inner column makes both one comparison (negation is exact)
+    sign = 1.0 if family.direction == "outer" else -1.0
+    column = [sign * v for v in values]
+    ordered = all(x > y for x, y in zip(column, column[1:]))
+    if not (ordered and all(v >= sign * base - 1e-12 for v in column)):
+        trend = "decreasing" if sign > 0 else "increasing"
+        result.flags.append(
+            f"{family.direction} family column is not strictly {trend} toward the base"
         )
-        values.append(est.d_s)
-    t0 = time.perf_counter()
-    base = _diameter_with_cap(family.limit, s, strategy, cap, _cell_seed(cfg.seed, 5, 0))
-    wall = time.perf_counter() - t0
-    result.rows.append(
-        ReportRow(cfg.experiment, cfg.label, "d_s_limit", base.d_s, cfg.seed, s=s,
-                  wall_clock=wall)
-    )
-    if family.direction == "outer":
-        ok = all(x > y for x, y in zip(values, values[1:])) and all(
-            v >= base.d_s - 1e-12 for v in values
-        )
-        if not ok:
-            result.flags.append("outer family column is not strictly decreasing toward the base")
-    elif family.direction == "inner":
-        ok = all(x < y for x, y in zip(values, values[1:])) and all(
-            v <= base.d_s + 1e-12 for v in values
-        )
-        if not ok:
-            result.flags.append("inner family column is not strictly increasing toward the base")
     return result
 
 
@@ -662,36 +631,20 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
     samples = _number_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
     result = RunResult(cfg)
-    t0 = time.perf_counter()
-    gram_logdets = gram(measure, count_at_most(measure.dim, max(degrees))).prefix_logdets()
-    result.extras["prefix_pass_s"] = time.perf_counter() - t0
-    for s in degrees:
-        m = count_at_most(measure.dim, s)
-        log_gram = gram_logdets[m - 1] + log_factorial(m)  # z_s_gram(measure, s)
-        t0 = time.perf_counter()
-        mc = z_s_montecarlo(
-            measure, s, samples=samples, seed=_cell_seed(cfg.seed, 6, s), chunk_size=DEFAULT_CHUNK
-        )
-        wall = time.perf_counter() - t0
+    for s, log_gram in zip(degrees, _log_zs(result, measure, degrees)):
+        mc, wall = _timed(z_s_montecarlo, measure, s, samples=samples,
+                          seed=_cell_seed(cfg.seed, 6, s), chunk_size=DEFAULT_CHUNK)
         if log_gram == mc.log_value:
             zscore = 0.0  # exact agreement, including the doubly singular case
         elif mc.std_error_log > 0 and math.isfinite(mc.log_value) and math.isfinite(log_gram):
             zscore = (mc.log_value - log_gram) / mc.std_error_log
         else:
             zscore = math.inf
-        result.rows.extend(
-            [
-                ReportRow(cfg.experiment, cfg.label, "log_zs_gram", log_gram, cfg.seed,
-                          s=s, wall_clock=wall),
-                ReportRow(cfg.experiment, cfg.label, "log_zs_mc", mc.log_value, cfg.seed,
-                          s=s, std_error=mc.std_error_log),
-                ReportRow(cfg.experiment, cfg.label, "zscore", zscore, cfg.seed, s=s),
-            ]
-        )
+        result.add("log_zs_gram", log_gram, s=s)
+        result.add("log_zs_mc", mc.log_value, s=s, std_error=mc.std_error_log, wall_clock=wall)
+        result.add("zscore", zscore, s=s)
         if abs(zscore) > 3.0:
-            result.flags.append(
-                f"s={s}: Monte Carlo and Gram routes disagree ({zscore:.2f} sigma)"
-            )
+            result.flags.append(f"s={s}: Monte Carlo and Gram routes disagree ({zscore:.2f} sigma)")
     return result
 
 
@@ -702,18 +655,10 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     grid = _number_at_least(spec, "grid", DEFAULT_GRID, 1, "bm-ratio")
     result = RunResult(cfg)
     for s in degrees:
-        t0 = time.perf_counter()
-        ratio = bernstein_markov_ratio(measure, s, per_axis=grid)
-        wall = time.perf_counter() - t0
-        result.rows.append(
-            ReportRow(cfg.experiment, cfg.label, "bm_ratio", ratio, cfg.seed, s=s,
-                      wall_clock=wall)
-        )
+        ratio, wall = _timed(bernstein_markov_ratio, measure, s, per_axis=grid)
+        result.add("bm_ratio", ratio, s=s, wall_clock=wall)
         if s >= 1 and math.isfinite(ratio):
-            result.rows.append(
-                ReportRow(cfg.experiment, cfg.label, "bm_ratio_root",
-                          ratio ** (1.0 / s), cfg.seed, s=s)
-            )
+            result.add("bm_ratio_root", ratio ** (1.0 / s), s=s)
         if not math.isfinite(ratio):
             result.flags.append(f"s={s}: ratio is infinite (singular Gram matrix)")
     return result
@@ -744,8 +689,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> RunResult:
     """
     if workers != 1:
         raise ConfigError(f"runs are serial; workers must be 1, got {workers!r}")
-    runner = _EXPERIMENTS[cfg.experiment][1]
-    t0 = time.perf_counter()
-    result = runner(cfg)
-    result.wall_clock = time.perf_counter() - t0
+    result, wall = _timed(_EXPERIMENTS[cfg.experiment][1], cfg)
+    result.wall_clock = wall
     return result

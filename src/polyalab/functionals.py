@@ -33,7 +33,6 @@ class GermCoefficients:
     """Coefficient source: a float route and an optional exact route."""
 
     dim: int
-    label: str
     fn: Callable[[MultiIndex], complex]
     exact_fn: Callable[[MultiIndex], Fraction | None] | None = None
 
@@ -46,11 +45,10 @@ class GermCoefficients:
         return self.exact_fn(as_multi_index(k, self.dim))
 
 
-def coeffs_from_measure(measure: Measure, label: str = "moments") -> GermCoefficients:
+def coeffs_from_measure(measure: Measure) -> GermCoefficients:
     """The moment sequence of a measure, exact when the measure is."""
     return GermCoefficients(
         dim=measure.dim,
-        label=label,
         fn=functools.cache(measure.moment),
         exact_fn=functools.cache(measure.moment_fraction),
     )
@@ -59,7 +57,6 @@ def coeffs_from_measure(measure: Measure, label: str = "moments") -> GermCoeffic
 def coeffs_from_table(
     dim: int,
     table: Mapping[MultiIndex, complex | Fraction],
-    label: str = "table",
 ) -> GermCoefficients:
     """Coefficients from an explicit finite table; missing entries are errors."""
     clean: dict[MultiIndex, complex] = {}
@@ -86,7 +83,7 @@ def coeffs_from_table(
         def exact_fn(k: MultiIndex) -> Fraction | None:
             return exact.get(k)
 
-    return GermCoefficients(dim=dim, label=label, fn=fn, exact_fn=exact_fn)
+    return GermCoefficients(dim=dim, fn=fn, exact_fn=exact_fn)
 
 
 def coeffs_from_contour(
@@ -94,7 +91,6 @@ def coeffs_from_contour(
     dim: int = 1,
     radius: float = 1.0,
     grid_size: int = 64,
-    label: str = "contour",
 ) -> GermCoefficients:
     """Recover coefficients of a germ vanishing at infinity from torus values.
 
@@ -125,7 +121,7 @@ def coeffs_from_contour(
         idx = tuple(v + 1 for v in k)
         return complex(spectrum[idx]) * radius ** (sum(k) + len(k))
 
-    return GermCoefficients(dim=dim, label=label, fn=fn, exact_fn=None)
+    return GermCoefficients(dim=dim, fn=fn, exact_fn=None)
 
 
 def hankel_matrix(germ: GermCoefficients, size: int) -> MomentMatrix:

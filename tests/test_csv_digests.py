@@ -35,3 +35,14 @@ def test_csv_digests_hash_the_report_and_flag_a_change(tmp_path):
     changed = _run(CONFIG, "--against", str(saved))
     assert changed.returncode == 1
     assert f"changed: {CONFIG}" in changed.stderr
+
+
+def test_every_report_csv_matches_the_committed_digests():
+    # tests/csv_digests.txt holds the sha256 of each shipped and benchmark
+    # config's report CSV; a change that means to alter a report updates it
+    # and lists the changed cells
+    result = _run("--against", "tests/csv_digests.txt")
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == len(
+        (ROOT / "tests" / "csv_digests.txt").read_text().splitlines()
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from polyalab.experiments import (
 )
 from polyalab.measures import log_factorial
 from polyalab.reporting import rows_to_csv_text
+from polyalab.vandermonde import transfinite_diameter_estimate
 
 
 def make_config(**kwargs):
@@ -213,6 +215,9 @@ def test_hankel_runner_rows():
     ds = [r for r in res.rows if r.quantity == "polya_D"]
     assert [r.i for r in ds] == [2, 3, 4]  # index 1 has no defined quantity
     assert ds[0].value == pytest.approx(2.0 ** -0.5)
+    # one prefix pass: its time is recorded once, not spread over the rows
+    assert isinstance(res.extras["prefix_pass_s"], float) and res.extras["prefix_pass_s"] >= 0
+    assert {r.wall_clock for r in res.rows} == {0.0}
 
 
 def test_polya_check_flags_violations():
@@ -344,8 +349,9 @@ def _values(result, quantity):
         ({"kind": "box", "bounds": [[-1, 1], [-1, 1]]},
          {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}),
         (_INTERVAL, _DISCRETE_2),  # two atoms: singular Gram and Hankel past m = 2
+        (_INTERVAL, {"kind": "uniform", "a": -1, "b": 1, "mass": "1/2"}),
     ],
-    ids=["arcsine", "product-arcsine", "singular"],
+    ids=["arcsine", "product-arcsine", "singular", "scaled-uniform"],
 )
 def test_sharpness_rows_are_the_per_size_determinants(kset, measure):
     spec = {"set": kset, "measure": measure, "degrees": _DEGREES, "search": {"restarts": 1}}
@@ -369,8 +375,9 @@ def test_sharpness_rows_are_the_per_size_determinants(kset, measure):
          "weights": [1, 2, 3, 4]},
         {"kind": "discrete", "atoms": [{"im": 1}, 0.5], "weights": [1, 1]},  # singular
         _DISCRETE_2,
+        {"kind": "product", "factors": [_ARCSINE, {"kind": "uniform", "a": 0, "b": 1}]},
     ],
-    ids=["arcsine", "complex-atoms", "complex-singular", "singular"],
+    ids=["arcsine", "complex-atoms", "complex-singular", "singular", "product"],
 )
 def test_zs_check_rows_are_the_per_size_determinants(measure):
     spec = {"measure": measure, "degrees": _DEGREES, "samples": 200}
@@ -378,6 +385,16 @@ def test_zs_check_rows_are_the_per_size_determinants(measure):
     mu = build_measure(measure)
     assert _values(res, "log_zs_gram") == [z_s_gram(mu, s) for s in _DEGREES]
     assert res.extras["prefix_pass_s"] >= 0.0
+
+
+def test_polya_check_records_one_prefix_pass_time_per_pair_in_order():
+    pairs = [{"label": f"p{k}", "set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": 1, "i_max": n}
+             for k, n in enumerate([3, 2, 4])]
+    res = run_experiment(ExperimentConfig("polya-check", "c", 0, {"pairs": pairs}))
+    passes = res.extras["prefix_pass_s"]
+    assert len(passes) == 3 and all(isinstance(v, float) and v >= 0.0 for v in passes)
+    assert [r.wall_clock for r in res.rows if r.quantity == "log_hankel"] == [0.0] * 9
+    assert [r.label for r in res.rows if r.quantity == "max_polya_D"] == ["p0", "p1", "p2"]
 
 
 def _contour_grid(grid):
@@ -593,6 +610,63 @@ def test_no_restarts_scores_the_reference_configuration():
     assert rows_to_csv_text(run_experiment(alone).rows) == rows_to_csv_text(
         run_experiment(capped).rows
     )
+
+
+_BOX_SPECS = {
+    "tdiam": {"set": _BOX, "degrees": [1, 2]},
+    "polya-check": {"pairs": [{"set": _BOX, "s_max": 2, "germ": {
+        "kind": "measure", "measure": {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}}}]},
+    "sharpness": {"set": {"kind": "box", "bounds": [[-1, 1], [-1, 1]]}, "degrees": [1, 2],
+                  "measure": {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_BOX_SPECS))
+def test_a_degree_above_the_search_cap_without_a_reference_configuration_is_a_config_error(
+    experiment,
+):
+    # a box has no reference configuration: degree 1 is searched, degree 2 is over the cap
+    spec = {**_BOX_SPECS[experiment], "search_cap": 1, "search": {"restarts": 1}}
+    with pytest.raises(
+        ConfigError,
+        match=r"^degree 2 exceeds the search cap 1 and the set has no reference configuration",
+    ):
+        run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+def _fake_estimates(member=None, limit=None):
+    """transfinite_diameter_estimate with the members' or the limit's d_s set, where given."""
+
+    def fake(kset, s, strategy, seed):
+        est = transfinite_diameter_estimate(kset, s, strategy, seed)
+        d_s = limit if kset == Interval(-1.0, 1.0) else member
+        return est if d_s is None else replace(est, d_s=d_s)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "side, j_values, trend, wrong_base",
+    [("outer", [1, 2, 4], "decreasing", 10.0), ("inner", [2, 3, 4], "increasing", 0.0)],
+)
+def test_stability_flags_a_column_that_breaks_its_trend(
+    monkeypatch, side, j_values, trend, wrong_base
+):
+    spec = {"family": {"kind": "interval", "a": -1, "b": 1, "side": side},
+            "s": 2, "j_values": j_values, "search": {"restarts": 1}}
+    cfg = ExperimentConfig("stability", side, 0, spec)
+    assert run_experiment(cfg).flags == []
+    flag = f"{side} family column is not strictly {trend} toward the base"
+    # a flat column
+    monkeypatch.setattr(experiments, "transfinite_diameter_estimate", _fake_estimates(member=1.0))
+    assert run_experiment(cfg).flags == [flag]
+    # the true, strictly ordered column on the wrong side of its base
+    monkeypatch.setattr(
+        experiments, "transfinite_diameter_estimate", _fake_estimates(limit=wrong_base)
+    )
+    res = run_experiment(cfg)
+    assert _values(res, "d_s_limit") == [wrong_base]
+    assert res.flags == [flag]
 
 
 def test_unknown_polya_check_pair_keys_are_config_errors():
