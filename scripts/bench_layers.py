@@ -1,4 +1,4 @@
-"""Block timings of three layers at the call shapes of the benchmark workloads.
+"""Block timings of the kernel layers at the call shapes of the benchmark workloads.
 
     python3 scripts/bench_layers.py                  # writes BENCH_monomial.json, BENCH_exchange.json
                                                      # and BENCH_exact.json
@@ -11,8 +11,8 @@ monomials:
 - 15 x 15: one 15-point configuration, the size of an exchange re-evaluation
   in `search-2d` (circle x interval)
 - 548 x 15: a candidate pool of that search (512 samples, grid, reference)
-- 20,480 x 10: one Monte Carlo chunk of the product-arcsine `zs-check` in
-  `sampling`
+- 40,960 x 10: one Monte Carlo chunk of the product-arcsine `zs-check` in
+  `sampling` (4,096 configurations of 10 points)
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
 
 BENCH_exchange.json times one lockstep exchange pass,
@@ -22,7 +22,10 @@ circle x interval at m = 15) and on the interval at m = 9, the largest
 searched size of the `examples` configs.  The pass is the first of each
 restart under the default `SearchStrategy`: pools built as `fekete_search`
 builds them, the greedy starts from them, then the next pools, which the
-pass scores against.
+pass scores against.  It also times those greedy starts,
+`vandermonde._greedy_start` over the 8 restarts' first pools, on the
+interval at m = 9 (one stacked score array) and the box at m = 21 (one
+elimination per restart).
 
 BENCH_exact.json times exact Bareiss elimination and the whole Hankel
 sequence, `linalg.exact_prefix_logdets` and `linalg.exact_ldl`, on exact
@@ -70,6 +73,7 @@ from polyalab import linalg, vandermonde  # noqa: E402
 
 BLOCKS = 7
 MIN_BLOCK_S = 0.2
+GREEDY_CASES = ("interval m=9", "box m=21")
 
 
 def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
@@ -83,7 +87,7 @@ def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
     return [
         ("15x15 circle x interval configuration", circle_x_interval.sample(rng, 15), 15),
         ("548x15 circle x interval pool", circle_x_interval.sample(rng, 548), 15),
-        ("20480x10 product arcsine Monte Carlo chunk", product_arcsine.sample(rng, 20480), 10),
+        ("40960x10 product arcsine Monte Carlo chunk", product_arcsine.sample(rng, 40960), 10),
         ("65536x28 box grid 256^2", box.grid(256), 28),
     ]
 
@@ -112,8 +116,12 @@ def time_blocks(call) -> dict:
     }
 
 
-def exchange_cases() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    """(name, current, log|V|, pools) of the first pass of a default search's restarts."""
+def exchange_cases() -> list[tuple[str, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(name, size, first pools, current, log|V|, pools) of a default search's restarts.
+
+    current holds the greedy starts from the first pools; pools are the
+    next ones, which the first exchange pass scores against.
+    """
     strategy = polyalab.SearchStrategy()
     box = polyalab.ProductSet((polyalab.Interval(-1.0, 1.0), polyalab.Interval(-1.0, 1.0)))
     circle_x_interval = polyalab.ProductSet(
@@ -134,9 +142,10 @@ def exchange_cases() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
         def draw():
             return [vandermonde._candidate_pool(kset, strategy.pool_size, r, fixed) for r in rngs]
 
-        current = np.stack([vandermonde._greedy_start(start, size) for start in draw()])
+        first = np.stack(draw())
+        current = vandermonde._greedy_start(first, size)
         pools = np.stack(draw())
-        cases.append((name, current, vandermonde.vdm_logabs_batch(current), pools))
+        cases.append((name, size, first, current, vandermonde.vdm_logabs_batch(current), pools))
     return cases
 
 
@@ -192,22 +201,20 @@ def main(argv=None) -> int:
 
     rows = []
     tol = polyalab.SearchStrategy().improvement_tol
-    for name, current, log_abs, pools in exchange_cases():
+    for name, size, first, current, log_abs, pools in exchange_cases():
+        shape = {"restarts": int(current.shape[0]), "size": size, "npool": int(pools.shape[1]),
+                 "dim": int(current.shape[2])}
         _, after = vandermonde._exchange_pass(current, log_abs, pools, tol)
         timing = time_blocks(lambda: vandermonde._exchange_pass(current, log_abs, pools, tol))
-        rows.append(
-            {
-                "shape": name,
-                "restarts": int(current.shape[0]),
-                "size": int(current.shape[1]),
-                "npool": int(pools.shape[1]),
-                "dim": int(current.shape[2]),
-                "log_gain": (after - log_abs).tolist(),
-                **timing,
-            }
-        )
+        rows.append({"layer": "exchange pass", "shape": name, **shape,
+                     "log_gain": (after - log_abs).tolist(), **timing})
         print(f"exchange pass, {name:30s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
-    exchange = record("vandermonde._exchange_pass", rows)
+        if name in GREEDY_CASES:
+            timing = time_blocks(lambda: vandermonde._greedy_start(first, size))
+            rows.append({"layer": "greedy start", "shape": name, **shape,
+                         "start_log_abs": log_abs.tolist(), **timing})
+            print(f"greedy start, {name:31s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
+    exchange = record("vandermonde._exchange_pass, vandermonde._greedy_start", rows)
 
     rows = []
     for name, kernel, matrix in exact_cases():

@@ -12,20 +12,24 @@ search builds once for all its restarts and passes.
 
 A search advances all its restarts in lockstep.  Each restart keeps its
 own generator, pools, refinement draws and early stop.  In one variable
-the restarts still live share one exchange pass over stacked tables:
-every position nominates a candidate for every restart with one set of
-array operations, and every nominated trial is re-evaluated exactly in
-one batch.  In several variables each restart sweeps alone, because its
+every restart's greedy start is one score array, and the restarts still
+live share one exchange pass over stacked tables: every position
+nominates a candidate for every restart with one set of array
+operations, and every nominated trial is re-evaluated exactly in one
+batch.  In several variables each restart sweeps alone, because its
 pass holds its pool's basis rows, and holding every restart's at once
 would multiply that memory by the number of restarts.
 
 Each exchange pass builds its fixed tables once: in one variable the table
 log|pool - current| of every restart, its row sums and every point's own
 sum over the others; in several the basis rows of the pool and of the
-current configuration and the inverse of the latter.  An accepted swap
-refreshes only what it changed, and is accepted only after an exact
-re-evaluation of log|V|; in several variables the trial and the refreshed
-inverse come from the cached basis rows, so each pass evaluates
+current configuration and the inverse of the latter.  The one-variable
+table is position-major: the column of one position, over every restart
+and pool point, is one contiguous array, and the row sums add whole
+columns in the order numpy adds a contiguous row (see _row_sums).  An
+accepted swap refreshes only what it changed, and is accepted only after
+an exact re-evaluation of log|V|; in several variables the trial and the
+refreshed inverse come from the cached basis rows, so each pass evaluates
 monomials twice, once for the pool and once for the configuration.  Each
 refinement level draws every restart's steps around every point in one
 call per restart and projects them all as one batch.  All of this gives,
@@ -35,6 +39,7 @@ restart run alone with per-position and per-point recomputation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,7 +193,7 @@ def _run_restarts(
     tol = strategy.improvement_tol
     rngs = [np.random.default_rng(child) for child in children]
     pools = np.stack([_candidate_pool(kset, strategy.pool_size, rng, fixed) for rng in rngs])
-    current = np.stack([_greedy_start(pool, size) for pool in pools])
+    current = _greedy_start(pools, size)
     log_abs = vdm_logabs_batch(current)
     traces = [[float(v)] for v in log_abs]
 
@@ -259,20 +264,34 @@ def _candidate_pool(
     return np.concatenate([kset.sample(rng, pool_size), fixed], axis=0)
 
 
-def _greedy_start(pool: np.ndarray, size: int) -> np.ndarray:
-    """Pivoted greedy selection of a well-spread starting configuration."""
-    npts, dim = pool.shape
+def _greedy_start(pools: np.ndarray, size: int) -> np.ndarray:
+    """Pivoted greedy starting configurations, one per restart's pool.
+
+    pools has shape (restarts, npool, dim), the result (restarts, size,
+    dim).  In one variable every restart's scores are one array; in
+    several each restart eliminates over its own pool's basis alone.
+    """
+    nrun, npts, dim = pools.shape
     if npts < size:
         raise ValueError(f"pool of {npts} points cannot seed {size}-point search")
-    if dim == 1:
-        z = pool[:, 0]
-        chosen = [int(np.argmax(np.abs(z)))]
-        score = np.full(npts, 0.0)
-        with np.errstate(divide="ignore"):
-            for _ in range(size - 1):
-                score += np.log(np.abs(z - z[chosen[-1]]))
-                chosen.append(int(np.argmax(score)))
-        return pool[chosen]
+    if dim > 1:
+        return np.stack([_basis_start(pool, size) for pool in pools])
+    # each point's score is its log-distance sum to the points chosen so
+    # far; the next point is the first that maximizes it
+    z = pools[:, :, 0]
+    runs = np.arange(nrun)
+    chosen = [np.abs(z).argmax(axis=1)]
+    score = np.zeros(z.shape)
+    with np.errstate(divide="ignore"):
+        for _ in range(size - 1):
+            score += np.log(np.abs(z - z[runs, chosen[-1], None]))
+            chosen.append(score.argmax(axis=1))
+    return pools[runs[:, None], np.stack(chosen, axis=1)]
+
+
+def _basis_start(pool: np.ndarray, size: int) -> np.ndarray:
+    """_greedy_start in several variables, for one pool."""
+    npts = pool.shape[0]
     # column-by-column elimination with row pivoting; the pivot rows are
     # exactly a discrete analogue of a nested maximal-determinant choice
     a = basis_matrix(pool, size).T.astype(complex)
@@ -331,7 +350,7 @@ def _line_pass(
     with np.errstate(divide="ignore", invalid="ignore"):
         table, rowsum, own = _line_tables(pools, current)
         for j in range(current.shape[1]):
-            gain, k = _best_replacement_1d(rowsum, table[:, :, j], own[:, j])
+            gain, k = _best_replacement_1d(rowsum, table[j], own[:, j])
             nominated = runs[~(gain <= tol)]
             if not nominated.size:
                 continue
@@ -346,9 +365,9 @@ def _line_pass(
                 continue
             current[won, j] = pools[won, k[won]]
             log_abs[won] = trial_log[accepted]
-            table[won, :, j] = np.log(np.abs(pools[won, :, 0] - current[won, j]))
+            table[j, won] = np.log(np.abs(pools[won, :, 0] - current[won, j]))
             # the rows of the other restarts are unchanged and sum to the same bits
-            table.sum(axis=2, out=rowsum)
+            _row_sums(table, out=rowsum)
             own[won] = _own_sums(current[won, :, 0])
     return current, log_abs
 
@@ -356,18 +375,65 @@ def _line_pass(
 def _line_tables(
     pools: np.ndarray, current: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """table[r, p, c] = log|pools[r, p] - z_rc|, its sums over c, and _own_sums(z_r)."""
-    table = np.empty(pools.shape[:2] + current.shape[1:2])
+    """table[c, r, p] = log|pools[r, p] - z_rc|, its sums over c, and _own_sums(z_r)."""
+    nrun, size = current.shape[:2]
+    table = np.empty((size, nrun, pools.shape[1]))
     # restart by restart, so that only one restart's differences are held
-    for pool, points, out in zip(pools, current, table):
-        np.log(np.abs(pool[:, :1] - points[None, :, 0]), out=out)
-    return table, table.sum(axis=2), _own_sums(current[:, :, 0])
+    for r in range(nrun):
+        np.log(np.abs(pools[r, None, :, 0] - current[r, :, :1]), out=table[:, r])
+    return table, _row_sums(table), _own_sums(current[:, :, 0])
+
+
+def _row_sums(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """table summed over its first axis, each sum with the bits np.sum gives its row.
+
+    A row is table[:, r, p], one pool point's terms over the positions.
+    numpy adds a contiguous row pairwise (pairwise_sum in its loops): below
+    8 terms left to right from 0.0; up to 128 terms in 8 interleaved
+    accumulators, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the tail left to right, then added to 0.0; above that as
+    the sum of two halves split at a multiple of 8.  Each of those
+    additions here takes whole columns: one array operation, where a
+    reduction over short rows pays a call per row.
+    """
+    n = len(table)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_row_sums(table[:half]), _row_sums(table[half:]), out=out)
+    if n < 8:
+        out = np.add(table[0], 0.0, out=out)
+        for c in range(1, n):
+            out += table[c]
+        return out
+    whole = n - n % 8
+    acc = table[:8]
+    if whole > 8:
+        acc = acc.copy()
+        for i in range(8, whole, 8):
+            acc += table[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    out = np.add(quads[0], quads[1], out=out)
+    for c in range(whole, n):
+        out += table[c]
+    # numpy's 0.0 start: it turns a sum of -0.0 terms into +0.0
+    out += 0.0
+    return out
+
+
+@functools.cache
+def _off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(~np.eye(m, dtype=bool)).nonzero(), built once per size; the arrays are read-only."""
+    rows, cols = (~np.eye(m, dtype=bool)).nonzero()
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _own_sums(z: np.ndarray) -> np.ndarray:
     """sum over k != j of log|z_rj - z_rk|, for every restart r and position j."""
     nrun, m = z.shape
-    rows, cols = (~np.eye(m, dtype=bool)).nonzero()
+    rows, cols = _off_diagonal(m)
     # drop the diagonal rather than zero it: each row then sums the same
     # m - 1 terms in the same order as a sum over the row with z_j deleted,
     # which numpy adds pairwise, not left to right, from 8 terms on; take

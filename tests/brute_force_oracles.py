@@ -9,7 +9,8 @@ LDL^T inverse comes from one Bareiss pass over [cA | I]; the oracle here
 is the textbook route in Fraction arithmetic, an LDL^T followed by the
 inverse of the unit lower factor.  The library's exact determinants split
 a matrix along its zero pattern; the oracle here eliminates the whole
-matrix at once.
+matrix at once.  The library's one-variable greedy start scores every
+restart's pool in one array; the oracle here scores one pool at a time.
 """
 
 import itertools
@@ -44,6 +45,19 @@ def vdm_value(points: np.ndarray) -> complex:
                 val *= z[j] - z[i]
         return val
     return complex(np.linalg.det(basis_matrix(pts, pts.shape[0]).T))
+
+
+def greedy_line_start(pool: np.ndarray, size: int) -> np.ndarray:
+    """One pool's one-variable greedy start: each next point maximizes the
+    log-distance sum to the points chosen so far, ties to the first."""
+    z = pool[:, 0]
+    chosen = [int(np.argmax(np.abs(z)))]
+    score = np.full(len(z), 0.0)
+    with np.errstate(divide="ignore"):
+        for _ in range(size - 1):
+            score += np.log(np.abs(z - z[chosen[-1]]))
+            chosen.append(int(np.argmax(score)))
+    return pool[chosen]
 
 
 def iterated_functional_oracle(measure: DiscreteMeasure, size: int) -> float:

@@ -4,24 +4,26 @@ The library's search advances all its restarts in lockstep, in one
 variable with one stacked exchange pass per step; its exchange pass
 builds its tables once per pass and refreshes them after an accepted
 swap, in several variables from basis rows it already holds; its greedy
-start eliminates over the whole pool; refinement draws and projects one
-batch per level; its projections take a whole batch of points; a search
-builds the fixed part of its candidate pools once; a single
-configuration's log|V| is a batch of one; monomials are gathered from
-per-axis power tables; the sup/L2 kernel walks its grid in blocks; an
-exact moment matrix evaluates its upper triangle.  These helpers are the
-plain forms they replace: each restart runs alone, with a table-based
-pass of its own (``run_restart``, ``restart_exchange_pass``); every
-position rebuilds its tables from the current configuration and every
-trial evaluates its own basis (``exchange_pass``); the greedy start
-updates only the rows not yet chosen, refinement draws its steps and
-projects them point by point, every point is projected on its own with
-scalar arithmetic, every pool is built whole, log|V| comes from a
-formula for one configuration, every monomial is its own broadcast power
-with a product reduce over the axes, the kernel is evaluated on the
-whole grid at once, and a moment matrix evaluates every entry.  Tests
-compare the two bit for bit, monomials by ``==``, which ignores the sign
-of an exact zero.
+start scores every restart's pool at once in one variable and eliminates
+over the whole pool in several; refinement draws and projects one batch
+per level; its projections take a whole batch of points; a search builds
+the fixed part of its candidate pools once; a single configuration's
+log|V| is a batch of one; monomials are gathered from per-axis power
+tables; the sup/L2 kernel walks its grid in blocks; an exact moment
+matrix evaluates its upper triangle.  These helpers are the plain forms
+they replace: each restart runs alone, with a table-based pass of its
+own (``run_restart``, ``restart_exchange_pass``); every position
+rebuilds its tables from the current configuration and every trial
+evaluates its own basis (``exchange_pass``); the greedy start takes one
+pool at a time (``brute_force_oracles.greedy_line_start`` in one
+variable) and in several variables updates only the rows not yet chosen,
+refinement draws its steps and projects them point by point, every point
+is projected on its own with scalar arithmetic, every pool is built
+whole, log|V| comes from a formula for one configuration, every monomial
+is its own broadcast power with a product reduce over the axes, the
+kernel is evaluated on the whole grid at once, and a moment matrix
+evaluates every entry.  Tests compare the two bit for bit, monomials by
+``==``, which ignores the sign of an exact zero.
 """
 
 import contextlib
@@ -40,7 +42,9 @@ from polyalab import (
     orthonormal_coefficients,
 )
 from polyalab.linalg import batch_logabs
-from polyalab.vandermonde import FeketeResult, _greedy_start, _spread, as_seed_sequence
+from polyalab.vandermonde import FeketeResult, _spread, as_seed_sequence
+
+from brute_force_oracles import greedy_line_start
 
 
 def monomial_matrix(points, exponents):
@@ -210,7 +214,7 @@ def run_restart(kset, size, strategy, child, ref):
     """One restart alone: greedy start, exchange passes until one gains < tol, refinement."""
     rng = np.random.default_rng(child)
     pool = candidate_pool(kset, size, strategy.pool_size, rng, ref)
-    current = _greedy_start(pool, size)
+    current = (greedy_line_start if kset.dim == 1 else greedy_start)(pool, size)
     log_abs = vdm_logdet(current)
     trace = [log_abs]
     for _ in range(strategy.exchange_passes):

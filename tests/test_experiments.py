@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -667,6 +668,31 @@ def test_stability_flags_a_column_that_breaks_its_trend(
     res = run_experiment(cfg)
     assert _values(res, "d_s_limit") == [wrong_base]
     assert res.flags == [flag]
+
+
+@pytest.mark.parametrize("past, flagged", [(5e-13, False), (2e-12, True)])
+@pytest.mark.parametrize("side, j_values", [("outer", [1, 2, 4]), ("inner", [2, 3, 4])])
+def test_stability_slack_forgives_only_a_member_within_1e_12_past_its_base(
+    monkeypatch, side, j_values, past, flagged
+):
+    family_spec = {"kind": "interval", "a": -1, "b": 1, "side": side}
+    family = build_family(family_spec)
+    # an outer column comes down onto its base, an inner one up; the last
+    # member ends `past` beyond the base, on the side the slack forgives
+    above = 1.0 if side == "outer" else -1.0
+    base = 1.0
+    values = [base + 2.0 * above, base + above, base - past * above]
+    d_s = {family.member(j): v for j, v in zip(j_values, values)}
+    d_s[family.limit] = base
+    monkeypatch.setattr(
+        experiments, "transfinite_diameter_estimate",
+        lambda kset, s, strategy, seed: SimpleNamespace(d_s=d_s[kset]),
+    )
+    spec = {"family": family_spec, "s": 2, "j_values": j_values, "search": {"restarts": 1}}
+    res = run_experiment(ExperimentConfig("stability", side, 0, spec))
+    assert _values(res, "d_s") == values
+    assert _values(res, "d_s_limit") == [base]
+    assert bool(res.flags) == flagged
 
 
 def test_unknown_polya_check_pair_keys_are_config_errors():

@@ -26,12 +26,13 @@ from polyalab.vandermonde import (
     _greedy_start,
     _line_tables,
     _refinement_candidates,
+    _row_sums,
     _run_restarts,
     vdm_logabs_batch,
 )
 
 from boxes import box, set_id
-from brute_force_oracles import vdm_value
+from brute_force_oracles import greedy_line_start, vdm_value
 import per_point_oracles
 from per_point_oracles import (
     best_replacement,
@@ -355,9 +356,75 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
 @pytest.mark.parametrize("kset", ND_EXCHANGE_SETS, ids=set_id)
 def test_greedy_start_matches_free_row_elimination(kset, size):
     pool = candidate_pool(kset, size, 64, np.random.default_rng(size), kset.reference_points(size))
-    got = _greedy_start(pool, size)
+    got = _greedy_start(pool[None], size)[0]
     want = greedy_start(pool, size)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("restarts", range(1, 9))
+def test_stacked_line_start_matches_one_pool_at_a_time(restarts):
+    iv = Interval(-1.0, 1.0)
+    rng = np.random.default_rng(restarts)
+    size = 9
+    pools = []
+    for _ in range(restarts):
+        pool = candidate_pool(iv, size, 40, rng, iv.reference_points(size))
+        # coincident points: a point drawn twice scores -inf against itself,
+        # and the grid and the reference share both endpoints
+        pool[5] = pool[3]
+        pools.append(pool)
+    got = _greedy_start(np.array(pools), size)
+    assert got.shape == (restarts, size, 1)
+    for points, pool in zip(got, pools):
+        assert points.tobytes() == greedy_line_start(pool, size).tobytes()
+
+
+def test_line_start_picks_the_first_of_tied_points():
+    # 0.5 is drawn twice: once chosen, both copies score -inf, and the
+    # remaining ties go to the first index in every restart
+    pool = np.array([[1.0], [0.5], [0.5], [-1.0], [0.0], [0.0]], dtype=complex)
+    pools = np.stack([pool, pool[::-1]])
+    got = _greedy_start(pools, 4)
+    for points, one in zip(got, pools):
+        assert points.tobytes() == greedy_line_start(one, 4).tobytes()
+    assert len(np.unique(got[0])) == 4
+
+
+ROW_SUM_LENGTHS = list(range(1, 41)) + [127, 128, 129, 300]
+
+
+@pytest.mark.parametrize("n", ROW_SUM_LENGTHS)
+def test_row_sums_keep_the_bits_of_numpy_row_sums(n):
+    # magnitudes from 1e-8 to 1e8 round differently in any other order
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, 17, n)) * 10.0 ** rng.integers(-8, 9, (3, 17, n))
+    rows[0, 2, n // 2] = -np.inf
+    rows[1, :4] = -np.inf
+    rows[2, 5, 0] = np.nan
+    rows[2, 6] = -0.0
+    want = rows.sum(axis=-1)
+    columns = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    got = _row_sums(columns)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert (np.signbit(got) == np.signbit(want)).all()
+    out = np.full(want.shape, 7.0)
+    assert _row_sums(columns, out=out) is out
+    assert np.array_equal(out, want, equal_nan=True)
+
+
+def test_row_sums_follow_the_accumulator_order():
+    big = 2.0**53  # big + 1 rounds back to big; big - 1 is exact
+    # ((big + 1) + (1 - big)) + 0 = big - (big - 1) = 1, where left to
+    # right gives ((big + 1) + 1) - big = 0
+    terms = np.array([big, 1.0, 1.0, -big, 0.0, 0.0, 0.0, 0.0])
+    assert terms.sum() == 1.0
+    assert _row_sums(terms[:, None])[0] == 1.0
+    # 16 terms: accumulator j adds terms j and j + 8, so r0 = big + 1 = big
+    # and r1 = 1 - big, and again the sum is 1 where left to right gives 0
+    terms = np.zeros(16)
+    terms[[0, 8, 1, 9]] = [big, 1.0, 1.0, -big]
+    assert terms.sum() == 1.0
+    assert _row_sums(terms[:, None])[0] == 1.0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -372,7 +439,7 @@ def test_line_scores_match_per_position_tables(size, seed):
     current = [pool[rng.permutation(len(pool))[:size]] for pool in pools]
     with np.errstate(divide="ignore", invalid="ignore"):
         table, rowsum, own = _line_tables(np.array(pools), np.array(current))
-        stacked = [_best_replacement_1d(rowsum, table[:, :, j], own[:, j]) for j in range(size)]
+        stacked = [_best_replacement_1d(rowsum, table[j], own[:, j]) for j in range(size)]
     for r, (pool, points) in enumerate(zip(pools, current)):
         # -inf: no finite score, which the per-position form returns as (0.0, None)
         got = [(0.0, None) if g[r] == -np.inf else (float(g[r]), int(k[r])) for g, k in stacked]
