@@ -12,7 +12,8 @@ monomials:
   in `search-2d` (circle x interval)
 - 548 x 15: a candidate pool of that search (512 samples, grid, reference)
 - 40,960 x 10: one Monte Carlo chunk of the product-arcsine `zs-check` in
-  `sampling` (4,096 configurations of 10 points)
+  `sampling` (`measures.MONTE_CARLO_CHUNK`, 4,096 configurations of 10
+  points)
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
 
 BENCH_exchange.json times one lockstep exchange pass,
@@ -39,6 +40,9 @@ rational moment matrices:
   `bm-ratio` of `sampling`
 - the arcsine[0, 2] Gram prefix pass at m = 41, whose entries are all
   nonzero: one class, the control for matrices that do not split
+- the Gram prefix pass at m = 40 of a 3-atom real discrete measure (atoms
+  0, 1 and -1): one class of rank 3, so every leading minor past size 3 is
+  zero, and each larger leading block is eliminated with pivoting
 
 A timing is the mean seconds per call over a block of `number` calls,
 with `number` doubled until one block lasts at least 0.2 s; each row
@@ -58,6 +62,7 @@ import platform
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -154,6 +159,9 @@ def exact_cases() -> list[tuple[str, object, list]]:
     arcsine = polyalab.ArcsineMeasure(-1.0, 1.0)
     product = polyalab.ProductMeasure((arcsine, arcsine))
     hankel = polyalab.hankel_matrix(polyalab.coeffs_from_measure(arcsine), 61)
+    three_atoms = polyalab.DiscreteMeasure(
+        ((0.0,), (1.0,), (-1.0,)), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    )
     return [
         ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
         ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
@@ -162,6 +170,8 @@ def exact_cases() -> list[tuple[str, object, list]]:
          polyalab.gram(product, 28).exact),
         ("arcsine[0, 2] Gram prefix pass, m=41", linalg.exact_prefix_logdets,
          polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
+        ("3-atom discrete Gram prefix pass, m=40", linalg.exact_prefix_logdets,
+         polyalab.gram(three_atoms, 40).exact),
     ]
 
 

@@ -76,7 +76,6 @@ DEFAULT_SLACK = 0.05
 DEFAULT_SEARCH_CAP = 30
 DEFAULT_SHARPNESS_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
-DEFAULT_CHUNK = 4096
 DEFAULT_GRID = 4096
 
 _RESERVED_KEYS = {"schema", "experiment", "label", "seed"}
@@ -633,7 +632,7 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     result = RunResult(cfg)
     for s, log_gram in zip(degrees, _log_zs(result, measure, degrees)):
         mc, wall = _timed(z_s_montecarlo, measure, s, samples=samples,
-                          seed=_cell_seed(cfg.seed, 6, s), chunk_size=DEFAULT_CHUNK)
+                          seed=_cell_seed(cfg.seed, 6, s))
         if log_gram == mc.log_value:
             zscore = 0.0  # exact agreement, including the doubly singular case
         elif mc.std_error_log > 0 and math.isfinite(mc.log_value) and math.isfinite(log_gram):

@@ -58,16 +58,16 @@ def coeffs_from_table(
     dim: int,
     table: Mapping[MultiIndex, complex | Fraction],
 ) -> GermCoefficients:
-    """Coefficients from an explicit finite table; missing entries are errors."""
+    """Coefficients from an explicit finite table; missing or non-finite entries are errors."""
     clean: dict[MultiIndex, complex] = {}
     exact: dict[MultiIndex, Fraction] = {}
     rational = True
     for key, val in table.items():
         k = (key,) if isinstance(key, (int, np.integer)) else tuple(int(v) for v in key)
         clean[k] = complex(val)
-        if rational and isinstance(val, (int, Fraction)):
-            exact[k] = Fraction(val)
-        elif rational and isinstance(val, float):
+        if not np.isfinite(clean[k]):
+            raise ValueError(f"coefficient table entry {k} is not finite: {val!r}")
+        if rational and isinstance(val, (int, float, Fraction)):
             exact[k] = Fraction(val)
         else:
             rational = False

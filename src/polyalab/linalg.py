@@ -9,21 +9,22 @@ exact integer Bareiss elimination for matrices with rational entries.  The
 exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
-matrices are both built here as a MomentMatrix, which takes the exact
-route whenever every entry is rational.  A whole sequence of leading
-principal minors comes from one elimination without pivoting, whose
-pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
-H_1..H_n costs one elimination, not n; run over [cA | I], the same
-kernel gives an exact LDL^T.  Each exact route first splits the matrix
-into classes: the connected components of the graph of its nonzero
-entries, found by one O(n^2) scan.  A symmetric measure's moment matrix
-splits by parity, two classes (a checkerboard) in one variable and up to
-2^n in n (Dunkl & Xu 2014, centrally symmetric functionals).  Each class is
+matrices are both built here as a MomentMatrix, which keeps only its
+rational rows whenever every entry is rational.  A whole sequence of
+leading principal minors comes from one elimination without pivoting,
+whose pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
+H_1..H_n costs one elimination, not n; run over [cA | I], the same kernel
+gives an exact LDL^T.  Each exact route first splits the matrix into
+classes: the connected components of the graph of its nonzero entries,
+found by one O(n^2) scan.  A symmetric measure's moment matrix splits by
+parity, two classes (a checkerboard) in one variable and up to 2^n in n
+(Dunkl & Xu 2014, centrally symmetric functionals).  Each class is
 eliminated alone, and a determinant or leading minor is the product of its
-classes' (Bareiss 1968): the eliminations skip the structural zeros, and
-since a zero entry has denominator 1, every row scale, integer and
-logarithm is the one the whole matrix gives.  A single matrix or configuration is
-evaluated as a batch of one, so each float route has one body.
+classes' (Bareiss 1968): the eliminations skip the structural zeros, a
+zero minor re-eliminates only its own class, and since a zero entry has
+denominator 1, every row scale, integer and logarithm is the one the whole
+matrix gives.  A single matrix or configuration is evaluated as a batch of
+one, so each float route has one body.
 """
 
 from __future__ import annotations
@@ -163,22 +164,27 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     Each row is scaled by the lcm of its whole row's denominators.  The
     matrix splits into the classes of its zero pattern, and one Bareiss
     elimination without pivoting runs over each class's submatrix; its pivot
-    p is the class's integer leading minor of size p + 1.  A zero entry has
+    p is the class's integer leading minor of size p + 1.  Past a zero pivot
+    later minors need not vanish ([[0, 1], [1, 0]] has minors 0 and -1), so
+    that class alone eliminates each larger leading block of its own with
+    pivoting; the other classes keep their single pass.  A zero entry has
     denominator 1, so a class's rows keep their whole rows' lcms, and the
     integer leading minor of size k + 1 is, up to sign, the product of each
     class's leading minor over the indices up to k.  Size k + 1 is then
     turned into the determinant of the matrix whose rows are scaled by the
     lcm of their first k + 1 denominators only, as exact_logdet scales them,
-    so the same integer and the same scale reach the final logarithm.  A
-    zero minor stops the pass: that size is singular, but later minors need
-    not be ([[0, 1], [1, 0]] has minors 0 and -1), so every larger size
-    falls back to its own pivoted elimination.
+    so the same integer and the same scale reach the final logarithm.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
     scaled, full_lcm = _scaled_rows(fracs)
     classes = _classes(scaled)
-    class_minors = [_leading_minors(_submatrix(scaled, cls)) for cls in classes]
+    class_minors = []
+    for cls in classes:
+        minors = _leading_minors(_submatrix(scaled, cls))  # up to the first zero
+        for size in range(len(minors) + 1, len(cls) + 1):
+            minors.append(_bareiss_int_det(_submatrix(scaled, cls[:size])))
+        class_minors.append(minors)
     where = [(0, 0)] * n  # index -> (its class, its position in the class)
     for c, cls in enumerate(classes):
         for p, i in enumerate(cls):
@@ -197,14 +203,10 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
         for d in prefix_lcm:  # row by row as in exact_logdet, for the same float bits
             log_scale += math.log(d)
         c, p = where[k]
-        pivot = class_minors[c][p]
-        minor = minor // current[c] * pivot
-        current[c] = pivot
+        last, current[c] = current[c], class_minors[c][p]
+        # past its class's zero minor there is no last minor to divide out
+        minor = minor // last * current[c] if last else math.prod(current)
         out.append(_scaled_logdet(minor * math.prod(prefix_lcm) // full_scale, log_scale))
-        if pivot == 0:
-            break
-    for size in range(len(out) + 1, n + 1):
-        out.append(exact_logdet([row[:size] for row in fracs[:size]]))
     return out
 
 
@@ -217,10 +219,10 @@ def _scaled_logdet(det: int, log_scale: float) -> float:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """A moment matrix (Gram or Hankel type), with an exact copy when available."""
+    """A moment matrix (Gram or Hankel type): its exact rows, or else its float matrix."""
 
     size: int
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     exact: tuple[tuple[Fraction, ...], ...] | None
 
     def logdet(self) -> float:
@@ -247,11 +249,11 @@ def moment_matrix(
 ) -> MomentMatrix:
     """The matrix [entry(a, b)] over a basis prefix, shared by Gram and Hankel.
 
-    Exact when every exact entry is rational; the first None switches the
-    whole matrix to the float entries.  A rational Gram or Hankel matrix is
-    symmetric (a rational Hermitian entry is real), so each exact entry is
-    evaluated for b >= a only and mirrored.  The float entries are all
-    evaluated: a complex Gram matrix is Hermitian, but its computed
+    Exact, with no float copy, when every exact entry is rational; the first
+    None switches the whole matrix to the float entries.  A rational Gram or
+    Hankel matrix is symmetric (a rational Hermitian entry is real), so each
+    exact entry is evaluated for b >= a only and mirrored.  The float entries
+    are all evaluated: a complex Gram matrix is Hermitian, but its computed
     entries need not be conjugate bit for bit.
     """
     n = len(basis)
@@ -263,8 +265,7 @@ def moment_matrix(
                 floats = [[float_entry(x, y) for y in basis] for x in basis]
                 return MomentMatrix(n, np.array(floats, dtype=complex), None)
             exact_rows[a][b] = exact_rows[b][a] = f
-    mat = np.array([[float(v) for v in row] for row in exact_rows], dtype=complex)
-    return MomentMatrix(n, mat, tuple(tuple(row) for row in exact_rows))
+    return MomentMatrix(n, None, tuple(tuple(row) for row in exact_rows))
 
 
 def _bareiss_int_det(a: list[list[int]]) -> int:

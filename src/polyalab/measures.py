@@ -37,6 +37,7 @@ from .multiindex import as_multi_index, count_at_most, enumeration_for
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
 _GRID_BLOCK = 2048  # grid points per block of the sup/L2 kernel
+MONTE_CARLO_CHUNK = 4096  # configurations per Monte Carlo chunk
 
 
 class Measure:
@@ -356,22 +357,19 @@ def z_s_montecarlo(
     s: int,
     samples: int = 20000,
     seed=0,
-    chunk_size: int = 2048,
 ) -> MonteCarloEstimate:
     """Monte Carlo Z_s: average |V|^2 over m_s-point draws from the measure.
 
-    Sampling is chunked with one spawned seed per chunk, so the estimate is
-    a pure function of (seed, samples, chunk_size), and memory is bounded
-    by one chunk of configurations at a time.
+    Sampling is chunked, MONTE_CARLO_CHUNK configurations at a time, with
+    one spawned seed per chunk, so the estimate is a pure function of
+    (seed, samples), and memory is bounded by one chunk of configurations.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     m = count_at_most(measure.dim, s)
-    sizes = [chunk_size] * (samples // chunk_size)
-    if samples % chunk_size:
-        sizes.append(samples % chunk_size)
+    sizes = [MONTE_CARLO_CHUNK] * (samples // MONTE_CARLO_CHUNK)
+    if samples % MONTE_CARLO_CHUNK:
+        sizes.append(samples % MONTE_CARLO_CHUNK)
     children = as_seed_sequence(seed).spawn(len(sizes))
     chunks = []
     for child, size in zip(children, sizes):

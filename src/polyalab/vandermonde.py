@@ -307,8 +307,8 @@ def _basis_start(pool: np.ndarray, size: int) -> np.ndarray:
         free[p] = False
         piv = a[p, k]
         if piv != 0:
-            # the chosen rows change too, but none of them is read again
-            a -= np.outer(a[:, k] / piv, a[p])
+            # neither the columns up to k nor the chosen rows are read again
+            a[:, k + 1 :] -= np.outer(a[:, k] / piv, a[p, k + 1 :])
     return pool[chosen]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -23,6 +24,7 @@ from polyalab import (
     hankel_logdet,
     run_experiment,
     z_s_gram,
+    z_s_montecarlo,
 )
 from polyalab import experiments
 from polyalab.cli import main as cli_main
@@ -386,6 +388,16 @@ def test_zs_check_rows_are_the_per_size_determinants(measure):
     mu = build_measure(measure)
     assert _values(res, "log_zs_gram") == [z_s_gram(mu, s) for s in _DEGREES]
     assert res.extras["prefix_pass_s"] >= 0.0
+
+
+def test_zs_check_estimate_is_the_library_call_at_its_cell_seed():
+    # 6,000 samples span two chunks, so the estimate depends on the chunk size
+    spec = {"measure": _ARCSINE, "degrees": [2], "samples": 6000}
+    res = run_experiment(ExperimentConfig("zs-check", "z", 7, spec))
+    row = next(r for r in res.rows if r.quantity == "log_zs_mc")
+    mc = z_s_montecarlo(ArcsineMeasure(), 2, samples=6000,
+                        seed=np.random.SeedSequence(7, spawn_key=(6, 2)))
+    assert (row.value, row.std_error) == (mc.log_value, mc.std_error_log)
 
 
 def test_polya_check_records_one_prefix_pass_time_per_pair_in_order():

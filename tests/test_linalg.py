@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import brute_force_oracles
-from polyalab import ArcsineMeasure, ProductMeasure, coeffs_from_measure, gram, hankel_matrix
+from polyalab import (
+    ArcsineMeasure,
+    DiscreteMeasure,
+    ProductMeasure,
+    coeffs_from_measure,
+    gram,
+    hankel_matrix,
+)
 from polyalab.linalg import (
     _classes,
     _upper_pairs,
@@ -120,7 +127,17 @@ def test_moment_matrix_evaluates_the_upper_triangle_once():
     mat = moment_matrix(range(5), exact_entry, lambda a, b: 1.0 / (1 + a + b))
     assert sorted(calls) == [(a, b) for a in range(5) for b in range(a, 5)]
     assert mat.exact == tuple(tuple(Fraction(1, 1 + a + b) for b in range(5)) for a in range(5))
-    assert np.array_equal(mat.matrix, np.array([[float(v) for v in row] for row in mat.exact]))
+    assert mat.matrix is None
+
+
+def test_a_moment_matrix_holds_one_copy():
+    exact = gram(ArcsineMeasure(), 20)
+    assert exact.matrix is None
+    assert len(exact.exact) == 20
+    atoms = ((0.2 + 0.1j,), (1.0,))  # a complex atom: no rational moments
+    floats = gram(DiscreteMeasure(atoms, (Fraction(1, 2), Fraction(1, 2))), 2)
+    assert floats.exact is None
+    assert floats.matrix.shape == (2, 2)
 
 
 def test_cached_upper_pairs_are_read_only():

@@ -214,7 +214,7 @@ def test_gram_modes_coincide_for_real_measures():
     h = hankel_matrix(coeffs_from_measure(mu), 5)
     assert g.exact is not None
     assert g.exact == h.exact
-    assert np.array_equal(g.matrix, h.matrix)
+    assert g.matrix is None and h.matrix is None
 
 
 @pytest.mark.parametrize(
@@ -248,15 +248,15 @@ def test_gram_arcsine_closed_form():
 def test_hermitian_gram_of_circle_is_diagonal():
     mu = CircleUniform(2.0)
     g = gram(mu, 4)
-    want = np.diag([4.0**j for j in range(4)])
-    assert np.allclose(g.matrix, want)
+    assert g.exact == tuple(tuple(4**j if i == j else 0 for j in range(4)) for i in range(4))
 
 
 def test_gram_exact_entries_match_floats():
-    g = gram(ArcsineMeasure(-1.0, 1.0), 6)
+    mu = ArcsineMeasure(-1.0, 1.0)
+    g = gram(mu, 6)
     assert g.exact is not None
     exact = np.array([[float(v) for v in row] for row in g.exact])
-    assert np.allclose(exact, g.matrix.real)
+    assert np.allclose(exact, [[mu.moment((a + b,)) for b in range(6)] for a in range(6)])
 
 
 def quadrature_z1(mu, a, b, weight):
@@ -324,13 +324,13 @@ def test_montecarlo_agrees_with_gram():
 
 def test_montecarlo_seed_determinism():
     mu = UniformSegment(-1.0, 1.0)
-    a = z_s_montecarlo(mu, 2, samples=6000, seed=3, chunk_size=1024)
-    b = z_s_montecarlo(mu, 2, samples=6000, seed=3, chunk_size=1024)
+    a = z_s_montecarlo(mu, 2, samples=6000, seed=3)
+    b = z_s_montecarlo(mu, 2, samples=6000, seed=3)
     assert a.log_value == b.log_value
     assert a.std_error_log == b.std_error_log
-    seq = z_s_montecarlo(mu, 2, samples=6000, seed=np.random.SeedSequence(3), chunk_size=1024)
+    seq = z_s_montecarlo(mu, 2, samples=6000, seed=np.random.SeedSequence(3))
     assert (seq.log_value, seq.std_error_log) == (a.log_value, a.std_error_log)
-    c = z_s_montecarlo(mu, 2, samples=6000, seed=4, chunk_size=1024)
+    c = z_s_montecarlo(mu, 2, samples=6000, seed=4)
     assert c.log_value != a.log_value
 
 
@@ -356,8 +356,9 @@ def test_orthonormal_coefficients_whiten_the_gram():
         (DiscreteMeasure(((0.2 + 0.1j,), (1.0,)), (Fraction(1, 2), Fraction(1, 2))), 2),
     ):
         c = orthonormal_coefficients(mu, count)
-        g = gram(mu, count).matrix
-        eye = c @ g @ c.conj().T
+        g = gram(mu, count)
+        mat = g.matrix if g.exact is None else np.array(g.exact, dtype=float)
+        eye = c @ mat @ c.conj().T
         assert np.allclose(eye, np.eye(count), atol=1e-9)
         assert np.allclose(np.triu(c, 1), 0.0)
 
@@ -435,8 +436,6 @@ def test_bm_ratio_singular_is_infinite():
 
 def test_montecarlo_rejects_bad_sizes():
     mu = UniformSegment(0.0, 1.0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        z_s_montecarlo(mu, 1, samples=100, chunk_size=0)
     with pytest.raises(ValueError, match="two samples"):
         z_s_montecarlo(mu, 1, samples=1)
 

@@ -32,6 +32,7 @@ from polyalab import (  # noqa: E402
     parse_csv_text,
     rows_to_csv_text,
 )
+from polyalab import linalg  # noqa: E402
 from polyalab.experiments import EXPERIMENT_KINDS  # noqa: E402
 from polyalab.linalg import exact_ldl, exact_logdet, exact_prefix_logdets  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
@@ -123,6 +124,50 @@ LATE_AND_EARLY_FAILURES = block_diagonal([[[1, 1], [1, 1]], [[2, 1], [1, -1]]], 
 def test_split_determinants_are_the_unsplit_elimination(rows):
     assert exact_logdet(rows) == brute_force_oracles.unsplit_logdet(rows)
     assert exact_prefix_logdets(rows) == brute_force_oracles.unsplit_prefix_logdets(rows)
+
+
+# two interleaved classes: one of size 3 with leading minors 0, -1 and 2,
+# holding index 0, and one of size 4, a chain with no zero minor
+TWO_CLASSES_ONE_ZERO = block_diagonal(
+    [
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [
+            [Fraction(1, 2), Fraction(1, 3), 0, 0],
+            [Fraction(1, 3), 1, Fraction(1, 4), 0],
+            [0, Fraction(1, 4), 2, Fraction(1, 5)],
+            [0, 0, Fraction(1, 5), 3],
+        ],
+    ],
+    [0, 2, 5, 1, 3, 4, 6],
+)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [ZERO_FIRST_MINOR, LATE_AND_EARLY_FAILURES, TWO_CLASSES_ONE_ZERO],
+    ids=["zero-first-minor", "late-and-early-failures", "two-classes-one-zero"],
+)
+def test_prefix_pass_past_a_zero_minor_needs_no_whole_matrix_elimination(monkeypatch, rows):
+    def refuse(_):
+        raise AssertionError("exact_logdet called")
+
+    monkeypatch.setattr(linalg, "exact_logdet", refuse)
+    assert exact_prefix_logdets(rows) == brute_force_oracles.unsplit_prefix_logdets(rows)
+
+
+def test_a_zero_minor_re_eliminates_only_its_own_class(monkeypatch):
+    steps = []
+    step = linalg._bareiss_step
+
+    def counted(a, k, prev):
+        steps.append((len(a), k))
+        step(a, k, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", counted)
+    exact_prefix_logdets(TWO_CLASSES_ONE_ZERO)
+    # the size-3 class: its zero first pivot takes no step, then its blocks
+    # of sizes 2 and 3 are eliminated alone; the size-4 class: one pass
+    assert steps == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]
 
 
 @st.composite
