@@ -44,6 +44,15 @@ rational moment matrices:
   0, 1 and -1): one class of rank 3, so every leading minor past size 3 is
   zero, and each larger leading block is eliminated with pivoting
 
+BENCH_exact.json also times building a moment matrix, `measures.gram` and
+`functionals.hankel_matrix`, each distinct moment evaluated once:
+
+- the Gram matrix of the uniform measure on the square [-1, 1]^2 at
+  m = 153 and m = 231 (s = 16 and 20), whose 861 distinct moments at
+  m = 231 are not cached between calls
+- the arcsine Hankel matrix at size 61, the `hankel` config of `exact`;
+  its moments are cached after the first call, so this row is the lookup
+
 A timing is the mean seconds per call over a block of `number` calls,
 with `number` doubled until one block lasts at least 0.2 s; each row
 records the minimum and the median over `BLOCKS` blocks, so that a change
@@ -175,6 +184,19 @@ def exact_cases() -> list[tuple[str, object, list]]:
     ]
 
 
+def build_cases() -> list[tuple[str, int, object]]:
+    """(name, size, build) of each moment-matrix build row of BENCH_exact.json."""
+    square = polyalab.ProductMeasure(
+        (polyalab.UniformSegment(-1.0, 1.0), polyalab.UniformSegment(-1.0, 1.0))
+    )
+    arcsine = polyalab.coeffs_from_measure(polyalab.ArcsineMeasure(-1.0, 1.0))
+    return [
+        ("uniform square gram, m=153", 153, lambda: polyalab.gram(square, 153)),
+        ("uniform square gram, m=231", 231, lambda: polyalab.gram(square, 231)),
+        ("arcsine hankel_matrix, size 61", 61, lambda: polyalab.hankel_matrix(arcsine, 61)),
+    ]
+
+
 def record(kernel: str, rows: list[dict]) -> dict:
     return {
         "kernel": kernel,
@@ -229,9 +251,16 @@ def main(argv=None) -> int:
     rows = []
     for name, kernel, matrix in exact_cases():
         timing = time_blocks(lambda: kernel(matrix))
-        rows.append({"shape": name, "size": len(matrix), **timing})
+        rows.append({"layer": "exact elimination", "shape": name, "size": len(matrix), **timing})
         print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms", file=sys.stderr)
-    exact = record("linalg.exact_prefix_logdets, linalg.exact_ldl", rows)
+    for name, size, build in build_cases():
+        timing = time_blocks(build)
+        rows.append({"layer": "moment matrix build", "shape": name, "size": size, **timing})
+        print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms", file=sys.stderr)
+    exact = record(
+        "linalg.exact_prefix_logdets, linalg.exact_ldl, measures.gram, functionals.hankel_matrix",
+        rows,
+    )
 
     for filename, payload in (
         ("BENCH_monomial.json", monomial),

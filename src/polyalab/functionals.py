@@ -9,13 +9,12 @@ package builds the Hankel-type determinants H_i = det(a_{k(a)+k(b)}) and
 the normalized quantities D_i = |H_i|^(1/(2 l_s(i))), whose comparison
 against diameter estimates is the point of the whole exercise.  H_i is the
 i-th leading principal minor of one matrix, so a whole sequence
-H_1..H_n comes from one Hankel matrix and, on the exact route, one
-elimination.
+H_1..H_n comes from one Hankel matrix, which reads each distinct
+coefficient once, and, on the exact route, one elimination.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,9 @@ import numpy as np
 
 from .linalg import MomentMatrix, moment_matrix
 from .measures import Measure
-from .multiindex import MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for
+from .multiindex import (
+    MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for, index_sum
+)
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ def coeffs_from_measure(measure: Measure) -> GermCoefficients:
     """The moment sequence of a measure, exact when the measure is."""
     return GermCoefficients(
         dim=measure.dim,
-        fn=functools.cache(measure.moment),
-        exact_fn=functools.cache(measure.moment_fraction),
+        fn=measure.moment,
+        exact_fn=measure.moment_fraction,
     )
 
 
@@ -77,13 +78,7 @@ def coeffs_from_table(
             raise ValueError(f"coefficient table has no entry for {k}")
         return clean[k]
 
-    exact_fn = None
-    if rational:
-
-        def exact_fn(k: MultiIndex) -> Fraction | None:
-            return exact.get(k)
-
-    return GermCoefficients(dim=dim, fn=fn, exact_fn=exact_fn)
+    return GermCoefficients(dim=dim, fn=fn, exact_fn=exact.get if rational else None)
 
 
 def coeffs_from_contour(
@@ -129,15 +124,8 @@ def hankel_matrix(germ: GermCoefficients, size: int) -> MomentMatrix:
     if size < 1:
         raise ValueError("size must be positive")
     idx = enumeration_for(germ.dim).prefix(size)
-
-    def index_sum(j: MultiIndex, l: MultiIndex) -> MultiIndex:
-        return tuple(x + y for x, y in zip(j, l))
-
-    return moment_matrix(
-        idx,
-        lambda j, l: germ.coeff_fraction(index_sum(j, l)),
-        lambda j, l: germ.coeff(index_sum(j, l)),
-    )
+    exact = germ.exact_fn or (lambda k: None)
+    return moment_matrix(idx, index_sum, exact, germ.fn)
 
 
 def hankel_logdet(germ: GermCoefficients, size: int) -> float:

@@ -9,8 +9,9 @@ exact integer Bareiss elimination for matrices with rational entries.  The
 exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
-matrices are both built here as a MomentMatrix, which keeps only its
-rational rows whenever every entry is rational.  A whole sequence of
+matrices are both built here as a MomentMatrix from their distinct
+moments, each evaluated once, and keep only their rational rows whenever
+every moment is rational.  A whole sequence of
 leading principal minors comes from one elimination without pivoting,
 whose pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
 H_1..H_n costs one elimination, not n; run over [cA | I], the same kernel
@@ -33,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -244,28 +245,26 @@ class MomentMatrix:
 
 def moment_matrix(
     basis: Sequence,
-    exact_entry: Callable[[Any, Any], Fraction | None],
-    float_entry: Callable[[Any, Any], complex],
+    key: Callable[[Any, Any], Hashable],
+    exact_value: Callable[[Any], Fraction | None],
+    float_value: Callable[[Any], complex],
 ) -> MomentMatrix:
-    """The matrix [entry(a, b)] over a basis prefix, shared by Gram and Hankel.
+    """The matrix [value(key(a, b))] over a basis prefix, shared by Gram and Hankel.
 
-    Exact, with no float copy, when every exact entry is rational; the first
-    None switches the whole matrix to the float entries.  A rational Gram or
-    Hankel matrix is symmetric (a rational Hermitian entry is real), so each
-    exact entry is evaluated for b >= a only and mirrored.  The float entries
-    are all evaluated: a complex Gram matrix is Hermitian, but its computed
-    entries need not be conjugate bit for bit.
+    An entry depends on (a, b) only through its moment key, so each distinct
+    key is evaluated once and the rows are filled by lookup.  Exact, with no
+    float copy, when every exact value is rational; the first None switches
+    the whole matrix to the float values, again one per distinct key.
     """
-    n = len(basis)
-    exact_rows: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            f = exact_entry(basis[a], basis[b])
-            if f is None:
-                floats = [[float_entry(x, y) for y in basis] for x in basis]
-                return MomentMatrix(n, np.array(floats, dtype=complex), None)
-            exact_rows[a][b] = exact_rows[b][a] = f
-    return MomentMatrix(n, None, tuple(tuple(row) for row in exact_rows))
+    keys = [[key(a, b) for b in basis] for a in basis]
+    values = dict.fromkeys(k for row in keys for k in row)  # each distinct key once
+    for k in values:
+        values[k] = exact_value(k)
+        if values[k] is None:
+            floats = {k: float_value(k) for k in values}
+            matrix = np.array([[floats[k] for k in row] for row in keys], dtype=complex)
+            return MomentMatrix(len(basis), matrix, None)
+    return MomentMatrix(len(basis), None, tuple(tuple(values[k] for k in row) for row in keys))
 
 
 def _bareiss_int_det(a: list[list[int]]) -> int:

@@ -12,7 +12,9 @@ rational, every interval and radius parameter has exact moments.
 Z_s is the m_s-fold product integral of |V|^2.  By the standard
 determinant-integral interchange it equals m_s! times the determinant of
 the monomial Gram matrix, which is how z_s_gram computes it; a log-domain
-Monte Carlo estimator cross-checks the identity.
+Monte Carlo estimator cross-checks the identity.  The Gram matrix reads
+each distinct moment once: on a real support an entry is the moment of
+its index sum a + b (conj(z) = z there), elsewhere of its pair (a, b).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .domains import (
     ProductSet,
 )
 from .linalg import MomentMatrix, exact_ldl, moment_matrix
-from .multiindex import as_multi_index, count_at_most, enumeration_for
+from .multiindex import as_multi_index, count_at_most, enumeration_for, index_sum
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
 _GRID_BLOCK = 2048  # grid points per block of the sup/L2 kernel
@@ -85,7 +87,7 @@ class Measure:
 
 def _real_degree(j, l, dim: int) -> tuple[int, ...]:
     # on a real support conj(z) = z, so z^j conj(z)^l is z^(j + l)
-    return tuple(a + b for a, b in zip(as_multi_index(j, dim), as_multi_index(l, dim)))
+    return index_sum(as_multi_index(j, dim), as_multi_index(l, dim))
 
 
 def _std_arcsine_moment(k: int) -> Fraction:
@@ -323,7 +325,10 @@ class ScaledMeasure(Measure):
 def gram(measure: Measure, count: int) -> MomentMatrix:
     """Gram matrix of the first count monomials: integrals of e_a conj(e_b)."""
     idx = enumeration_for(measure.dim).prefix(count)
-    return moment_matrix(idx, measure.hermitian_moment_fraction, measure.hermitian_moment)
+    if measure.support.is_real:
+        return moment_matrix(idx, index_sum, measure.moment_fraction, measure.moment)
+    exact, approx = measure.hermitian_moment_fraction, measure.hermitian_moment
+    return moment_matrix(idx, lambda j, l: (j, l), lambda k: exact(*k), lambda k: approx(*k))
 
 
 def log_factorial(n: int) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -48,6 +49,11 @@ def as_multi_index(k, dim: int) -> MultiIndex:
     if len(k) != dim or any(v < 0 for v in k):
         raise ValueError(f"bad multi-index {k} for dimension {dim}")
     return k
+
+
+def index_sum(j: MultiIndex, l: MultiIndex) -> MultiIndex:
+    """j + l: the index of z^j z^l, a Hankel entry's, and a real Gram entry's."""
+    return tuple(map(add, j, l))
 
 
 def indices_of_degree(dim: int, s: int) -> list[MultiIndex]:

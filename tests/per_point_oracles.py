@@ -9,8 +9,8 @@ over the whole pool in several; refinement draws and projects one batch
 per level; its projections take a whole batch of points; a search builds
 the fixed part of its candidate pools once; a single configuration's
 log|V| is a batch of one; monomials are gathered from per-axis power
-tables; the sup/L2 kernel walks its grid in blocks; an exact moment
-matrix evaluates its upper triangle.  These helpers are the plain forms
+tables; the sup/L2 kernel walks its grid in blocks; a moment matrix evaluates
+each distinct moment once.  These helpers are the plain forms
 they replace: each restart runs alone, with a table-based pass of its
 own (``run_restart``, ``restart_exchange_pass``); every position
 rebuilds its tables from the current configuration and every trial
@@ -39,9 +39,10 @@ from polyalab import (
     ProductSet,
     basis_matrix,
     count_at_most,
+    enumeration_for,
     orthonormal_coefficients,
 )
-from polyalab.linalg import batch_logabs
+from polyalab.linalg import MomentMatrix, batch_logabs
 from polyalab.vandermonde import FeketeResult, _spread, as_seed_sequence
 
 from brute_force_oracles import greedy_line_start
@@ -312,9 +313,19 @@ def ratio_replacement(pool_basis, binv, j):
     return float(np.log(ratios[k])), k
 
 
-def moment_matrix_entries(basis, exact_entry):
-    """Every exact entry [exact_entry(a, b)] of a moment matrix, None if any is not rational."""
+def moment_matrix_entries(basis, exact_entry, float_entry):
+    """A moment matrix with every entry evaluated on its own: rational rows, else floats."""
     rows = [[exact_entry(a, b) for b in basis] for a in basis]
     if any(f is None for row in rows for f in row):
-        return None
-    return tuple(tuple(row) for row in rows)
+        floats = [[float_entry(a, b) for b in basis] for a in basis]
+        return MomentMatrix(len(basis), np.array(floats, dtype=complex), None)
+    return MomentMatrix(len(basis), None, tuple(tuple(row) for row in rows))
+
+
+def hankel_matrix_entries(germ, size):
+    """hankel_matrix with every entry read on its own through coeff and coeff_fraction."""
+    def at_sum(entry):
+        return lambda a, b: entry(tuple(x + y for x, y in zip(a, b)))
+
+    idx = enumeration_for(germ.dim).prefix(size)
+    return moment_matrix_entries(idx, at_sum(germ.coeff_fraction), at_sum(germ.coeff))

@@ -127,6 +127,20 @@ def test_hankel_two_dimensional_entries():
             assert float(h.exact[a][b]) == pytest.approx(mu.moment(ka))
 
 
+def test_hankel_matrix_names_the_coefficient_it_cannot_read():
+    # the matrix reads its germ's routes directly, not through coeff, so it
+    # must still fail on an index sum past a contour grid or missing from a table
+    contour = coeffs_from_contour(lambda z: 1.0 / (z - 0.3), grid_size=8)
+    with pytest.raises(ValueError, match=r"index \((7|8),\) exceeds the contour resolution"):
+        hankel_matrix(contour, 5)
+    table = coeffs_from_table(1, {k: Fraction(1, k + 1) for k in range(9) if k != 6})
+    with pytest.raises(ValueError, match=r"coefficient table has no entry for \(6,\)"):
+        hankel_matrix(table, 5)
+    # smaller matrices read only coefficients the germs have
+    assert hankel_matrix(contour, 4).matrix.shape == (4, 4)
+    assert len(hankel_matrix(table, 3).exact) == 3
+
+
 def test_hankel_logdet_exact_route_used():
     germ = coeffs_from_measure(ArcsineMeasure(-1.0, 1.0))
     # the arcsine moment Hankel determinant has the closed form 2^(-s^2);

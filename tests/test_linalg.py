@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,12 @@ import brute_force_oracles
 from polyalab import (
     ArcsineMeasure,
     DiscreteMeasure,
+    GermCoefficients,
     ProductMeasure,
+    UniformSegment,
     coeffs_from_measure,
+    count_at_most,
+    enumeration_for,
     gram,
     hankel_matrix,
 )
@@ -22,7 +27,6 @@ from polyalab.linalg import (
     exact_logdet,
     exact_prefix_logdets,
     logdet,
-    moment_matrix,
     pairwise_difference_logdet,
 )
 
@@ -117,17 +121,51 @@ def test_batch_pairwise_rows_equal_their_batch_of_one(m):
         assert got.tolist() == alone
 
 
-def test_moment_matrix_evaluates_the_upper_triangle_once():
-    calls = []
+def _counted(fn, calls):
+    def counted(k):
+        calls[k] += 1
+        return fn(k)
 
-    def exact_entry(a, b):
-        calls.append((a, b))
-        return Fraction(1, 1 + a + b)
+    return counted
 
-    mat = moment_matrix(range(5), exact_entry, lambda a, b: 1.0 / (1 + a + b))
-    assert sorted(calls) == [(a, b) for a in range(5) for b in range(a, 5)]
-    assert mat.exact == tuple(tuple(Fraction(1, 1 + a + b) for b in range(5)) for a in range(5))
-    assert mat.matrix is None
+
+@pytest.mark.parametrize("dim,s", [(1, 11), (2, 4)], ids=["1d", "2d"])
+@pytest.mark.parametrize("route", ["exact", "float", "exact-then-float", "gram"])
+def test_moment_matrix_evaluates_each_distinct_moment_once(dim, s, route, monkeypatch):
+    # an entry is the moment of its index sum: 2n - 1 sums for a Hankel
+    # matrix of size n in one variable, every index of degree <= 2s at full
+    # degree s in several; each must be evaluated once on the exact route
+    # and, once an exact value is missing, once more as a float
+    mu = ProductMeasure((UniformSegment(-1.0, 2.0),) * dim)
+    n = count_at_most(dim, s)
+    sums = sorted(enumeration_for(dim).prefix(count_at_most(dim, 2 * s)))
+    exact_calls, float_calls = Counter(), Counter()
+    if route == "gram":
+        hermitian = ProductMeasure.hermitian_moment_fraction
+
+        def counted(self, j, l):
+            exact_calls[tuple(a + b for a, b in zip(j, l))] += 1
+            return hermitian(self, j, l)
+
+        monkeypatch.setattr(ProductMeasure, "hermitian_moment_fraction", counted)
+        mat = gram(mu, n)
+    else:
+        exact = {
+            "exact": mu.moment_fraction,
+            "float": lambda k: None,
+            "exact-then-float": lambda k: mu.moment_fraction(k) if sum(k) < s else None,
+        }[route]
+        germ = GermCoefficients(dim, _counted(mu.moment, float_calls), _counted(exact, exact_calls))
+        mat = hankel_matrix(germ, n)
+    assert set(exact_calls.values()) == {1}
+    if route in ("exact", "gram"):
+        assert sorted(exact_calls) == sums
+        assert not float_calls
+        assert mat.matrix is None and len(mat.exact) == n
+    else:
+        assert len(exact_calls) <= len(sums)
+        assert sorted(float_calls) == sums and set(float_calls.values()) == {1}
+        assert mat.exact is None and mat.matrix.shape == (n, n)
 
 
 def test_a_moment_matrix_holds_one_copy():

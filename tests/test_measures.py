@@ -15,7 +15,9 @@ from polyalab import (
     ScaledMeasure,
     UniformSegment,
     bernstein_markov_ratio,
+    coeffs_from_contour,
     coeffs_from_measure,
+    coeffs_from_table,
     count_at_most,
     enumeration_for,
     gram,
@@ -217,25 +219,54 @@ def test_gram_modes_coincide_for_real_measures():
     assert g.matrix is None and h.matrix is None
 
 
-@pytest.mark.parametrize(
-    "measure",
-    [
-        ArcsineMeasure(-1.0, 2.0),
-        ProductMeasure((ArcsineMeasure(0.0, 2.0), UniformSegment(-1.0, 0.5))),
-        ScaledMeasure(PRODUCT_ARCSINE, Fraction(3, 2)),
-        DiskUniform(1.5),
-        CircleUniform(2.0),
-        DiscreteMeasure(((0.0,), (1.0,), (-0.5,)), (Fraction(1, 2), Fraction(1, 4), Fraction(2))),
-    ],
-    ids=["arcsine", "product", "scaled", "disk", "circle", "discrete"],
-)
-def test_exact_gram_mirrors_the_full_build(measure):
-    # the exact Gram matrix evaluates b >= a only; a rational Hermitian
-    # matrix is symmetric, so the mirror must equal every entry evaluated
+def _gram_case(measure):
     idx = enumeration_for(measure.dim).prefix(15)
-    want = per_point_oracles.moment_matrix_entries(idx, measure.hermitian_moment_fraction)
-    assert want is not None
-    assert gram(measure, 15).exact == want
+    want = per_point_oracles.moment_matrix_entries(
+        idx, measure.hermitian_moment_fraction, measure.hermitian_moment
+    )
+    return gram(measure, 15), want
+
+
+def _hankel_case(germ):
+    return hankel_matrix(germ, 15), per_point_oracles.hankel_matrix_entries(germ, 15)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _gram_case(ArcsineMeasure(-1.0, 2.0)),
+        lambda: _gram_case(ProductMeasure((ArcsineMeasure(0.0, 2.0), UniformSegment(-1.0, 0.5)))),
+        lambda: _gram_case(ScaledMeasure(PRODUCT_ARCSINE, Fraction(3, 2))),
+        lambda: _gram_case(DiskUniform(1.5)),
+        lambda: _gram_case(CircleUniform(2.0)),
+        lambda: _gram_case(DiscreteMeasure(
+            ((0.0,), (1.0,), (-0.5,)), (Fraction(1, 2), Fraction(1, 4), Fraction(2))
+        )),
+        lambda: _hankel_case(coeffs_from_measure(
+            ProductMeasure((ArcsineMeasure(-1.0, 2.0), UniformSegment(0.0, 1.0)))
+        )),
+        lambda: _hankel_case(coeffs_from_table(
+            2, {k: Fraction(1 + k[0], 3 + k[1]) for k in enumeration_for(2).prefix(45)}
+        )),
+        lambda: _gram_case(DiscreteMeasure(
+            ((0.2 + 0.1j, 1.0), (1.0, -0.5j), (-0.5, 0.3)), (Fraction(1, 2), Fraction(1, 3), 2)
+        )),
+        lambda: _hankel_case(coeffs_from_contour(lambda z: 1.0 / (z - 0.3 - 0.2j), grid_size=64)),
+    ],
+    ids=["arcsine", "product", "scaled", "disk", "circle", "discrete",
+         "hankel-measure", "hankel-table", "complex-atoms", "hankel-contour"],
+)
+def test_exact_gram_mirrors_the_full_build(case):
+    # each distinct moment is evaluated once and looked up for every entry;
+    # that must equal every entry evaluated on its own: exact rows by ==,
+    # a float matrix byte for byte
+    got, want = case()
+    if want.exact is not None:
+        assert got.matrix is None
+        assert got.exact == want.exact
+    else:
+        assert got.exact is None
+        assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_gram_arcsine_closed_form():

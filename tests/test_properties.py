@@ -19,7 +19,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 import brute_force_oracles  # noqa: E402
 from boxes import box, set_id  # noqa: E402
-from per_point_oracles import project_each  # noqa: E402
+from per_point_oracles import hankel_matrix_entries, project_each  # noqa: E402
 from polyalab import (  # noqa: E402
     Circle,
     ConfigError,
@@ -29,6 +29,10 @@ from polyalab import (  # noqa: E402
     Interval,
     ProductSet,
     ReportRow,
+    coeffs_from_table,
+    count_at_most,
+    enumeration_for,
+    hankel_matrix,
     parse_csv_text,
     rows_to_csv_text,
 )
@@ -316,3 +320,28 @@ def monomial_cases(draw):
 @hypothesis.given(monomial_cases())
 def test_monomial_kernel_is_broadcast_product(case):
     assert_matches_broadcast_form(*case)
+
+
+@st.composite
+def table_hankel_cases(draw):
+    """A table germ over every index sum of a Hankel matrix's size; some have a complex entry."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    size = draw(st.integers(min_value=1, max_value=12))
+    top = 2 * enumeration_for(dim).degree_of(size)
+    sums = enumeration_for(dim).prefix(count_at_most(dim, top))
+    table = {k: draw(ENTRY) for k in sums}
+    if draw(st.booleans()):
+        # no exact route: the whole matrix is built from the float coefficients
+        table[draw(st.sampled_from(sums))] = complex(float(draw(ENTRY)), 1.0)
+    return coeffs_from_table(dim, table), size
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(table_hankel_cases())
+def test_hankel_matrix_is_its_per_entry_build(case):
+    # one evaluation per distinct index sum, looked up for every entry
+    germ, size = case
+    got, want = hankel_matrix(germ, size), hankel_matrix_entries(germ, size)
+    assert got.exact == want.exact
+    if want.exact is None:
+        assert got.matrix.tobytes() == want.matrix.tobytes()
