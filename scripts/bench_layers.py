@@ -29,8 +29,8 @@ interval at m = 9 (one stacked score array) and the box at m = 21 (one
 elimination per restart).
 
 BENCH_exact.json times exact Bareiss elimination and the whole Hankel
-sequence, `linalg.exact_prefix_logdets` and `linalg.exact_ldl`, on exact
-rational moment matrices:
+sequence, `linalg.exact_prefix_logdets`, `linalg.exact_logdet` and
+`linalg.exact_ldl`, on exact rational moment matrices:
 
 - the arcsine Hankel prefix pass at size 61, the `hankel` config of
   `exact` (a checkerboard: two classes of nonzero entries)
@@ -43,6 +43,10 @@ rational moment matrices:
 - the Gram prefix pass at m = 40 of a 3-atom real discrete measure (atoms
   0, 1 and -1): one class of rank 3, so every leading minor past size 3 is
   zero, and each larger leading block is eliminated with pivoting
+- `exact_logdet`, the last entry of a prefix pass, of the product-arcsine
+  Gram at m = 153, and of the Hankel matrix at size 30 of the table germ
+  a_k = k / (k + 1): a_0 = 0, so its one class has a zero first minor and
+  each larger leading block is eliminated with pivoting
 
 BENCH_exact.json also times building a moment matrix, `measures.gram` and
 `functionals.hankel_matrix`, each distinct moment evaluated once:
@@ -171,6 +175,7 @@ def exact_cases() -> list[tuple[str, object, list]]:
     three_atoms = polyalab.DiscreteMeasure(
         ((0.0,), (1.0,), (-1.0,)), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     )
+    zero_first = polyalab.coeffs_from_table(1, {(k,): Fraction(k, k + 1) for k in range(59)})
     return [
         ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
         ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
@@ -181,6 +186,10 @@ def exact_cases() -> list[tuple[str, object, list]]:
          polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
         ("3-atom discrete Gram prefix pass, m=40", linalg.exact_prefix_logdets,
          polyalab.gram(three_atoms, 40).exact),
+        ("product arcsine Gram exact_logdet, m=153", linalg.exact_logdet,
+         polyalab.gram(product, 153).exact),
+        ("a_0 = 0 table Hankel exact_logdet, size 30", linalg.exact_logdet,
+         polyalab.hankel_matrix(zero_first, 30).exact),
     ]
 
 
@@ -258,7 +267,8 @@ def main(argv=None) -> int:
         rows.append({"layer": "moment matrix build", "shape": name, "size": size, **timing})
         print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms", file=sys.stderr)
     exact = record(
-        "linalg.exact_prefix_logdets, linalg.exact_ldl, measures.gram, functionals.hankel_matrix",
+        "linalg.exact_prefix_logdets, linalg.exact_logdet, linalg.exact_ldl, measures.gram, "
+        "functionals.hankel_matrix",
         rows,
     )
 

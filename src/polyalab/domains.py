@@ -114,15 +114,12 @@ def gauss_lobatto_points(count: int, a: float = -1.0, b: float = 1.0) -> np.ndar
     if count == 1:
         inner = np.array([0.0])
         return (a + b) / 2 + (b - a) / 2 * inner
-    if count == 2:
-        nodes = np.array([-1.0, 1.0])
-    else:
-        from numpy.polynomial import legendre
+    from numpy.polynomial import legendre
 
-        coeffs = np.zeros(count)
-        coeffs[-1] = 1.0
-        inner = legendre.legroots(legendre.legder(coeffs))
-        nodes = np.concatenate(([-1.0], inner, [1.0]))
+    coeffs = np.zeros(count)
+    coeffs[-1] = 1.0
+    inner = legendre.legroots(legendre.legder(coeffs))  # none for count 2
+    nodes = np.concatenate(([-1.0], inner, [1.0]))
     return (a + b) / 2 + (b - a) / 2 * nodes
 
 
@@ -273,6 +270,9 @@ class FiniteSet(CompactSet):
         object.__setattr__(self, "points", clean)
         if not clean:
             raise ValueError("need at least one point")
+        for p in clean:
+            if not all(cmath.isfinite(v) for v in p):
+                raise ValueError(f"points must be finite, got {p}")
         dims = {len(p) for p in clean}
         if len(dims) != 1:
             raise ValueError("points have mixed dimensions")
@@ -339,8 +339,8 @@ def interval_family(
     """
     if side not in ("outer", "inner"):
         raise ValueError(f"side must be 'outer' or 'inner', got {side!r}")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:  # also rejects NaN
+        raise ValueError(f"rate must be positive and finite, got {rate}")
 
     def member(j: int) -> CompactSet:
         eps = float(j) ** (-rate)

@@ -25,7 +25,8 @@ import numpy as np
 from .linalg import MomentMatrix, moment_matrix
 from .measures import Measure
 from .multiindex import (
-    MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for, index_sum
+    MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for, index_sum,
+    is_integer_at_least,
 )
 
 
@@ -96,10 +97,12 @@ def coeffs_from_contour(
     out with an error on the order of (c/radius)^grid_size, c being the
     decay radius of the coefficients.  Aliased indices raise.
     """
-    if grid_size < 4:
-        raise ValueError("grid_size must be at least 4")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not is_integer_at_least(dim, 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if not is_integer_at_least(grid_size, 4):
+        raise ValueError(f"grid_size must be an integer >= 4, got {grid_size!r}")
+    if not 0.0 < radius < math.inf:  # also rejects NaN
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
     ring = radius * np.exp(1j * theta)
     axes = np.meshgrid(*([ring] * dim), indexing="ij")

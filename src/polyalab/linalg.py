@@ -11,12 +11,14 @@ late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
 matrices are both built here as a MomentMatrix from their distinct
 moments, each evaluated once, and keep only their rational rows whenever
-every moment is rational.  A whole sequence of
-leading principal minors comes from one elimination without pivoting,
-whose pivots are exactly those minors (Bareiss 1968), so a Hankel sequence
-H_1..H_n costs one elimination, not n; run over [cA | I], the same kernel
-gives an exact LDL^T.  Each exact route first splits the matrix into
-classes: the connected components of the graph of its nonzero entries,
+every moment is rational.  A whole sequence of leading principal minors
+comes from one elimination without pivoting, whose pivots are exactly
+those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
+elimination, not n, and a single determinant is the last minor of that
+pass; run over [cA | I], the same loop gives an exact LDL^T.  One Bareiss
+loop serves both exact routes, and it exchanges rows only past a zero
+leading minor.  Each exact route first splits the matrix into classes:
+the connected components of the graph of its nonzero entries,
 found by one O(n^2) scan.  A symmetric measure's moment matrix splits by
 parity, two classes (a checkerboard) in one variable and up to 2^n in n
 (Dunkl & Xu 2014, centrally symmetric functionals).  Each class is
@@ -144,23 +146,15 @@ def _submatrix(rows: Sequence[Sequence], idx: list[int]) -> list[list]:
 def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
     """log|det| of a matrix with rational entries, by exact integer elimination.
 
-    Rows are scaled to integers by their denominator lcm.  The integer
-    determinant is, up to sign, the product of its classes' determinants,
-    each by fraction-free Bareiss elimination; only the final logarithm is
-    taken in floating point.
+    The determinant is the last leading principal minor, so this is the last
+    entry of exact_prefix_logdets, and 0.0 (the empty product) for [].
     """
-    scaled, lcms = _scaled_rows(_fraction_rows(rows))
-    log_scale = 0.0
-    for d in lcms:
-        log_scale += math.log(d)
-    det = 1
-    for cls in _classes(scaled):
-        det *= _bareiss_int_det(_submatrix(scaled, cls))
-    return _scaled_logdet(det, log_scale)
+    prefix = exact_prefix_logdets(rows)
+    return prefix[-1] if prefix else 0.0
 
 
 def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
-    """exact_logdet of every leading principal submatrix, sizes 1..n, bit for bit.
+    """log|det| of every leading principal submatrix, sizes 1..n, by exact integer elimination.
 
     Each row is scaled by the lcm of its whole row's denominators.  The
     matrix splits into the classes of its zero pattern, and one Bareiss
@@ -168,13 +162,14 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     p is the class's integer leading minor of size p + 1.  Past a zero pivot
     later minors need not vanish ([[0, 1], [1, 0]] has minors 0 and -1), so
     that class alone eliminates each larger leading block of its own with
-    pivoting; the other classes keep their single pass.  A zero entry has
-    denominator 1, so a class's rows keep their whole rows' lcms, and the
-    integer leading minor of size k + 1 is, up to sign, the product of each
-    class's leading minor over the indices up to k.  Size k + 1 is then
+    row exchanges; the other classes keep their single pass.  A zero entry
+    has denominator 1, so a class's rows keep their whole rows' lcms, and
+    the integer leading minor of size k + 1 is, up to sign, the product of
+    each class's leading minor over the indices up to k.  Size k + 1 is then
     turned into the determinant of the matrix whose rows are scaled by the
-    lcm of their first k + 1 denominators only, as exact_logdet scales them,
-    so the same integer and the same scale reach the final logarithm.
+    lcm of their first k + 1 denominators only, as that submatrix alone is
+    scaled, so each entry equals the last one of this function on that
+    submatrix, bit for bit.  Only the final logarithms are floating point.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
@@ -184,7 +179,7 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     for cls in classes:
         minors = _leading_minors(_submatrix(scaled, cls))  # up to the first zero
         for size in range(len(minors) + 1, len(cls) + 1):
-            minors.append(_bareiss_int_det(_submatrix(scaled, cls[:size])))
+            minors.append(_leading_minors(_submatrix(scaled, cls[:size]), exchange=True)[-1])
         class_minors.append(minors)
     where = [(0, 0)] * n  # index -> (its class, its position in the class)
     for c, cls in enumerate(classes):
@@ -201,7 +196,7 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
         prefix_lcm.append(math.lcm(*(f.denominator for f in fracs[k][: k + 1])))
         full_scale *= full_lcm[k]
         log_scale = 0.0
-        for d in prefix_lcm:  # row by row as in exact_logdet, for the same float bits
+        for d in prefix_lcm:  # row by row, as the submatrix alone sums them
             log_scale += math.log(d)
         c, p = where[k]
         last, current[c] = current[c], class_minors[c][p]
@@ -267,41 +262,28 @@ def moment_matrix(
     return MomentMatrix(len(basis), None, tuple(tuple(values[k] for k in row) for row in keys))
 
 
-def _bareiss_int_det(a: list[list[int]]) -> int:
-    """The integer determinant up to sign, by pivoted Bareiss elimination in place."""
-    n = len(a)
-    if n == 0:
-        return 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                return 0
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return a[n - 1][n - 1]
+def _leading_minors(a: list[list[int]], exchange: bool = False) -> list[int]:
+    """The pivots of Bareiss elimination over a's first len(a) columns, in place.
 
-
-def _leading_minors(a: list[list[int]]) -> list[int]:
-    """The leading principal minors of a's first len(a) columns, by Bareiss in place.
-
-    Elimination runs without pivoting, so pivot k is the minor of size
-    k + 1 (Bareiss 1968); the list ends at the first zero.
+    Without row exchanges pivot k is the leading principal minor of size
+    k + 1 (Bareiss 1968), and the list ends at the first zero.  With them,
+    a zero pivot is first exchanged with the next row below that is nonzero
+    in its column, so the last pivot is the determinant up to sign, 0 when
+    a is singular.
     """
-    minors = []
+    pivots = []
     prev = 1
     for k in range(len(a)):
+        if exchange and a[k][k] == 0:
+            below = next((i for i in range(k + 1, len(a)) if a[i][k]), k)
+            a[k], a[below] = a[below], a[k]
         pivot = a[k][k]
-        minors.append(pivot)
+        pivots.append(pivot)
         if pivot == 0:
             break
         _bareiss_step(a, k, prev)
         prev = pivot
-    return minors
+    return pivots
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:

@@ -35,7 +35,9 @@ from .domains import (
     ProductSet,
 )
 from .linalg import MomentMatrix, exact_ldl, moment_matrix
-from .multiindex import as_multi_index, count_at_most, enumeration_for, index_sum
+from .multiindex import (
+    as_multi_index, count_at_most, enumeration_for, index_sum, is_integer_at_least
+)
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
 _GRID_BLOCK = 2048  # grid points per block of the sup/L2 kernel
@@ -369,8 +371,8 @@ def z_s_montecarlo(
     one spawned seed per chunk, so the estimate is a pure function of
     (seed, samples), and memory is bounded by one chunk of configurations.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    if not is_integer_at_least(samples, 2):
+        raise ValueError(f"need an integer count of at least two samples, got {samples!r}")
     m = count_at_most(measure.dim, s)
     sizes = [MONTE_CARLO_CHUNK] * (samples // MONTE_CARLO_CHUNK)
     if samples % MONTE_CARLO_CHUNK:

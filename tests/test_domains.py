@@ -5,6 +5,7 @@ import pytest
 
 from polyalab import (
     Circle,
+    DiscreteMeasure,
     Disk,
     FiniteSet,
     Interval,
@@ -108,9 +109,12 @@ def test_interval_rejects_empty():
         lambda: Circle(complex(math.inf, 0.0), 1.0),
         lambda: Disk(0.0, math.inf),
         lambda: Disk(math.nan, 1.0),
+        lambda: FiniteSet(((math.inf,),)),
+        lambda: FiniteSet(((0.0, 1.0), (complex(0.0, math.nan), 2.0))),
+        lambda: DiscreteMeasure(((math.nan,),), (1,)),
     ],
     ids=["interval-inf", "interval-nan", "circle-nan", "circle-centre-inf", "disk-inf",
-         "disk-centre-nan"],
+         "disk-centre-nan", "finite-set-inf", "finite-set-nan", "discrete-measure-nan"],
 )
 def test_non_finite_parameters_are_rejected(make):
     with pytest.raises(ValueError, match="inf|finite"):
@@ -137,6 +141,8 @@ def test_gauss_lobatto_structure():
         assert np.all(np.diff(nodes) > 0)
         # symmetric about the midpoint
         assert np.allclose(nodes + nodes[::-1], 0.0, atol=1e-12)
+    for a, b in ((-1.0, 1.0), (-0.5, 0.5), (0.0, 2.0), (-1.5, 1.5)):
+        assert gauss_lobatto_points(2, a, b).tobytes() == np.array([a, b]).tobytes()
     shifted = gauss_lobatto_points(4, 0.0, 2.0)
     base = gauss_lobatto_points(4, -1.0, 1.0)
     assert np.allclose(shifted, 1.0 + base)
@@ -190,6 +196,9 @@ def test_family_validation():
         interval_family(0.0, 1.0, side="sideways")
     with pytest.raises(ValueError):
         interval_family(0.0, 1.0, rate=0.0)
+    # rejected when the family is built, not at its first member
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        interval_family(0.0, 1.0, rate=math.nan)
 
 
 def test_product_and_box_dims():

@@ -95,6 +95,22 @@ def test_contour_index_limit():
         germ.coeff((15,))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"radius": math.nan}, "radius must be positive and finite"),
+        ({"radius": math.inf}, "radius must be positive and finite"),
+        ({"grid_size": 4.5}, "grid_size must be an integer"),
+        ({"dim": 0}, "dim must be an integer"),
+        ({"dim": True}, "dim must be an integer"),
+    ],
+    ids=["radius-nan", "radius-inf", "grid-size-float", "dim-0", "dim-bool"],
+)
+def test_contour_rejects_what_the_config_layer_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        coeffs_from_contour(lambda z: 1.0 / z, **kwargs)
+
+
 def test_contour_aliasing_shrinks_with_grid():
     w = 0.9  # slow decay, visible aliasing on a coarse grid
     coarse = coeffs_from_contour(lambda z: 1.0 / (z - w), radius=2.0, grid_size=8)

@@ -13,10 +13,13 @@ from polyalab import (
     ProductMeasure,
     UniformSegment,
     coeffs_from_measure,
+    coeffs_from_table,
     count_at_most,
     enumeration_for,
     gram,
+    hankel_logdet,
     hankel_matrix,
+    z_s_gram,
 )
 from polyalab.linalg import (
     _classes,
@@ -261,27 +264,60 @@ def test_classes_are_the_components_of_the_nonzero_entries(rows, classes):
     assert _classes(rows) == classes
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[0, 1], [1, 0]],  # zero first minor, then -1
-        [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # zero first column
-        [  # rank 1: every minor past the first vanishes
-            [Fraction(1, 2), Fraction(1), Fraction(3, 4)],
-            [Fraction(1), Fraction(2), Fraction(3, 2)],
-            [Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 8)],
-        ],
-        # row denominators grow along the row, so prefix and full lcms differ
-        [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)],
-        [[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]],
-        CHECKERBOARD,
-        FOUR_CLASSES,
+PER_SIZE_MATRICES = [
+    [[0, 1], [1, 0]],  # zero first minor, then -1
+    [[0, 1, 2], [0, 3, 4], [0, 5, 7]],  # zero first column
+    [  # rank 1: every minor past the first vanishes
+        [Fraction(1, 2), Fraction(1), Fraction(3, 4)],
+        [Fraction(1), Fraction(2), Fraction(3, 2)],
+        [Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 8)],
     ],
-    ids=["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators", "checkerboard",
-         "four-classes"],
-)
+    # row denominators grow along the row, so prefix and full lcms differ
+    [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)],
+    [[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]],
+    CHECKERBOARD,
+    FOUR_CLASSES,
+]
+PER_SIZE_IDS = ["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators",
+                "checkerboard", "four-classes"]
+
+
+@pytest.mark.parametrize("rows", PER_SIZE_MATRICES, ids=PER_SIZE_IDS)
 def test_prefix_logdets_match_per_size(rows):
     assert_prefixes_match_per_size(rows)
+
+
+# a_0 = 0 and a_1 != 0: H_1 = 0 and H_2 = -a_1^2 < 0, one class that is not
+# PSD, so each leading block past size 1 is eliminated with row exchanges
+ZERO_FIRST_TABLE = coeffs_from_table(1, {(k,): Fraction(k, k + 1) for k in range(20)})
+ZERO_FIRST_HANKEL = hankel_matrix(ZERO_FIRST_TABLE, 10).exact
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [*PER_SIZE_MATRICES, ZERO_FIRST_HANKEL],
+    ids=[*PER_SIZE_IDS, "table-zero-first"],
+)
+def test_exact_logdet_is_the_unsplit_elimination(rows):
+    assert exact_logdet(rows) == brute_force_oracles.unsplit_logdet(rows)
+
+
+@pytest.mark.parametrize(
+    "germ, rows",
+    [
+        (coeffs_from_measure(_ARCSINE), CHECKERBOARD),
+        (ZERO_FIRST_TABLE, ZERO_FIRST_HANKEL),
+    ],
+    ids=["checkerboard", "table-zero-first"],
+)
+def test_hankel_logdet_is_the_unsplit_elimination(germ, rows):
+    assert hankel_logdet(germ, len(rows)) == brute_force_oracles.unsplit_logdet(rows)
+
+
+def test_z_s_gram_is_the_unsplit_elimination_plus_log_m_factorial():
+    # FOUR_CLASSES is the product-arcsine Gram matrix at s = 4, m = 15
+    got = z_s_gram(ProductMeasure((_ARCSINE, _ARCSINE)), 4)
+    assert got == brute_force_oracles.unsplit_logdet(FOUR_CLASSES) + math.lgamma(16)
 
 
 def test_prefix_logdets_continue_past_a_zero_minor():

@@ -469,6 +469,8 @@ def test_montecarlo_rejects_bad_sizes():
     mu = UniformSegment(0.0, 1.0)
     with pytest.raises(ValueError, match="two samples"):
         z_s_montecarlo(mu, 1, samples=1)
+    with pytest.raises(ValueError, match="integer count of at least two samples"):
+        z_s_montecarlo(mu, 1, samples=2.5)
 
 
 def test_log_factorial():

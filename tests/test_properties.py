@@ -170,8 +170,9 @@ def test_a_zero_minor_re_eliminates_only_its_own_class(monkeypatch):
     monkeypatch.setattr(linalg, "_bareiss_step", counted)
     exact_prefix_logdets(TWO_CLASSES_ONE_ZERO)
     # the size-3 class: its zero first pivot takes no step, then its blocks
-    # of sizes 2 and 3 are eliminated alone; the size-4 class: one pass
-    assert steps == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3)]
+    # of sizes 2 and 3 are eliminated alone, one step per pivot; the size-4
+    # class: one pass
+    assert steps == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
 
 
 @st.composite
