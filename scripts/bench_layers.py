@@ -16,6 +16,16 @@ monomials:
   points)
 - 65,536 x 28: the 256 x 256 box grid of a sup-norm ratio in `sampling`
 
+Its `traced peak` rows time the batched point kernels of `sampling` and
+record `peak_mib`, the tracemalloc peak of one call after a warm-up call
+(what the call allocates, its inputs excluded):
+
+- `vandermonde.vdm_logabs_batch` on one Monte Carlo chunk of the
+  product-arcsine `zs-check` at s = 3 (4,096 configurations of 10 points)
+  and of the disk `zs-check` at s = 8 (4,096 configurations of 9 points)
+- `measures.bernstein_markov_ratio` of the product arcsine at s = 6 on its
+  256 x 256 grid, the grid included
+
 BENCH_exchange.json times one lockstep exchange pass,
 `vandermonde._exchange_pass`, over the 8 restarts of a default search: at
 the largest configuration of each `search-2d` set (the box at m = 21,
@@ -75,6 +85,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,7 +98,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import polyalab  # noqa: E402
-from polyalab import linalg, vandermonde  # noqa: E402
+from polyalab import linalg, measures, vandermonde  # noqa: E402
 
 BLOCKS = 7
 MIN_BLOCK_S = 0.2
@@ -108,6 +119,34 @@ def shapes(rng: np.random.Generator) -> list[tuple[str, np.ndarray, int]]:
         ("40960x10 product arcsine Monte Carlo chunk", product_arcsine.sample(rng, 40960), 10),
         ("65536x28 box grid 256^2", box.grid(256), 28),
     ]
+
+
+def peak_cases(rng: np.random.Generator) -> list[tuple[str, object]]:
+    """(name, call) of each traced-peak row of BENCH_monomial.json."""
+    product_arcsine = polyalab.ProductMeasure(
+        (polyalab.ArcsineMeasure(-1.0, 1.0), polyalab.ArcsineMeasure(-1.0, 1.0))
+    )
+    chunk = measures.MONTE_CARLO_CHUNK
+    product_chunk = product_arcsine.sample(rng, chunk * 10).reshape(chunk, 10, 2)
+    disk_chunk = polyalab.DiskUniform(1.0).sample(rng, chunk * 9).reshape(chunk, 9, 1)
+    return [
+        ("4096x10 product arcsine Monte Carlo chunk",
+         lambda: vandermonde.vdm_logabs_batch(product_chunk)),
+        ("4096x9 disk Monte Carlo chunk", lambda: vandermonde.vdm_logabs_batch(disk_chunk)),
+        ("256^2 product arcsine sup/L2 sweep, s=6",
+         lambda: polyalab.bernstein_markov_ratio(product_arcsine, 6, per_axis=256)),
+    ]
+
+
+def traced_peak_mib(call) -> float:
+    """tracemalloc peak of one call, in MiB, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def time_blocks(call) -> dict:
@@ -238,7 +277,17 @@ def main(argv=None) -> int:
             }
         )
         print(f"{name:45s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)
-    monomial = record("multiindex.monomial_matrix", rows)
+    for name, call in peak_cases(np.random.default_rng(2)):
+        peak = traced_peak_mib(call)
+        timing = time_blocks(call)
+        rows.append({"layer": "traced peak", "shape": name, "peak_mib": peak, **timing})
+        print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms {peak:8.2f} MiB", file=sys.stderr)
+    monomial = record(
+        "multiindex.monomial_matrix; traced peak: vandermonde.vdm_logabs_batch, "
+        "measures.bernstein_markov_ratio",
+        rows,
+    )
+    monomial["metric"] += "; peak_mib: tracemalloc peak of one call after a warm-up call"
 
     rows = []
     tol = polyalab.SearchStrategy().improvement_tol

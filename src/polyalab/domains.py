@@ -243,8 +243,11 @@ class ProductSet(CompactSet):
 
     def grid(self, per_axis: int) -> np.ndarray:
         axes = [f.grid(per_axis).reshape(-1) for f in self.factors]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        # each axis is broadcast straight into the one (N, dim) output
+        out = np.empty((*(len(a) for a in axes), self.dim), dtype=complex)
+        for k, column in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+            out[..., k] = column
+        return out.reshape(-1, self.dim)
 
     def project(self, z) -> np.ndarray:
         w = as_points(z, self.dim)

@@ -76,7 +76,7 @@ DEFAULT_SLACK = 0.05
 DEFAULT_SEARCH_CAP = 30
 DEFAULT_SHARPNESS_TOL = 1e-10
 DEFAULT_SAMPLES = 100_000
-DEFAULT_GRID = 4096
+DEFAULT_GRID = 4096  # bm-ratio grid points in all, the same count on every axis
 
 _RESERVED_KEYS = {"schema", "experiment", "label", "seed"}
 
@@ -651,7 +651,8 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "bm-ratio"))
     degrees = _degree_list(spec, "degrees", "bm-ratio", minimum=0)
-    grid = _number_at_least(spec, "grid", DEFAULT_GRID, 1, "bm-ratio")
+    per_axis = round(DEFAULT_GRID ** (1 / measure.dim))
+    grid = _number_at_least(spec, "grid", per_axis, 1, "bm-ratio")
     result = RunResult(cfg)
     for s in degrees:
         ratio, wall = _timed(bernstein_markov_ratio, measure, s, per_axis=grid)

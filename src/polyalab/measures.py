@@ -14,7 +14,8 @@ determinant-integral interchange it equals m_s! times the determinant of
 the monomial Gram matrix, which is how z_s_gram computes it; a log-domain
 Monte Carlo estimator cross-checks the identity.  The Gram matrix reads
 each distinct moment once: on a real support an entry is the moment of
-its index sum a + b (conj(z) = z there), elsewhere of its pair (a, b).
+its index sum a + b (conj(z) = z there), elsewhere of its pair (a, b),
+whose exact value is that of (b, a).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .multiindex import (
 )
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
-_GRID_BLOCK = 2048  # grid points per block of the sup/L2 kernel
+_GRID_BLOCK = 2**14  # basis entries (rows x grid points) per block of the sup/L2 kernel
 MONTE_CARLO_CHUNK = 4096  # configurations per Monte Carlo chunk
 
 
@@ -329,8 +330,13 @@ def gram(measure: Measure, count: int) -> MomentMatrix:
     idx = enumeration_for(measure.dim).prefix(count)
     if measure.support.is_real:
         return moment_matrix(idx, index_sum, measure.moment_fraction, measure.moment)
-    exact, approx = measure.hermitian_moment_fraction, measure.hermitian_moment
-    return moment_matrix(idx, lambda j, l: (j, l), lambda k: exact(*k), lambda k: approx(*k))
+    # a rational Hermitian matrix is real, so symmetric: the exact route
+    # evaluates each unordered pair once, a float fallback each (j, l)
+    exact = functools.cache(measure.hermitian_moment_fraction)
+    approx = measure.hermitian_moment
+    return moment_matrix(
+        idx, lambda j, l: (j, l), lambda k: exact(*sorted(k)), lambda k: approx(*k)
+    )
 
 
 def log_factorial(n: int) -> float:
@@ -369,21 +375,21 @@ def z_s_montecarlo(
 
     Sampling is chunked, MONTE_CARLO_CHUNK configurations at a time, with
     one spawned seed per chunk, so the estimate is a pure function of
-    (seed, samples), and memory is bounded by one chunk of configurations.
+    (seed, samples), and memory is bounded by one chunk of configurations
+    and one float per sample.
     """
     if not is_integer_at_least(samples, 2):
         raise ValueError(f"need an integer count of at least two samples, got {samples!r}")
     m = count_at_most(measure.dim, s)
-    sizes = [MONTE_CARLO_CHUNK] * (samples // MONTE_CARLO_CHUNK)
-    if samples % MONTE_CARLO_CHUNK:
-        sizes.append(samples % MONTE_CARLO_CHUNK)
-    children = as_seed_sequence(seed).spawn(len(sizes))
-    chunks = []
-    for child, size in zip(children, sizes):
-        rng = np.random.default_rng(child)
-        pts = measure.sample(rng, size * m).reshape(size, m, measure.dim)
-        chunks.append(2.0 * vdm_logabs_batch(pts))
-    logs = np.concatenate(chunks)
+    starts = range(0, samples, MONTE_CARLO_CHUNK)
+    children = as_seed_sequence(seed).spawn(len(starts))
+    logs = np.empty(samples)
+    for child, start in zip(children, starts):
+        size = min(MONTE_CARLO_CHUNK, samples - start)
+        pts = measure.sample(np.random.default_rng(child), size * m)
+        logs[start : start + size] = vdm_logabs_batch(pts.reshape(size, m, measure.dim))
+        del pts  # before the next chunk is drawn
+    logs *= 2.0
 
     # sampling is from the normalized measure; the mass comes back as a
     # deterministic factor mass^m in front of the product integral
@@ -391,7 +397,8 @@ def z_s_montecarlo(
     peak = float(np.max(logs))
     if not np.isfinite(peak):
         return MonteCarloEstimate(float("-inf"), 0.0, samples)
-    w = np.exp(logs - peak)
+    logs -= peak
+    w = np.exp(logs, out=logs)  # the weights, in place of the logs
     mean = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(samples))
     return MonteCarloEstimate(log_mass_term + peak + math.log(mean), se / mean, samples)
@@ -429,7 +436,8 @@ def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int = 4096) -> fl
         return math.inf
     pts = measure.support.grid(per_axis)
     peak = -math.inf
-    for start in range(0, pts.shape[0], _GRID_BLOCK):
-        q = coeffs @ basis_matrix(pts[start : start + _GRID_BLOCK], m)
+    step = max(1, _GRID_BLOCK // m)
+    for start in range(0, pts.shape[0], step):
+        q = coeffs @ basis_matrix(pts[start : start + step], m)
         peak = np.maximum(peak, np.max(np.sum(np.abs(q) ** 2, axis=0)))
     return float(np.sqrt(peak))

@@ -47,7 +47,9 @@ import numpy as np
 
 from .domains import CompactSet
 from .linalg import batch_logabs, batch_pairwise_logabs
-from .multiindex import degree_counts, enumeration_for, is_integer_at_least, monomial_matrix
+from .multiindex import (
+    _POINT_BLOCK, degree_counts, enumeration_for, is_integer_at_least, monomial_matrix
+)
 
 
 def basis_matrix(points: np.ndarray, count: int) -> np.ndarray:
@@ -72,9 +74,22 @@ def vdm_logabs_batch(configs: np.ndarray) -> np.ndarray:
     cfg = np.asarray(configs, dtype=complex)
     if cfg.ndim != 3:
         raise ValueError("configs must have shape (batch, npoints, dim)")
-    batch, size, dim = cfg.shape
+    batch, size, _ = cfg.shape
     if size <= 1:
         return np.zeros(batch)
+    # at most one monomial block of points at a time: each value depends
+    # only on its own configuration, so blocking keeps its bits
+    step = max(1, _POINT_BLOCK // size)
+    if batch <= step:
+        return _logabs_block(cfg)
+    out = np.empty(batch)
+    for start in range(0, batch, step):
+        out[start : start + step] = _logabs_block(cfg[start : start + step])
+    return out
+
+
+def _logabs_block(cfg: np.ndarray) -> np.ndarray:
+    batch, size, dim = cfg.shape
     if dim == 1:
         # one variable: the basis is 1, z, .., z^(i-1), so the product
         # formula applies at every truncation length

@@ -9,8 +9,9 @@ over the whole pool in several; refinement draws and projects one batch
 per level; its projections take a whole batch of points; a search builds
 the fixed part of its candidate pools once; a single configuration's
 log|V| is a batch of one; monomials are gathered from per-axis power
-tables; the sup/L2 kernel walks its grid in blocks; a moment matrix evaluates
-each distinct moment once.  These helpers are the plain forms
+tables; the sup/L2 kernel walks its grid in blocks; a product set fills
+its grid in place; a moment matrix evaluates each distinct moment once.
+These helpers are the plain forms
 they replace: each restart runs alone, with a table-based pass of its
 own (``run_restart``, ``restart_exchange_pass``); every position
 rebuilds its tables from the current configuration and every trial
@@ -21,8 +22,9 @@ refinement draws its steps and projects them point by point, every point
 is projected on its own with scalar arithmetic, every pool is built
 whole, log|V| comes from a formula for one configuration, every monomial
 is its own broadcast power with a product reduce over the axes, the
-kernel is evaluated on the whole grid at once, and a moment matrix
-evaluates every entry.  Tests compare the two bit for bit, monomials by
+kernel is evaluated on the whole grid at once, a product grid is
+stacked from a dense ``np.meshgrid``, and a moment matrix evaluates
+every entry.  Tests compare the two bit for bit, monomials by
 ``==``, which ignores the sign of an exact zero.
 """
 
@@ -193,6 +195,13 @@ def bernstein_markov_ratio(measure, s, per_axis):
     q = coeffs @ basis_matrix(pts, m)
     kernel = np.sum(np.abs(q) ** 2, axis=0)
     return float(np.sqrt(np.max(kernel.real)))
+
+
+def product_grid(kset, per_axis):
+    """ProductSet.grid through np.meshgrid, one copy per axis, then np.stack."""
+    axes = [f.grid(per_axis).reshape(-1) for f in kset.factors]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def fekete_search(kset, size, strategy, seed):

@@ -15,6 +15,7 @@ from polyalab import (
 from polyalab.domains import gauss_lobatto_points
 
 from boxes import box, set_id
+import per_point_oracles
 
 
 ALL_SETS = [
@@ -44,6 +45,19 @@ def test_grid_points_belong_to_the_set(kset):
     assert pts.ndim == 2 and pts.shape[1] == kset.dim
     for p in pts:
         assert kset.contains(p)
+
+
+@pytest.mark.parametrize(
+    "kset",
+    [
+        box(((-1.0, 1.0), (0.0, 2.0))),
+        ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))),
+        ProductSet((Disk(0.0, 1.5), Interval(0.0, 3.5), Circle(0.5 + 0.5j, 2.0))),
+    ],
+    ids=["Box", "interval-x-circle", "disk-x-interval-x-circle"],
+)
+def test_product_grid_matches_the_meshgrid_construction(kset):
+    assert kset.grid(9).tobytes() == per_point_oracles.product_grid(kset, 9).tobytes()
 
 
 @pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)

@@ -756,6 +756,19 @@ def test_bm_ratio_runner():
     assert len(res2.flags) == 1
 
 
+_ARCSINE = {"kind": "arcsine", "a": -1.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("factors, per_axis", [(1, 4096), (2, 64), (3, 16)])
+def test_bm_ratio_default_grid_holds_about_4096_points(monkeypatch, factors, per_axis):
+    calls = []
+    monkeypatch.setattr(experiments, "bernstein_markov_ratio",
+                        lambda measure, s, per_axis: calls.append(per_axis) or 1.0)
+    measure = {"kind": "product", "factors": [_ARCSINE] * factors}
+    run_experiment(ExperimentConfig("bm-ratio", "b", 0, {"measure": measure, "degrees": [1]}))
+    assert calls == [per_axis]
+
+
 def test_cli_writes_reports_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(ExperimentConfig(

@@ -17,7 +17,7 @@ from polyalab import (
 )
 from polyalab.linalg import logdet
 from polyalab import vandermonde
-from polyalab.multiindex import degree_counts
+from polyalab.multiindex import _POINT_BLOCK, degree_counts
 from polyalab.vandermonde import (
     _best_replacement_1d,
     _candidate_pool,
@@ -82,6 +82,34 @@ def test_batch_matches_loop_in_two_dims():
     got = vdm_logabs_batch(cfgs)
     for r in range(7):
         assert got[r] == pytest.approx(vdm_logdet(cfgs[r]), abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, size", [(1, 9), (2, 10)])
+def test_blocked_batch_equals_each_configuration(dim, size):
+    # three full blocks of configurations and a partial fourth
+    batch = 3 * (_POINT_BLOCK // size) + 5
+    rng = np.random.default_rng(size)
+    cfgs = rng.normal(size=(batch, size, dim)) + 1j * rng.normal(size=(batch, size, dim))
+    want = np.array([vdm_logdet(c) for c in cfgs])
+    assert vdm_logabs_batch(cfgs).tobytes() == want.tobytes()
+
+
+def test_a_batch_within_one_block_evaluates_one_basis(monkeypatch):
+    size = 10
+    step = _POINT_BLOCK // size
+    cfgs = _BOX.sample(np.random.default_rng(5), (step + 1) * size).reshape(step + 1, size, 2)
+    widths = []
+    build = vandermonde.basis_matrix
+
+    def counting(points, count):
+        widths.append(len(points))
+        return build(points, count)
+
+    monkeypatch.setattr(vandermonde, "basis_matrix", counting)
+    vdm_logabs_batch(cfgs[:step])
+    assert widths == [step * size]
+    vdm_logabs_batch(cfgs)
+    assert widths == [step * size, step * size, size]
 
 
 def _complex_line(size, seed):
