@@ -290,12 +290,11 @@ def main(argv=None) -> int:
     monomial["metric"] += "; peak_mib: tracemalloc peak of one call after a warm-up call"
 
     rows = []
-    tol = polyalab.SearchStrategy().improvement_tol
     for name, size, first, current, log_abs, pools in exchange_cases():
         shape = {"restarts": int(current.shape[0]), "size": size, "npool": int(pools.shape[1]),
                  "dim": int(current.shape[2])}
-        _, after = vandermonde._exchange_pass(current, log_abs, pools, tol)
-        timing = time_blocks(lambda: vandermonde._exchange_pass(current, log_abs, pools, tol))
+        _, after = vandermonde._exchange_pass(current, log_abs, pools)
+        timing = time_blocks(lambda: vandermonde._exchange_pass(current, log_abs, pools))
         rows.append({"layer": "exchange pass", "shape": name, **shape,
                      "log_gain": (after - log_abs).tolist(), **timing})
         print(f"exchange pass, {name:30s} {timing['median_s'] * 1e6:12.1f} us", file=sys.stderr)

@@ -75,8 +75,6 @@ from .vandermonde import (
 DEFAULT_SLACK = 0.05
 DEFAULT_SEARCH_CAP = 30
 DEFAULT_SHARPNESS_TOL = 1e-10
-DEFAULT_SAMPLES = 100_000
-DEFAULT_GRID = 4096  # bm-ratio grid points in all, the same count on every axis
 
 _RESERVED_KEYS = {"schema", "experiment", "label", "seed"}
 
@@ -628,11 +626,12 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "zs-check"))
     degrees = _degree_list(spec, "degrees", "zs-check", minimum=0)
-    samples = _number_at_least(spec, "samples", DEFAULT_SAMPLES, 2, "zs-check")
+    given = {}  # a sample count the config sets; else z_s_montecarlo's default
+    if "samples" in spec:
+        given["samples"] = _number_at_least(spec, "samples", None, 2, "zs-check")
     result = RunResult(cfg)
     for s, log_gram in zip(degrees, _log_zs(result, measure, degrees)):
-        mc, wall = _timed(z_s_montecarlo, measure, s, samples=samples,
-                          seed=_cell_seed(cfg.seed, 6, s))
+        mc, wall = _timed(z_s_montecarlo, measure, s, seed=_cell_seed(cfg.seed, 6, s), **given)
         if log_gram == mc.log_value:
             zscore = 0.0  # exact agreement, including the doubly singular case
         elif mc.std_error_log > 0 and math.isfinite(mc.log_value) and math.isfinite(log_gram):
@@ -651,8 +650,7 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     measure = build_measure(_need(spec, "measure", "bm-ratio"))
     degrees = _degree_list(spec, "degrees", "bm-ratio", minimum=0)
-    per_axis = round(DEFAULT_GRID ** (1 / measure.dim))
-    grid = _number_at_least(spec, "grid", per_axis, 1, "bm-ratio")
+    grid = _number_at_least(spec, "grid", None, 1, "bm-ratio") if "grid" in spec else None
     result = RunResult(cfg)
     for s in degrees:
         ratio, wall = _timed(bernstein_markov_ratio, measure, s, per_axis=grid)

@@ -43,6 +43,8 @@ from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
 _GRID_BLOCK = 2**14  # basis entries (rows x grid points) per block of the sup/L2 kernel
 MONTE_CARLO_CHUNK = 4096  # configurations per Monte Carlo chunk
+DEFAULT_SAMPLES = 100_000  # Monte Carlo configurations of a Z_s estimate
+DEFAULT_GRID = 4096  # sup/L2 grid points in all, the same count on every axis
 
 
 class Measure:
@@ -84,8 +86,12 @@ class Measure:
         return None
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(count, dim) points distributed by the measure."""
-        raise NotImplementedError
+        """(count, dim) points distributed by the measure; by default its support's draw.
+
+        The uniform kinds draw what their support draws; arcsine, discrete,
+        product and scaled measures draw another distribution and override it.
+        """
+        return self.support.sample(rng, count)
 
 
 def _real_degree(j, l, dim: int) -> tuple[int, ...]:
@@ -153,9 +159,6 @@ class UniformSegment(Measure):
         lo, hi = Fraction(self.a), Fraction(self.b)
         return (hi ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * (hi - lo))
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.support.sample(rng, count)
-
 
 @dataclass(frozen=True)
 class CircleUniform(Measure):
@@ -175,9 +178,6 @@ class CircleUniform(Measure):
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.support.sample(rng, count)
-
 
 @dataclass(frozen=True)
 class DiskUniform(Measure):
@@ -196,9 +196,6 @@ class DiskUniform(Measure):
         if dj != dl:
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj) / (dj + 1)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.support.sample(rng, count)
 
 
 @dataclass(frozen=True)
@@ -368,12 +365,13 @@ class MonteCarloEstimate:
 def z_s_montecarlo(
     measure: Measure,
     s: int,
-    samples: int = 20000,
+    samples: int = DEFAULT_SAMPLES,
     seed=0,
 ) -> MonteCarloEstimate:
     """Monte Carlo Z_s: average |V|^2 over m_s-point draws from the measure.
 
-    Sampling is chunked, MONTE_CARLO_CHUNK configurations at a time, with
+    It draws samples configurations, DEFAULT_SAMPLES unless the caller
+    sets them.  Sampling is chunked, MONTE_CARLO_CHUNK at a time, with
     one spawned seed per chunk, so the estimate is a pure function of
     (seed, samples), and memory is bounded by one chunk of configurations
     and one float per sample.
@@ -421,19 +419,23 @@ def orthonormal_coefficients(measure: Measure, count: int) -> np.ndarray:
     return np.linalg.inv(chol)
 
 
-def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int = 4096) -> float:
+def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int | None = None) -> float:
     """Largest sup-to-L2 norm ratio among degree <= s polynomials.
 
     Equals the max over the support grid of the square root of the
     orthonormal kernel diagonal sum (a lower bound for the sup over the
-    whole set).  A singular Gram matrix means some nonzero polynomial has
-    zero L2 norm, so the ratio is reported as infinite.
+    whole set).  The grid takes per_axis points per axis; by default
+    round(DEFAULT_GRID ** (1 / dim)), about DEFAULT_GRID points in all in
+    every dimension.  A singular Gram matrix means some nonzero polynomial
+    has zero L2 norm, so the ratio is reported as infinite.
     """
     m = count_at_most(measure.dim, s)
     try:
         coeffs = orthonormal_coefficients(measure, m)
     except (ValueError, np.linalg.LinAlgError):
         return math.inf
+    if per_axis is None:
+        per_axis = round(DEFAULT_GRID ** (1 / measure.dim))
     pts = measure.support.grid(per_axis)
     peak = -math.inf
     step = max(1, _GRID_BLOCK // m)

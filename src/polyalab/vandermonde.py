@@ -51,6 +51,9 @@ from .multiindex import (
     _POINT_BLOCK, degree_counts, enumeration_for, is_integer_at_least, monomial_matrix
 )
 
+IMPROVEMENT_TOL = 1e-10  # least log|V| gain that counts as an improvement
+REFINE_CANDIDATES = 12  # refinement steps drawn around each point at each level
+
 
 def basis_matrix(points: np.ndarray, count: int) -> np.ndarray:
     """Matrix e_a(z_b), rows a = 1..count over basis, columns b over points."""
@@ -102,29 +105,26 @@ def _logabs_block(cfg: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchStrategy:
-    """Knobs of the extremal search; defaults are sized for degree <= 30 work.
+    """Settings of the extremal search; defaults are sized for degree <= 30 work.
 
     restarts = 0 skips searching and evaluates the set's reference
     configuration alone, which is the only honest option at basis sizes
-    too large to optimize.
+    too large to optimize.  The least gain that counts, IMPROVEMENT_TOL,
+    and the steps per point of a refinement level, REFINE_CANDIDATES, are
+    module constants.
     """
 
     pool_size: int = 512
     exchange_passes: int = 8
     refine_levels: int = 5
-    refine_candidates: int = 12
     restarts: int = 8
-    improvement_tol: float = 1e-10
 
     def __post_init__(self):
-        for name, minimum in (("pool_size", 1), ("restarts", 0), ("refine_candidates", 1),
+        for name, minimum in (("pool_size", 1), ("restarts", 0),
                               ("exchange_passes", 0), ("refine_levels", 0)):
             value = getattr(self, name)
             if not is_integer_at_least(value, minimum):
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        tol = self.improvement_tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
-            raise ValueError(f"improvement_tol must be a finite real >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,10 @@ def _run_restarts(
 
     Restart r draws its pools and refinement steps from its own generator,
     in the order a restart run alone would draw them, and stops its
-    exchange passes when one gains less than improvement_tol; the restarts
+    exchange passes when one gains less than IMPROVEMENT_TOL; the restarts
     still live share each pass, and every restart shares each refinement
     level.
     """
-    tol = strategy.improvement_tol
     rngs = [np.random.default_rng(child) for child in children]
     pools = np.stack([_candidate_pool(kset, strategy.pool_size, rng, fixed) for rng in rngs])
     current = _greedy_start(pools, size)
@@ -219,19 +218,17 @@ def _run_restarts(
         for r in live:
             pools[r] = _candidate_pool(kset, strategy.pool_size, rngs[r], fixed)
         before = log_abs[live]
-        current[live], log_abs[live] = _exchange_pass(current[live], before, pools[live], tol)
+        current[live], log_abs[live] = _exchange_pass(current[live], before, pools[live])
         for r in live:
             traces[r].append(float(log_abs[r]))
-        # not "gain >= tol": a pass from -inf to -inf gains nan and goes on
+        # "not less than", not ">=": a pass from -inf to -inf gains nan and goes on
         with np.errstate(invalid="ignore"):
-            live = live[~(log_abs[live] - before < tol)]
+            live = live[~(log_abs[live] - before < IMPROVEMENT_TOL)]
 
     spreads = np.array([_spread(pool) for pool in pools])
     for level in range(strategy.refine_levels):
-        candidates = _refinement_candidates(
-            kset, current, spreads / 8.0 * 0.3**level, strategy.refine_candidates, rngs
-        )
-        current, log_abs = _exchange_pass(current, log_abs, candidates, tol)
+        candidates = _refinement_candidates(kset, current, spreads / 8.0 * 0.3**level, rngs)
+        current, log_abs = _exchange_pass(current, log_abs, candidates)
         for trace, value in zip(traces, log_abs):
             trace.append(float(value))
 
@@ -242,23 +239,22 @@ def _refinement_candidates(
     kset: CompactSet,
     current: np.ndarray,
     h: np.ndarray,
-    count: int,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """count complex Gaussian steps of scale h[r] around each point of restart r, projected.
+    """REFINE_CANDIDATES complex Gaussian steps of scale h[r] around each point of restart r.
 
     current has shape (restarts, size, dim).  Restart r's draw reads rngs[r]
     point by point, real parts before imaginary ones; every restart's
     candidates are projected as one batch, and each restart's are
-    point-major, shape (restarts, size * count, dim).
+    point-major, shape (restarts, size * REFINE_CANDIDATES, dim).
     """
     nrun, size, dim = current.shape
-    steps = np.empty((nrun, size, count, dim), dtype=complex)
+    steps = np.empty((nrun, size, REFINE_CANDIDATES, dim), dtype=complex)
     for r, rng in enumerate(rngs):
-        normal = rng.standard_normal((size, 2, count, dim))
+        normal = rng.standard_normal((size, 2, REFINE_CANDIDATES, dim))
         steps[r] = h[r] * (normal[:, 0] + 1j * normal[:, 1])
-    moved = (current[:, :, None, :] + steps).reshape(nrun * size * count, dim)
-    return kset.project(moved).reshape(nrun, size * count, dim)
+    moved = (current[:, :, None, :] + steps).reshape(-1, dim)
+    return kset.project(moved).reshape(nrun, -1, dim)
 
 
 def _fixed_candidates(
@@ -331,7 +327,6 @@ def _exchange_pass(
     current: np.ndarray,
     log_abs: np.ndarray,
     pools: np.ndarray,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One cyclic sweep of best single-point replacements, for a stack of restarts.
 
@@ -342,8 +337,8 @@ def _exchange_pass(
     (see the module docstring).
     """
     if current.shape[2] == 1:
-        return _line_pass(current, log_abs, pools, tol)
-    swept = [_basis_pass(c, float(v), pool, tol) for c, v, pool in zip(current, log_abs, pools)]
+        return _line_pass(current, log_abs, pools)
+    swept = [_basis_pass(c, float(v), pool) for c, v, pool in zip(current, log_abs, pools)]
     return np.array([c for c, _ in swept]), np.array([v for _, v in swept])
 
 
@@ -351,7 +346,6 @@ def _line_pass(
     current: np.ndarray,
     log_abs: np.ndarray,
     pools: np.ndarray,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """_exchange_pass in one variable, every restart at each position at once.
 
@@ -366,7 +360,7 @@ def _line_pass(
         table, rowsum, own = _line_tables(pools, current)
         for j in range(current.shape[1]):
             gain, k = _best_replacement_1d(rowsum, table[j], own[:, j])
-            nominated = runs[~(gain <= tol)]
+            nominated = runs[~(gain <= IMPROVEMENT_TOL)]
             if not nominated.size:
                 continue
             trials = current[nominated]
@@ -374,7 +368,7 @@ def _line_pass(
             trial_log = vdm_logabs_batch(trials)
             # the table estimate nominated the move; accept it only on an
             # exact re-evaluation so the trace stays monotone
-            accepted = trial_log > log_abs[nominated] + tol
+            accepted = trial_log > log_abs[nominated] + IMPROVEMENT_TOL
             won = nominated[accepted]
             if not won.size:
                 continue
@@ -475,7 +469,7 @@ def _best_replacement_1d(
 
 
 def _basis_pass(
-    current: np.ndarray, log_abs: float, pool: np.ndarray, tol: float
+    current: np.ndarray, log_abs: float, pool: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """_exchange_pass in several variables, for one restart.
 
@@ -492,12 +486,12 @@ def _basis_pass(
     binv = _inverse(rows)
     for j in range(size):
         gain, k = _best_replacement(pool_basis, binv, j)
-        if gain <= tol or k is None:
+        if gain <= IMPROVEMENT_TOL or k is None:
             continue
         trial_rows = rows.copy()
         trial_rows[j] = pool_basis[k]
         trial_log = float(batch_logabs(trial_rows[None])[0])
-        if trial_log > log_abs + tol:
+        if trial_log > log_abs + IMPROVEMENT_TOL:
             current[j] = pool[k]
             log_abs = trial_log
             rows, binv = trial_rows, _inverse(trial_rows)

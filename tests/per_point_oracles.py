@@ -45,7 +45,9 @@ from polyalab import (
     orthonormal_coefficients,
 )
 from polyalab.linalg import MomentMatrix, batch_logabs
-from polyalab.vandermonde import FeketeResult, _spread, as_seed_sequence
+from polyalab.vandermonde import (
+    IMPROVEMENT_TOL, REFINE_CANDIDATES, FeketeResult, _spread, as_seed_sequence
+)
 
 from brute_force_oracles import greedy_line_start
 
@@ -102,19 +104,19 @@ def greedy_start(pool, size):
     return pool[chosen]
 
 
-def exchange_pass(current, log_abs, pool, tol):
+def exchange_pass(current, log_abs, pool):
     """One cyclic sweep, every position's scores computed from scratch."""
     size = current.shape[0]
     improved = False
     current = current.copy()
     for j in range(size):
         gain, k = best_replacement(current, j, pool)
-        if gain <= tol or k is None:
+        if gain <= IMPROVEMENT_TOL or k is None:
             continue
         trial = current.copy()
         trial[j] = pool[k]
         trial_log = vdm_logdet(trial)
-        if trial_log > log_abs + tol:
+        if trial_log > log_abs + IMPROVEMENT_TOL:
             current, log_abs, improved = trial, trial_log, True
     return current, log_abs, improved
 
@@ -147,14 +149,12 @@ def best_replacement(current, j, pool):
     return float(np.log(ratios[k])), k
 
 
-def refinement_candidates(kset, current, h, count, rng):
+def refinement_candidates(kset, current, h, rng):
     """Refinement candidates drawn and projected one point at a time."""
     rows = []
+    shape = (REFINE_CANDIDATES, current.shape[1])
     for j in range(current.shape[0]):
-        steps = h * (
-            rng.standard_normal((count, current.shape[1]))
-            + 1j * rng.standard_normal((count, current.shape[1]))
-        )
+        steps = h * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         rows.append(kset.project(current[j][None, :] + steps))
     return np.concatenate(rows)
 
@@ -221,7 +221,7 @@ def fekete_search(kset, size, strategy, seed):
 
 
 def run_restart(kset, size, strategy, child, ref):
-    """One restart alone: greedy start, exchange passes until one gains < tol, refinement."""
+    """One restart alone: greedy start, passes until one gains < IMPROVEMENT_TOL, refinement."""
     rng = np.random.default_rng(child)
     pool = candidate_pool(kset, size, strategy.pool_size, rng, ref)
     current = (greedy_line_start if kset.dim == 1 else greedy_start)(pool, size)
@@ -230,24 +230,20 @@ def run_restart(kset, size, strategy, child, ref):
     for _ in range(strategy.exchange_passes):
         pool = candidate_pool(kset, size, strategy.pool_size, rng, ref)
         before = log_abs
-        current, log_abs, _ = restart_exchange_pass(
-            current, log_abs, pool, strategy.improvement_tol
-        )
+        current, log_abs, _ = restart_exchange_pass(current, log_abs, pool)
         trace.append(log_abs)
-        if log_abs - before < strategy.improvement_tol:
+        if log_abs - before < IMPROVEMENT_TOL:
             break
     spread = _spread(pool)
     for level in range(strategy.refine_levels):
         h = spread / 8.0 * 0.3**level
-        candidates = refinement_candidates(kset, current, h, strategy.refine_candidates, rng)
-        current, log_abs, _ = restart_exchange_pass(
-            current, log_abs, candidates, strategy.improvement_tol
-        )
+        candidates = refinement_candidates(kset, current, h, rng)
+        current, log_abs, _ = restart_exchange_pass(current, log_abs, candidates)
         trace.append(log_abs)
     return log_abs, current, tuple(trace)
 
 
-def restart_exchange_pass(current, log_abs, pool, tol):
+def restart_exchange_pass(current, log_abs, pool):
     """One restart's cyclic sweep, tables built once and refreshed after an accepted swap."""
     size, dim = current.shape
     improved = False
@@ -266,7 +262,7 @@ def restart_exchange_pass(current, log_abs, pool, tol):
                 gain, k = line_replacement(rowsum, table[:, j], own[j])
             else:
                 gain, k = ratio_replacement(pool_basis, binv, j)
-            if gain <= tol or k is None:
+            if gain <= IMPROVEMENT_TOL or k is None:
                 continue
             trial = current.copy()
             trial[j] = pool[k]
@@ -276,7 +272,7 @@ def restart_exchange_pass(current, log_abs, pool, tol):
                 trial_rows = rows.copy()
                 trial_rows[j] = pool_basis[k]
                 trial_log = float(batch_logabs(trial_rows[None])[0])
-            if trial_log > log_abs + tol:
+            if trial_log > log_abs + IMPROVEMENT_TOL:
                 current, log_abs, improved = trial, trial_log, True
                 if dim == 1:
                     table[:, j] = np.log(np.abs(pool[:, 0] - current[j, 0]))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -35,7 +36,7 @@ from polyalab.experiments import (
     build_measure,
     build_strategy,
 )
-from polyalab.measures import log_factorial
+from polyalab.measures import DEFAULT_SAMPLES, MonteCarloEstimate, log_factorial
 from polyalab.reporting import rows_to_csv_text
 from polyalab.vandermonde import transfinite_diameter_estimate
 
@@ -172,16 +173,21 @@ def test_build_family_and_strategy():
         ("restarts", 2.5), ("pool_size", 100.5), ("exchange_passes", 1.5),
         ("restarts", True), ("restarts", -1), ("pool_size", "64"),
         ("exchange_passes", -1), ("refine_levels", -1), ("refine_levels", 2.0),
-        ("refine_candidates", 0), ("improvement_tol", "x"), ("improvement_tol", -1e-3),
-        ("improvement_tol", math.inf), ("improvement_tol", math.nan), ("improvement_tol", False),
     ]
     for key, value in bad:
         with pytest.raises(ConfigError, match=key):
             build_strategy({key: value})
-    ok = build_strategy({"exchange_passes": 0, "refine_levels": 0, "improvement_tol": 0})
-    assert (ok.exchange_passes, ok.refine_levels, ok.improvement_tol) == (0, 0, 0)
+    ok = build_strategy({"exchange_passes": 0, "refine_levels": 0})
+    assert (ok.exchange_passes, ok.refine_levels) == (0, 0)
     with pytest.raises(ConfigError):
         build_family({"kind": "interval", "a": 0, "b": 1, "side": "diagonal"})
+
+
+@pytest.mark.parametrize("key, value", [("improvement_tol", 1e-10), ("refine_candidates", 12)])
+def test_search_fixes_its_tolerance_and_refinement_draws(key, value):
+    # module constants of the search, not settings: even their own values are unknown keys
+    with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+        build_strategy({key: value})
 
 
 def test_tdiam_runner_is_deterministic():
@@ -761,12 +767,28 @@ _ARCSINE = {"kind": "arcsine", "a": -1.0, "b": 1.0}
 
 @pytest.mark.parametrize("factors, per_axis", [(1, 4096), (2, 64), (3, 16)])
 def test_bm_ratio_default_grid_holds_about_4096_points(monkeypatch, factors, per_axis):
+    # without a grid key the driver forwards nothing: the grid is the library's
     calls = []
-    monkeypatch.setattr(experiments, "bernstein_markov_ratio",
-                        lambda measure, s, per_axis: calls.append(per_axis) or 1.0)
+    grid = ProductSet.grid
+    monkeypatch.setattr(ProductSet, "grid", lambda kset, n: calls.append(n) or grid(kset, n))
     measure = {"kind": "product", "factors": [_ARCSINE] * factors}
     run_experiment(ExperimentConfig("bm-ratio", "b", 0, {"measure": measure, "degrees": [1]}))
     assert calls == [per_axis]
+
+
+def test_zs_check_takes_the_library_sample_count(monkeypatch):
+    library = inspect.signature(z_s_montecarlo)
+    used = []
+
+    def recording(*args, **kwargs):
+        call = library.bind(*args, **kwargs)
+        call.apply_defaults()
+        used.append(call.arguments["samples"])
+        return MonteCarloEstimate(0.0, 1.0, used[-1])
+
+    monkeypatch.setattr(experiments, "z_s_montecarlo", recording)
+    run_experiment(ExperimentConfig("zs-check", "z", 0, {"measure": _ARCSINE, "degrees": [1]}))
+    assert used == [library.parameters["samples"].default] == [DEFAULT_SAMPLES] == [100_000]
 
 
 def test_cli_writes_reports_and_exit_codes(tmp_path, capsys):

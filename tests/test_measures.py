@@ -27,7 +27,7 @@ from polyalab import (
     z_s_montecarlo,
 )
 from polyalab.linalg import exact_ldl
-from polyalab.measures import _GRID_BLOCK, log_factorial
+from polyalab.measures import _GRID_BLOCK, DEFAULT_GRID, log_factorial
 
 import brute_force_oracles
 import per_point_oracles
@@ -153,6 +153,17 @@ def test_discrete_weights_stay_unnormalized():
     rng = np.random.default_rng(0)
     pts = mu.sample(rng, 2000)
     assert abs(np.mean(pts.real) - 0.25) < 0.05
+
+
+@pytest.mark.parametrize(
+    "mu", [UniformSegment(-1.0, 2.0), CircleUniform(1.5), DiskUniform(0.5)],
+    ids=lambda mu: type(mu).__name__,
+)
+def test_uniform_measures_draw_what_their_support_draws(mu):
+    got = mu.sample(np.random.default_rng(3), 50)
+    want = mu.support.sample(np.random.default_rng(3), 50)
+    assert got.shape == (50, 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_product_measure_moments_factorize():
@@ -499,6 +510,19 @@ def test_montecarlo_memory_stays_within_a_block(measure, s, mib):
     finally:
         tracemalloc.stop()
     assert peak < mib * 2**20
+
+
+@pytest.mark.parametrize("dim, per_axis", [(1, 4096), (2, 64), (3, 16)])
+def test_bm_ratio_default_grid_holds_about_4096_points_in_every_dimension(
+    monkeypatch, dim, per_axis
+):
+    measure = ArcsineMeasure() if dim == 1 else ProductMeasure((ArcsineMeasure(),) * dim)
+    support = type(measure.support)
+    calls = []
+    grid = support.grid
+    monkeypatch.setattr(support, "grid", lambda kset, n: calls.append(n) or grid(kset, n))
+    assert math.isfinite(bernstein_markov_ratio(measure, 1))
+    assert calls == [per_axis] == [round(DEFAULT_GRID ** (1 / dim))]
 
 
 def test_bm_ratio_singular_is_infinite():

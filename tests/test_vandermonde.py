@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from polyalab.linalg import logdet
 from polyalab import vandermonde
 from polyalab.multiindex import _POINT_BLOCK, degree_counts
 from polyalab.vandermonde import (
+    IMPROVEMENT_TOL,
+    REFINE_CANDIDATES,
     _best_replacement_1d,
     _candidate_pool,
     _exchange_pass,
@@ -214,7 +217,10 @@ def test_strategy_defaults_and_validation():
     assert s.pool_size == 512
     assert s.restarts == 8
     assert s.exchange_passes == 8
-    assert s.improvement_tol == 1e-10
+    assert [f.name for f in dataclasses.fields(s)] == [
+        "pool_size", "exchange_passes", "refine_levels", "restarts"
+    ]
+    assert (IMPROVEMENT_TOL, REFINE_CANDIDATES) == (1e-10, 12)
     with pytest.raises(ValueError):
         SearchStrategy(restarts=-1)
 
@@ -288,9 +294,9 @@ def _random_starts(kset, size, seed, restarts):
     return starts
 
 
-def _stacked_pass(starts, tol=1e-10):
+def _stacked_pass(starts):
     current, log_abs, pools = (np.array(part) for part in zip(*starts))
-    return _exchange_pass(current, log_abs, pools, tol)
+    return _exchange_pass(current, log_abs, pools)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -302,7 +308,7 @@ def test_exchange_pass_matches_per_position_tables(kset, size, seed):
     starts = _random_starts(kset, size, seed, 3)
     got_points, got_logs = _stacked_pass(starts)
     for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
-        want = exchange_pass(current, log_abs, pool, 1e-10)
+        want = exchange_pass(current, log_abs, pool)
         assert want[2] or r > 0
         assert points.tobytes() == want[0].tobytes()
         assert log == want[1]
@@ -323,7 +329,7 @@ def test_singular_restart_leaves_the_others_swapping(kset, size):
         np.linalg.inv(basis_matrix(current, size).T)
     got_points, got_logs = _stacked_pass(starts)
     for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
-        want = exchange_pass(current, log_abs, pool, 1e-10)
+        want = exchange_pass(current, log_abs, pool)
         # the singular restart nominates nothing; the others still swap
         assert want[2] == (r != 1)
         assert points.tobytes() == want[0].tobytes()
@@ -346,11 +352,11 @@ def test_rejected_swap_leaves_the_cached_rows_unchanged(kset, size, seed):
     # positions score against tables that must still hold the current
     # point 0; restart 1, in the same stack, accepts its swaps
     gain, _ = best_replacement(current, 0, pool)
-    assert gain > 1e-10
+    assert gain > IMPROVEMENT_TOL
     starts[0] = (current, log_abs + gain + 1e-6, pool)
     got_points, got_logs = _stacked_pass(starts)
     for r, ((current, log_abs, pool), points, log) in enumerate(zip(starts, got_points, got_logs)):
-        want = exchange_pass(current, log_abs, pool, 1e-10)
+        want = exchange_pass(current, log_abs, pool)
         if r == 0:
             assert (want[0][0] == current[0]).all()
         else:
@@ -373,7 +379,7 @@ def test_exchange_pass_evaluates_the_pool_basis_once(monkeypatch):
         return build(points, count)
 
     monkeypatch.setattr(vandermonde, "basis_matrix", counting)
-    _, after = _exchange_pass(current, log_abs, pools, 1e-10)
+    _, after = _exchange_pass(current, log_abs, pools)
     assert (after > log_abs).all()
     # each restart's pool, then its configuration; trials and refreshed
     # inverses reuse these rows: no point is evaluated twice
@@ -487,7 +493,7 @@ def test_coincident_points_nominate_no_swap(monkeypatch):
         return evaluate(configs)
 
     monkeypatch.setattr(vandermonde, "vdm_logabs_batch", counting)
-    got, log_abs = _exchange_pass(current[None], np.array([-np.inf]), pool[None], 1e-10)
+    got, log_abs = _exchange_pass(current[None], np.array([-np.inf]), pool[None])
     assert calls == []
     assert (got[0] == current).all()
     assert log_abs[0] == float("-inf")
@@ -500,10 +506,10 @@ def test_refinement_candidates_match_per_point_draws(kset):
     h = np.array([0.1, 0.03])
     mine = [np.random.default_rng(6), np.random.default_rng(7)]
     theirs = [np.random.default_rng(6), np.random.default_rng(7)]
-    got = _refinement_candidates(kset, current, h, 12, mine)
-    assert got.shape == (2, 72, kset.dim)
+    got = _refinement_candidates(kset, current, h, mine)
+    assert got.shape == (2, 6 * REFINE_CANDIDATES, kset.dim)
     for r in range(2):
-        want = refinement_candidates(kset, current[r], float(h[r]), 12, theirs[r])
+        want = refinement_candidates(kset, current[r], float(h[r]), theirs[r])
         assert got[r].tobytes() == want.tobytes()
         assert mine[r].bit_generator.state == theirs[r].bit_generator.state
 
@@ -545,9 +551,7 @@ def test_refinement_projects_one_batch_per_level(monkeypatch):
         return project(self, z)
 
     monkeypatch.setattr(Interval, "project", counting)
-    strategy = SearchStrategy(
-        restarts=1, pool_size=32, exchange_passes=0, refine_levels=1, refine_candidates=12
-    )
+    strategy = SearchStrategy(restarts=1, pool_size=32, exchange_passes=0, refine_levels=1)
     fekete_search(Interval(-1.0, 1.0), 6, strategy, seed=0)
     assert batches == [(72, 1)]
 
@@ -555,7 +559,7 @@ def test_refinement_projects_one_batch_per_level(monkeypatch):
 SEARCH_CASES = [(k, m) for k in EXCHANGE_SETS for m in (2, 4, 7)] + [
     (k, m) for k in ND_EXCHANGE_SETS for m in (15, 21)
 ]
-SEARCH_STRATEGY = SearchStrategy(pool_size=64, restarts=4, refine_levels=2, refine_candidates=6)
+SEARCH_STRATEGY = SearchStrategy(pool_size=64, restarts=4, refine_levels=2)
 
 
 def _float_bytes(values):
