@@ -50,6 +50,8 @@ sequence, `linalg.exact_prefix_logdets`, `linalg.exact_logdet` and
   `bm-ratio` of `sampling`
 - the arcsine[0, 2] Gram prefix pass at m = 41, whose entries are all
   nonzero: one class, the control for matrices that do not split
+- the Gram prefix pass at m = 153 (s = 16) of the uniform measure on the
+  square [0, 1]^2: one dense class, where the elimination's cubic cost shows
 - the Gram prefix pass at m = 40 of a 3-atom real discrete measure (atoms
   0, 1 and -1): one class of rank 3, so every leading minor past size 3 is
   zero, and each larger leading block is eliminated with pivoting
@@ -215,6 +217,9 @@ def exact_cases() -> list[tuple[str, object, list]]:
         ((0.0,), (1.0,), (-1.0,)), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     )
     zero_first = polyalab.coeffs_from_table(1, {(k,): Fraction(k, k + 1) for k in range(59)})
+    unit_square = polyalab.ProductMeasure(
+        (polyalab.UniformSegment(0.0, 1.0), polyalab.UniformSegment(0.0, 1.0))
+    )
     return [
         ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
         ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
@@ -223,6 +228,8 @@ def exact_cases() -> list[tuple[str, object, list]]:
          polyalab.gram(product, 28).exact),
         ("arcsine[0, 2] Gram prefix pass, m=41", linalg.exact_prefix_logdets,
          polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
+        ("uniform [0, 1]^2 Gram prefix pass, m=153", linalg.exact_prefix_logdets,
+         polyalab.gram(unit_square, 153).exact),
         ("3-atom discrete Gram prefix pass, m=40", linalg.exact_prefix_logdets,
          polyalab.gram(three_atoms, 40).exact),
         ("product arcsine Gram exact_logdet, m=153", linalg.exact_logdet,

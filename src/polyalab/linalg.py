@@ -17,16 +17,22 @@ those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
 elimination, not n, and a single determinant is the last minor of that
 pass; run over [cA | I], the same loop gives an exact LDL^T.  One Bareiss
 loop serves both exact routes, and it exchanges rows only past a zero
-leading minor.  Each exact route first splits the matrix into classes:
-the connected components of the graph of its nonzero entries,
-found by one O(n^2) scan.  A symmetric measure's moment matrix splits by
-parity, two classes (a checkerboard) in one variable and up to 2^n in n
-(Dunkl & Xu 2014, centrally symmetric functionals).  Each class is
-eliminated alone, and a determinant or leading minor is the product of its
-classes' (Bareiss 1968): the eliminations skip the structural zeros, a
-zero minor re-eliminates only its own class, and since a zero entry has
-denominator 1, every row scale, integer and logarithm is the one the whole
-matrix gives.  A single matrix or configuration is evaluated as a batch of
+leading minor.  Every moment matrix is symmetric, and the loop updates
+one triangle of a symmetric class: its integer rows are S = diag(d) A,
+d the row lcms and A symmetric, so after k steps entry (i, k) is entry
+(k, i) times d_i / d_k, an exact division, and the pivots are the same
+integers for half the products.  Symmetry is checked once per class, on
+the rational entries; a class that is not symmetric, and the row
+exchanges past a zero minor, keep the full update.  Each exact route
+first splits the matrix into classes: the connected components of the
+graph of its nonzero entries, found by one O(n^2) scan.  A symmetric
+measure's moment matrix splits by parity, two classes (a checkerboard) in
+one variable and up to 2^n in n (Dunkl & Xu 2014, centrally symmetric
+functionals).  Each class is eliminated alone, and a determinant or
+leading minor is the product of its classes' (Bareiss 1968): the
+eliminations skip the structural zeros, a zero minor re-eliminates only
+its own class, and since a zero entry has denominator 1, every row scale,
+integer and logarithm is the one the whole matrix gives.  A single matrix or configuration is evaluated as a batch of
 one, so each float route has one body.
 """
 
@@ -107,8 +113,20 @@ def _fraction_rows(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
 def _scaled_rows(fracs: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, as integers, and those lcms."""
     lcms = [math.lcm(*(f.denominator for f in row)) for row in fracs]
-    scaled = [[f.numerator * (d // f.denominator) for f in row] for row, d in zip(fracs, lcms)]
+    scaled = [
+        [(num := f.numerator) and num * (d // f.denominator) for f in row]  # 0: no division
+        for row, d in zip(fracs, lcms)
+    ]
     return scaled, lcms
+
+
+def _symmetric(rows: Sequence[Sequence]) -> bool:
+    """Whether a square matrix equals its transpose.
+
+    Sequence comparison tests identity before ==, and mirrored entries of a
+    moment matrix are mostly one object, so few entries are compared.
+    """
+    return list(map(tuple, rows)) == list(zip(*rows))
 
 
 def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -170,6 +188,9 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     lcm of their first k + 1 denominators only, as that submatrix alone is
     scaled, so each entry equals the last one of this function on that
     submatrix, bit for bit.  Only the final logarithms are floating point.
+    A class whose rational entries are symmetric, checked once, is
+    eliminated over one triangle with its rows' lcms as the scales of
+    _leading_minors; the same pivots come out.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
@@ -177,7 +198,8 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     classes = _classes(scaled)
     class_minors = []
     for cls in classes:
-        minors = _leading_minors(_submatrix(scaled, cls))  # up to the first zero
+        scales = [full_lcm[i] for i in cls] if _symmetric(_submatrix(fracs, cls)) else None
+        minors = _leading_minors(_submatrix(scaled, cls), scales=scales)  # up to the first zero
         for size in range(len(minors) + 1, len(cls) + 1):
             minors.append(_leading_minors(_submatrix(scaled, cls[:size]), exchange=True)[-1])
         class_minors.append(minors)
@@ -262,7 +284,9 @@ def moment_matrix(
     return MomentMatrix(len(basis), None, tuple(tuple(values[k] for k in row) for row in keys))
 
 
-def _leading_minors(a: list[list[int]], exchange: bool = False) -> list[int]:
+def _leading_minors(
+    a: list[list[int]], exchange: bool = False, scales: Sequence[int] | None = None
+) -> list[int]:
     """The pivots of Bareiss elimination over a's first len(a) columns, in place.
 
     Without row exchanges pivot k is the leading principal minor of size
@@ -270,6 +294,14 @@ def _leading_minors(a: list[list[int]], exchange: bool = False) -> list[int]:
     a zero pivot is first exchanged with the next row below that is nonzero
     in its column, so the last pivot is the determinant up to sign, 0 when
     a is singular.
+
+    scales, given only without exchanges, says that a's square part is
+    S = diag(scales) A with A symmetric.  After k steps entry (i, j), i and
+    j >= k, is (prod_{r<k} d_r) d_i M_ij, d = scales, where M_ij = M_ji is
+    the minor of A bordering its leading k x k block by row i and column j.
+    So a[i][k] = a[k][i] d_i / d_k, an exact division, and each step updates
+    only the upper triangle and the columns past the square part: the same
+    pivots for half the integer products.
     """
     pivots = []
     prev = 1
@@ -281,22 +313,31 @@ def _leading_minors(a: list[list[int]], exchange: bool = False) -> list[int]:
         pivots.append(pivot)
         if pivot == 0:
             break
-        _bareiss_step(a, k, prev)
+        _bareiss_step(a, k, prev, scales)
         prev = pivot
     return pivots
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot."""
+def _bareiss_step(a: list[list[int]], k: int, prev: int, scales: Sequence[int] | None) -> None:
+    """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot.
+
+    With scales, a's square part is diag(scales) times a symmetric matrix,
+    and row i is updated from column i on only: its multiplier a[i][k] is
+    read off row k as a[k][i] * scales[i] // scales[k] (see _leading_minors),
+    and the strictly lower triangle is neither read nor written.
+    """
     pivot = a[k][k]
     row_k = a[k]
     for i in range(k + 1, len(a)):
-        left = a[i][k]
         row_i = a[i]
-        for j in range(k + 1, len(row_k)):
+        if scales is None:
+            left, start = row_i[k], k + 1
+            row_i[k] = 0
+        else:
+            left, start = row_k[i] * scales[i] // scales[k], i
+        for j in range(start, len(row_k)):
             # Bareiss identity: the division by the previous pivot is exact
             row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
-        row_i[k] = 0
 
 
 def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -308,10 +349,15 @@ def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]],
     submatrix and c the lcm of its denominators: after step k - 1, row k's
     right block is D_{k-1} (L^-1)_k, and d_k = D_k / (c D_{k-1}), D_k the
     pivot of step k and D_{-1} = 1.  Raises ValueError at the first index
-    whose pivot is not positive, quoting that class's pivot.
+    whose pivot is not positive, quoting that class's pivot, and before any
+    elimination when A is not symmetric.  The left block cA has one scale
+    for every row, so a_ik = a_ki and each step updates one triangle of it
+    and the whole right block.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
+    if not _symmetric(fracs):
+        raise ValueError("matrix is not symmetric")
     pivots: list[int] = [0] * n
     blocks = []
     for cls in _classes(fracs):
@@ -322,7 +368,7 @@ def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]],
             [f.numerator * (c // f.denominator) for f in row] + [int(i == j) for j in range(m)]
             for i, row in enumerate(sub)
         ]
-        minors = _leading_minors(aug)
+        minors = _leading_minors(aug, scales=[1] * m)  # cA: every row scale is c
         for i, d in zip(cls, minors):
             pivots[i] = d
         blocks.append((cls, c, aug, [1, *minors]))  # D_{p-1} at position p

@@ -68,6 +68,32 @@ def test_config_load_from_file(tmp_path):
         ExperimentConfig.load(bad)
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(_ROOT.glob("configs/*.yaml")) + sorted(
+    _ROOT.glob("perfbench/workloads/*/*.yaml")
+)
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_every_shipped_config_loads_alike_under_either_yaml_loader(monkeypatch, loader):
+    assert len(SHIPPED_CONFIGS) == 21
+    monkeypatch.setattr(experiments, "_YAML_LOADER", loader)
+    for path in SHIPPED_CONFIGS:
+        text = path.read_text()
+        assert yaml.load(text, Loader=loader) == yaml.safe_load(text), path
+        assert ExperimentConfig.load(path) == ExperimentConfig.from_dict(yaml.safe_load(text)), path
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_invalid_yaml_is_a_config_error_under_either_loader(monkeypatch, tmp_path, loader):
+    monkeypatch.setattr(experiments, "_YAML_LOADER", loader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("experiment: hankel\ndegrees: [1, 2\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        ExperimentConfig.load(bad)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         make_config(experiment="warp")
@@ -482,12 +508,10 @@ def test_unknown_payload_keys_are_config_errors(experiment, key, value):
 
 def test_every_shipped_config_passes_the_key_check():
     # every nested mapping is built too, so its keys are checked, but no driver runs
-    root = Path(__file__).resolve().parent.parent
-    paths = sorted(root.glob("configs/*.yaml")) + sorted(root.glob("perfbench/workloads/*/*.yaml"))
-    assert len(paths) == 21
     builders = {"set": build_compact, "measure": build_measure, "germ": build_germ,
                 "family": build_family, "search": build_strategy}
-    for path in paths:
+    assert len(SHIPPED_CONFIGS) == 21
+    for path in SHIPPED_CONFIGS:
         spec = ExperimentConfig.load(path).spec
         for key in spec.keys() & builders.keys():
             builders[key](spec[key])

@@ -23,6 +23,9 @@ from polyalab import (
 )
 from polyalab.linalg import (
     _classes,
+    _fraction_rows,
+    _leading_minors,
+    _scaled_rows,
     _upper_pairs,
     batch_logabs,
     batch_pairwise_logabs,
@@ -355,3 +358,68 @@ def test_exact_ldl_rejects_singular_semidefinite():
     # the first pivot is 1, the second is exactly 0
     with pytest.raises(ValueError, match="pivot 1 = 0"):
         exact_ldl([[1, 1], [1, 1]])
+
+
+def test_exact_ldl_rejects_a_matrix_that_is_not_symmetric():
+    # its leading minors are positive, so only the symmetry check rejects it
+    with pytest.raises(ValueError, match="not symmetric"):
+        exact_ldl([[2, 1], [0, 2]])
+
+
+# symmetric zero patterns, but not symmetric: a tridiagonal chain (one class)
+# with a_01 != a_10, and two classes of which only {1, 3} is not symmetric
+NOT_SYMMETRIC = [
+    [[Fraction(1, 2), 3, 0], [1, Fraction(2, 3), Fraction(1, 5)], [0, 7, 4]],
+    [[2, 0, Fraction(1, 3), 0], [0, 1, 0, 3], [Fraction(1, 3), 0, 5, 0], [0, 2, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("rows", NOT_SYMMETRIC, ids=["chain", "one-class-of-two"])
+def test_a_class_that_is_not_symmetric_gets_the_full_update(rows):
+    assert_prefixes_match_per_size(rows)
+    for size, got in enumerate(exact_prefix_logdets(rows), start=1):
+        det = fraction_det([row[:size] for row in rows[:size]])
+        assert got == pytest.approx(math.log(abs(det)))
+
+
+def _lower_as_none(a):
+    """a with every strictly lower entry of its square part replaced by None."""
+    return [[None if j < i else v for j, v in enumerate(row)] for i, row in enumerate(a)]
+
+
+# symmetric, with unequal row scales; the last has leading minors 1, 0 and
+# stops at the zero
+SYMMETRIC = [
+    CHECKERBOARD,
+    FOUR_CLASSES,
+    ONE_CLASS,
+    [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)],
+    [[1, 1, Fraction(1, 2)], [1, 1, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 4]],
+]
+
+
+@pytest.mark.parametrize(
+    "rows", SYMMETRIC, ids=["checkerboard", "four-classes", "one-class", "hilbert-8", "zero-minor"]
+)
+def test_a_symmetric_pass_reads_and_writes_only_the_upper_triangle(rows):
+    scaled, scales = _scaled_rows(_fraction_rows(rows))
+    want = _leading_minors([row[:] for row in scaled])
+    sentinel = _lower_as_none(scaled)
+    assert _leading_minors(sentinel, scales=scales) == want
+    assert all(v is None for i, row in enumerate(sentinel) for v in row[:i])
+
+
+def test_a_symmetric_pass_over_an_augmented_matrix_keeps_its_right_block():
+    # exact_ldl's [cA | I]: every row scale is c, and the right block is
+    # updated whole
+    fracs = _fraction_rows(ONE_CLASS)
+    c = math.lcm(*(f.denominator for row in fracs for f in row))
+    m = len(fracs)
+    aug = [
+        [int(f * c) for f in row] + [int(i == j) for j in range(m)] for i, row in enumerate(fracs)
+    ]
+    full = [row[:] for row in aug]
+    want = _leading_minors(full)
+    sentinel = _lower_as_none(aug)
+    assert _leading_minors(sentinel, scales=[1] * m) == want
+    assert [row[m:] for row in sentinel] == [row[m:] for row in full]

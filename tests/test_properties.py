@@ -163,9 +163,9 @@ def test_a_zero_minor_re_eliminates_only_its_own_class(monkeypatch):
     steps = []
     step = linalg._bareiss_step
 
-    def counted(a, k, prev):
+    def counted(a, k, prev, scales):
         steps.append((len(a), k))
-        step(a, k, prev)
+        step(a, k, prev, scales)
 
     monkeypatch.setattr(linalg, "_bareiss_step", counted)
     exact_prefix_logdets(TWO_CLASSES_ONE_ZERO)
@@ -208,6 +208,44 @@ def _oracle_ldl(rows):
 @hypothesis.example(LATE_AND_EARLY_FAILURES)
 @hypothesis.example(block_diagonal([[[4, 2], [2, 5]], [[3]], [[1, 0], [0, 2]]], [4, 1, 0, 2, 3]))
 def test_split_exact_ldl_is_the_unsplit_factorization(rows):
+    assert _ldl_or_rejected_pivot(exact_ldl, rows) == _ldl_or_rejected_pivot(_oracle_ldl, rows)
+
+
+@st.composite
+def symmetric_matrices_with_repeats(draw, max_size=7):
+    """Symmetric rational matrices, some with a vanishing leading minor past a nonzero one.
+
+    Row denominators differ, so the row scales do.  A mirrored entry is the
+    same object or an equal copy.  Sometimes row and column r repeat a
+    multiple of an earlier row and column, so every minor from size r + 1 on
+    vanishes.
+    """
+    rows = draw(symmetric_rational_matrices(max_size=max_size))
+    n = len(rows)
+    for i in range(n):
+        for j in range(i):
+            if draw(st.booleans()):
+                rows[i][j] = Fraction(rows[j][i])
+    if n > 1 and draw(st.booleans()):
+        r = draw(st.integers(min_value=1, max_value=n - 1))
+        s = draw(st.integers(min_value=0, max_value=r - 1))
+        c = draw(ENTRY)
+        line = [c * v for v in rows[s]]
+        line[r] = c * line[s]
+        for j, v in enumerate(line):
+            rows[r][j] = rows[j][r] = v
+    return rows
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(symmetric_matrices_with_repeats())
+@hypothesis.example(
+    [[1, 1, Fraction(1, 2)], [1, 1, Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3), 4]]
+)
+def test_one_triangle_elimination_is_the_oracle_on_symmetric_matrices(rows):
+    assert linalg._symmetric(rows)  # the one-triangle update runs
+    assert exact_prefix_logdets(rows) == brute_force_oracles.unsplit_prefix_logdets(rows)
+    assert exact_logdet(rows) == brute_force_oracles.unsplit_logdet(rows)
     assert _ldl_or_rejected_pivot(exact_ldl, rows) == _ldl_or_rejected_pivot(_oracle_ldl, rows)
 
 
