@@ -7,13 +7,14 @@ Exit codes: 0 clean run, 2 run completed but raised consistency flags,
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .experiments import ConfigError, ExperimentConfig, run_experiment
-from .reporting import report_json_payload, write_csv, write_json
+from .reporting import report_json_payload, rows_to_csv_text
 
 
 def _slug(text: str) -> str:
@@ -56,34 +57,27 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the suffix is appended, not swapped in: a label slug may hold dots
     stem = f"{_slug(cfg.experiment)}-{_slug(cfg.label)}"
-    written = []
+    reports = {}
     if args.format in ("csv", "both"):
-        path = out_dir / f"{stem}.csv"
-        write_csv(result.rows, path)
-        written.append(path)
+        reports[out_dir / f"{stem}.csv"] = rows_to_csv_text(result.rows)
     if args.format in ("json", "both"):
-        path = out_dir / f"{stem}.json"
-        payload = report_json_payload(
-            experiment=cfg.experiment,
-            label=cfg.label,
-            seed=cfg.seed,
-            config=cfg.to_dict(),
-            rows=result.rows,
-            flags=result.flags,
-            wall_clock=result.wall_clock,
-            extras=result.extras,
-        )
-        write_json(payload, path)
-        written.append(path)
+        payload = json.dumps(report_json_payload(result), indent=2, sort_keys=True)
+        reports[out_dir / f"{stem}.json"] = payload + "\n"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in reports.items():
+            path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write reports to {out_dir}: {exc}", file=sys.stderr)
+        return 1
 
     print(
         f"{cfg.experiment} [{cfg.label}] seed={cfg.seed}: "
         f"{len(result.rows)} rows in {result.wall_clock:.2f}s"
     )
-    for path in written:
+    for path in reports:
         print(f"  wrote {path}")
     if result.flags:
         for flag in result.flags:

@@ -167,11 +167,9 @@ def _term(dim: int, index: int, ld: float) -> PolyaTerm:
 
 @dataclass(frozen=True)
 class HankelSequenceReport:
-    """D_i for i = 1..i_max, with the complete-degree subsequence split out."""
+    """D_i for i = 1..i_max."""
 
-    dim: int
     terms: tuple[PolyaTerm, ...]
-    diagonal: tuple[PolyaTerm, ...]
 
     def max_quantity(self) -> float | None:
         vals = [t.quantity for t in self.terms if t.quantity is not None]
@@ -187,12 +185,9 @@ def polya_sequence(germ: GermCoefficients, max_index: int) -> HankelSequenceRepo
     if max_index < 1:
         raise ValueError("max_index must be positive")
     logdets = hankel_matrix(germ, max_index).prefix_logdets()
-    terms = tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
-    enum = enumeration_for(germ.dim)
-    diagonal = tuple(
-        t for t in terms if t.index == count_at_most(germ.dim, enum.degree_of(t.index))
+    return HankelSequenceReport(
+        tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
     )
-    return HankelSequenceReport(germ.dim, terms, diagonal)
 
 
 def polya_quantity(germ: GermCoefficients, s: int) -> PolyaTerm:

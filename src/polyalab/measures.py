@@ -357,10 +357,6 @@ class MonteCarloEstimate:
     std_error_log: float
     samples: int
 
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value) if self.log_value < 700 else math.inf
-
 
 def z_s_montecarlo(
     measure: Measure,
@@ -429,13 +425,15 @@ def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int | None = None
     every dimension.  A singular Gram matrix means some nonzero polynomial
     has zero L2 norm, so the ratio is reported as infinite.
     """
+    if per_axis is None:
+        per_axis = round(DEFAULT_GRID ** (1 / measure.dim))
+    elif not is_integer_at_least(per_axis, 1):
+        raise ValueError(f"per_axis must be an integer >= 1, got {per_axis!r}")
     m = count_at_most(measure.dim, s)
     try:
         coeffs = orthonormal_coefficients(measure, m)
     except (ValueError, np.linalg.LinAlgError):
         return math.inf
-    if per_axis is None:
-        per_axis = round(DEFAULT_GRID ** (1 / measure.dim))
     pts = measure.support.grid(per_axis)
     peak = -math.inf
     step = max(1, _GRID_BLOCK // m)

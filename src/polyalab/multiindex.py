@@ -31,11 +31,6 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 
-def degree(k: MultiIndex) -> int:
-    """Total degree |k| = k_1 + ... + k_n."""
-    return sum(k)
-
-
 def is_integer_at_least(value, minimum: int) -> bool:
     """The one rule for integer settings: a true int >= minimum; no bool, float or string."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
@@ -150,12 +145,6 @@ class GradedEnumeration:
 def enumerate_indices(dim: int, count: int) -> list[MultiIndex]:
     """First ``count`` multi-indices of dimension ``dim`` in graded-lex order."""
     return GradedEnumeration(dim).prefix(count)
-
-
-def monomial(k: MultiIndex, z) -> complex:
-    """Evaluate z^k = z_1^{k_1} ... z_n^{k_n}; 0^0 counts as 1."""
-    point = np.asarray(z, dtype=complex).reshape(1, -1)
-    return complex(monomial_matrix(point, np.array([k], dtype=np.int64))[0, 0])
 
 
 def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:

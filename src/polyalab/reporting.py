@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+if TYPE_CHECKING:
+    from .experiments import RunResult
 
 SCHEMA_VERSION = 1
 
@@ -67,42 +68,6 @@ def rows_to_csv_text(rows: Sequence[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def parse_csv_text(text: str) -> list[ReportRow]:
-    """Inverse of rows_to_csv_text, minus the wall-clock (CSV never has it)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        exp, label, quantity, s, i, j, value, std_error, seed = rec
-        rows.append(
-            ReportRow(
-                experiment=exp,
-                label=label,
-                quantity=quantity,
-                s=int(s) if s else None,
-                i=int(i) if i else None,
-                j=int(j) if j else None,
-                value=float(value),
-                std_error=float(std_error) if std_error else None,
-                seed=int(seed),
-            )
-        )
-    return rows
-
-
-def write_csv(rows: Sequence[ReportRow], path: str | Path) -> Path:
-    path = Path(path)
-    try:
-        path.write_text(rows_to_csv_text(rows))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV report to {path}: {exc}") from exc
-    return path
-
-
 def _json_safe(obj: Any) -> Any:
     """Recursively replace non-finite floats so the JSON stays portable."""
     if isinstance(obj, float):
@@ -116,35 +81,19 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def report_json_payload(
-    experiment: str,
-    label: str,
-    seed: int,
-    config: dict,
-    rows: Sequence[ReportRow],
-    flags: Sequence[str],
-    wall_clock: float,
-    extras: dict | None = None,
-) -> dict:
+def report_json_payload(result: RunResult) -> dict:
+    """The JSON sidecar of one run: its config, rows, flags, extras and wall time."""
+    cfg = result.config
     return _json_safe(
         {
             "schema": SCHEMA_VERSION,
-            "experiment": experiment,
-            "label": label,
-            "seed": seed,
-            "wall_clock_seconds": wall_clock,
-            "config": config,
-            "flags": list(flags),
-            "rows": [asdict(r) for r in rows],
-            "extras": extras or {},
+            "experiment": cfg.experiment,
+            "label": cfg.label,
+            "seed": cfg.seed,
+            "wall_clock_seconds": result.wall_clock,
+            "config": cfg.to_dict(),
+            "flags": result.flags,
+            "rows": [asdict(r) for r in result.rows],
+            "extras": result.extras,
         }
     )
-
-
-def write_json(payload: dict, path: str | Path) -> Path:
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON report to {path}: {exc}") from exc
-    return path

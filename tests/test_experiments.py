@@ -866,6 +866,21 @@ def test_cli_error_and_flag_exit_codes(tmp_path, capsys):
     assert "FLAG" in capsys.readouterr().out
 
 
+def test_cli_reports_a_write_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(ExperimentConfig(
+        "bm-ratio", "w", 0,
+        {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
+    ).dump_text())
+    taken = tmp_path / "taken"  # a file where the report directory should go
+    taken.write_text("kept")
+    assert cli_main(["--config", str(cfg_path), "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write reports to {taken}: ")
+    assert "wrote" not in captured.out
+    assert taken.read_text() == "kept"
+
+
 def test_cli_format_selection(tmp_path):
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(ExperimentConfig(

@@ -251,18 +251,19 @@ def test_polya_diagonal_closed_form():
 def test_polya_sequence_report_structure():
     germ = coeffs_from_measure(ArcsineMeasure(-1.0, 1.0))
     rep = polya_sequence(germ, 6)
-    assert rep.dim == 1
     assert len(rep.terms) == 6
     assert [t.index for t in rep.terms] == [1, 2, 3, 4, 5, 6]
-    # in one variable every index closes a degree block
-    assert len(rep.diagonal) == 6
     assert rep.max_quantity() == pytest.approx(2.0 ** (-0.5))
 
 
 def test_polya_sequence_two_dimensional_diagonal():
     mu = ProductMeasure((ArcsineMeasure(-1.0, 1.0), ArcsineMeasure(-1.0, 1.0)))
-    rep = polya_sequence(coeffs_from_measure(mu), count_at_most(2, 2))
-    assert [t.index for t in rep.diagonal] == [1, 3, 6]
+    germ = coeffs_from_measure(mu)
+    rep = polya_sequence(germ, count_at_most(2, 2))
+    assert [t.degree for t in rep.terms] == [0, 1, 1, 2, 2, 2]
+    # the terms that close a degree block are the diagonal quantities
+    assert rep.terms[2] == polya_quantity(germ, 1)
+    assert rep.terms[5] == polya_quantity(germ, 2)
 
 
 def test_geometric_growth_is_invisible_to_normalization():

@@ -409,9 +409,9 @@ def test_montecarlo_sees_the_mass():
     assert b.log_value - a.log_value == pytest.approx(m * math.log(2.0), abs=1e-12)
 
 
-def test_montecarlo_estimate_value_property():
+def test_montecarlo_estimate_of_the_circle():
     mc = z_s_montecarlo(CircleUniform(1.0), 1, samples=30000, seed=1)
-    assert mc.value == pytest.approx(2.0, rel=0.05)
+    assert math.exp(mc.log_value) == pytest.approx(2.0, rel=0.05)
     assert mc.samples == 30000
 
 
@@ -528,6 +528,13 @@ def test_bm_ratio_default_grid_holds_about_4096_points_in_every_dimension(
 def test_bm_ratio_singular_is_infinite():
     one_atom = DiscreteMeasure(((0.0,),), (Fraction(1),))
     assert bernstein_markov_ratio(one_atom, 2, per_axis=64) == math.inf
+
+
+@pytest.mark.parametrize("per_axis", [0, True])
+@pytest.mark.parametrize("measure", [ArcsineMeasure(), PRODUCT_ARCSINE], ids=["arcsine", "product"])
+def test_bm_ratio_rejects_a_bad_grid(measure, per_axis):
+    with pytest.raises(ValueError, match="per_axis"):
+        bernstein_markov_ratio(measure, 2, per_axis=per_axis)
 
 
 def test_montecarlo_rejects_bad_sizes():
