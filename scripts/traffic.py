@@ -1,4 +1,4 @@
-"""List the library functions that the shipped configs never run.
+"""List the library functions, config kinds and config keys that the shipped configs never use.
 
     python3 scripts/traffic.py
 
@@ -10,6 +10,12 @@ in source order, every function and method defined there that none of
 those runs called, then a count and the wall time.  A name on the list is
 reached only from tests, the README, the benchmark, or a config kind that
 no shipped config uses; anything else is code that nothing runs.
+
+It then prints each config kind and key that none of those configs sets,
+read from the kind tables of `polyalab.experiments` and the fields of
+`SearchStrategy`: `measure disk` is a kind, `measure disk.radius` one of
+its keys, `search restarts` a field.  A name on that list is a setting
+that no shipped run exercises.
 """
 
 from __future__ import annotations
@@ -24,9 +30,37 @@ import time
 from csv_digests import ROOT, default_configs  # also pins BLAS and puts src/ first
 
 import polyalab
+from polyalab import experiments
 from polyalab.cli import main as cli_main
 
 PACKAGE = ROOT / "src" / "polyalab"
+
+# each `kind:` table, its entries (accepted keys, constructor) keyed by kind
+KIND_TABLES = {
+    "experiment": experiments._EXPERIMENTS,
+    "set": experiments._SETS,
+    "family": experiments._FAMILIES,
+    "measure": experiments._MEASURES,
+    "germ": experiments._GERMS,
+    "contour-germ": experiments._CONTOUR_GERMS,
+}
+# mappings with a fixed key set and no kind
+KEY_SETS = {"pair": experiments._PAIR_KEYS, "search": experiments._STRATEGY_KEYS}
+# (table, key) -> the table of the mapping, or list of mappings, under that key
+NESTED = {
+    ("experiment", "set"): "set",
+    ("experiment", "family"): "family",
+    ("experiment", "measure"): "measure",
+    ("experiment", "germ"): "germ",
+    ("experiment", "pairs"): "pair",
+    ("experiment", "search"): "search",
+    ("pair", "set"): "set",
+    ("pair", "germ"): "germ",
+    ("set", "factors"): "set",
+    ("measure", "factors"): "measure",
+    ("germ", "measure"): "measure",
+    ("germ", "germ"): "contour-germ",
+}
 
 
 def _stub(node: ast.FunctionDef) -> bool:
@@ -77,6 +111,34 @@ def traced_calls(configs) -> set[tuple[str, int]]:
     return seen
 
 
+def settable() -> list[str]:
+    """Every config kind and key, in table order."""
+    out = []
+    for table, kinds in KIND_TABLES.items():
+        for kind, (keys, _) in kinds.items():
+            out += [f"{table} {kind}"] + [f"{table} {kind}.{key}" for key in sorted(keys)]
+    for table, keys in KEY_SETS.items():
+        out += [f"{table} {key}" for key in sorted(keys)]
+    return out
+
+
+def set_in(table: str, spec) -> set[str]:
+    """The kinds and keys that one mapping of `table`, and each mapping under it, sets."""
+    if not isinstance(spec, dict):
+        return set()
+    if table in KIND_TABLES:
+        kind = spec["kind"]
+        names = {f"{table} {kind}"} | {f"{table} {kind}.{key}" for key in spec if key != "kind"}
+    else:
+        names = {f"{table} {key}" for key in spec}
+    for key, value in spec.items():
+        child = NESTED.get((table, key))
+        if child is not None:
+            for item in value if isinstance(value, list) else [value]:
+                names |= set_in(child, item)
+    return names
+
+
 def main() -> int:
     start = time.perf_counter()
     defined = defined_functions()
@@ -86,6 +148,16 @@ def main() -> int:
         print(name)
     elapsed = time.perf_counter() - start
     print(f"{len(never)} of {len(defined)} functions and methods never ran ({elapsed:.1f} s)")
+
+    used = set()
+    for path in default_configs():
+        cfg = polyalab.ExperimentConfig.load(path)
+        used |= set_in("experiment", {**cfg.spec, "kind": cfg.experiment})
+    names = settable()
+    unset = [name for name in names if name not in used]
+    for name in unset:
+        print(name)
+    print(f"{len(unset)} of {len(names)} config kinds and keys no shipped config sets")
     return 0
 
 

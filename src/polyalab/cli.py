@@ -25,7 +25,7 @@ def _slug(text: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polya-cli",
-        description="Run a configured numerical experiment and write a report.",
+        description="Run a configured numerical experiment and write its CSV and JSON reports.",
     )
     parser.add_argument("--config", required=True, help="YAML experiment description")
     parser.add_argument(
@@ -34,10 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out", default="reports", help="directory for report files (default: reports)"
-    )
-    parser.add_argument(
-        "--format", choices=("csv", "json", "both"), default="both",
-        help="report format(s) to write",
     )
     return parser
 
@@ -59,12 +55,11 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     # the suffix is appended, not swapped in: a label slug may hold dots
     stem = f"{_slug(cfg.experiment)}-{_slug(cfg.label)}"
-    reports = {}
-    if args.format in ("csv", "both"):
-        reports[out_dir / f"{stem}.csv"] = rows_to_csv_text(result.rows)
-    if args.format in ("json", "both"):
-        payload = json.dumps(report_json_payload(result), indent=2, sort_keys=True)
-        reports[out_dir / f"{stem}.json"] = payload + "\n"
+    payload = json.dumps(report_json_payload(result), indent=2, sort_keys=True)
+    reports = {
+        out_dir / f"{stem}.csv": rows_to_csv_text(result.rows),
+        out_dir / f"{stem}.json": payload + "\n",
+    }
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, text in reports.items():

@@ -44,8 +44,9 @@ from .domains import (
     interval_family,
 )
 from .functionals import (
+    MIN_CONTOUR_GRID,
     GermCoefficients,
-    HankelSequenceReport,
+    PolyaTerm,
     coeffs_from_contour,
     coeffs_from_measure,
     polya_sequence,
@@ -57,7 +58,6 @@ from .measures import (
     DiskUniform,
     Measure,
     ProductMeasure,
-    ScaledMeasure,
     UniformSegment,
     bernstein_markov_ratio,
     gram,
@@ -102,8 +102,7 @@ class ExperimentConfig:
             )
         if not is_integer_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if "\r" in self.label or "\n" in self.label:
-            raise ConfigError(f"label must be one line (CSV cell), got {self.label!r}")
+        _one_line(self.label, "label")
         bad = _RESERVED_KEYS & set(self.spec)
         if bad:
             raise ConfigError(f"payload keys collide with reserved names: {sorted(bad)}")
@@ -149,6 +148,12 @@ class ExperimentConfig:
 
     def dump_text(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
+
+
+def _one_line(label: str, what: str) -> None:
+    """A label is one CSV cell: `what` holding a carriage return or newline is a config error."""
+    if "\r" in label or "\n" in label:
+        raise ConfigError(f"{what} must be one line (CSV cell), got {label!r}")
 
 
 def _check_keys(spec: dict, accepted: set, ctx: str) -> None:
@@ -213,10 +218,10 @@ def _bounds(value, ctx: str) -> tuple[tuple[float, float], ...]:
         ) from None
 
 
-def _build(spec, ctx: str, noun: str, kinds: dict, shared: tuple = ()):
+def _build(spec, ctx: str, noun: str, kinds: dict):
     """One `kind:` mapping, read by its entry (accepted keys, constructor) in `kinds`.
 
-    Keys outside the kind's own, `kind` and `shared` are a config error.
+    Keys outside the kind's own and `kind` are a config error.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: expected a mapping, got {spec!r}")
@@ -224,7 +229,7 @@ def _build(spec, ctx: str, noun: str, kinds: dict, shared: tuple = ()):
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{ctx}: unknown {noun} kind {kind!r}")
     keys, make = kinds[kind]
-    _check_keys(spec, {"kind", *keys, *shared}, ctx)
+    _check_keys(spec, {"kind", *keys}, ctx)
     try:
         return make(spec, ctx)
     except ConfigError:
@@ -287,12 +292,7 @@ _MEASURES = {
 
 
 def build_measure(spec, ctx: str = "measure") -> Measure:
-    """A measure of any kind, scaled to total mass `mass` when the spec gives one."""
-    out = _build(spec, ctx, "measure", _MEASURES, ("mass",))
-    mass = spec.get("mass")
-    if mass is not None:
-        out = ScaledMeasure(out, _as_fraction(mass, f"{ctx}.mass"))
-    return out
+    return _build(spec, ctx, "measure", _MEASURES)
 
 
 def _geometric_contour(spec: dict, ctx: str) -> tuple[Callable[..., Any], int]:
@@ -319,7 +319,7 @@ def _point_mass_germ(spec: dict, ctx: str) -> GermCoefficients:
 def _contour_germ(spec: dict, ctx: str) -> GermCoefficients:
     germ, dim = _build(_need(spec, "germ", ctx), f"{ctx}.germ", "contour germ", _CONTOUR_GERMS)
     radius = _real(spec, "radius", ctx)
-    grid = _number_at_least(spec, "grid", 64, 1, ctx)
+    grid = _number_at_least(spec, "grid", 64, MIN_CONTOUR_GRID, ctx)
     return coeffs_from_contour(germ, dim=dim, radius=radius, grid_size=grid)
 
 
@@ -470,14 +470,14 @@ def _log_zs(result: RunResult, measure: Measure, degrees: list[int]) -> list[flo
 
 def _hankel_rows(
     result: RunResult, germ: GermCoefficients, i_max: int, label: str | None = None
-) -> tuple[HankelSequenceReport, float]:
-    """log_hankel and, where defined, polya_D rows up to i_max; the sequence and its time."""
-    report, wall = _timed(polya_sequence, germ, i_max)
-    for term in report.terms:
+) -> tuple[tuple[PolyaTerm, ...], float]:
+    """log_hankel and, where defined, polya_D rows up to i_max; the terms and their time."""
+    terms, wall = _timed(polya_sequence, germ, i_max)
+    for term in terms:
         result.add("log_hankel", term.hankel, label, i=term.index)
         if term.quantity is not None:
             result.add("polya_D", term.quantity, label, i=term.index)
-    return report, wall
+    return terms, wall
 
 
 def run_tdiam(cfg: ExperimentConfig) -> RunResult:
@@ -533,6 +533,7 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
             raise ConfigError(f"{ctx}: expected a mapping")
         _check_keys(pair, _PAIR_KEYS, ctx)
         plabel = str(pair.get("label", f"pair{p_idx}"))
+        _one_line(plabel, f"{ctx}: label")
         kset = build_compact(_need(pair, "set", ctx), f"{ctx}.set")
         germ = build_germ(_need(pair, "germ", ctx), f"{ctx}.germ")
         if kset.dim != germ.dim:
@@ -541,11 +542,12 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
         i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
         for s in range(1, s_max + 1):
             d_last = search.d_s(kset, s, _cell_seed(cfg.seed, 3, p_idx, s), label=plabel).d_s
-        report, wall = _hankel_rows(result, germ, i_max, plabel)
+        terms, wall = _hankel_rows(result, germ, i_max, plabel)
         passes.append(wall)
-        top = report.max_quantity()
-        result.add("max_polya_D", top if top is not None else 0.0, plabel, i=i_max)
-        if top is not None and top > d_last + slack:
+        # 0.0 when no D_i is defined (i_max 1), which never exceeds d_s + slack >= 0
+        top = max((t.quantity for t in terms if t.quantity is not None), default=0.0)
+        result.add("max_polya_D", top, plabel, i=i_max)
+        if top > d_last + slack:
             result.flags.append(
                 f"{plabel}: max D_i = {top:.6f} exceeds d_{s_max} = {d_last:.6f} "
                 f"+ slack {slack}"
@@ -564,8 +566,8 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
     measure = build_measure(_need(spec, "measure", "sharpness"))
     if measure.dim != kset.dim:
         raise ConfigError("sharpness: measure and set dimensions differ")
-    rng = np.random.default_rng(_cell_seed(cfg.seed, 4, 0))
-    for point in measure.sample(rng, 16):
+    # a coarse grid of the support holds every atom, endpoint and corner
+    for point in measure.support.grid(4):
         if not kset.contains(point, tol=1e-6):
             raise ConfigError("sharpness: the measure is not supported on the set")
     degrees = _degree_list(spec, "degrees", "sharpness")
@@ -574,11 +576,11 @@ def run_sharpness(cfg: ExperimentConfig) -> RunResult:
     tol = _number_at_least(spec, "tolerance", DEFAULT_SHARPNESS_TOL, 0.0, "sharpness", float)
     log_zs = _log_zs(result, measure, degrees)
     m_top = count_at_most(kset.dim, max(degrees))
-    report, wall = _timed(polya_sequence, coeffs_from_measure(measure), m_top)
+    terms, wall = _timed(polya_sequence, coeffs_from_measure(measure), m_top)
     result.extras["prefix_pass_s"] += wall  # the Hankel route's prefix pass
     for s, log_z in zip(degrees, log_zs):
         m = count_at_most(kset.dim, s)
-        term = report.terms[m - 1]  # polya_term(germ, m): log|H_m| and D at degree s
+        term = terms[m - 1]  # polya_term(germ, m): log|H_m| and D at degree s
         hankel_route = log_factorial(m) + term.hankel
         # equal values cover the doubly singular case (-inf on both sides)
         diff = 0.0 if log_z == hankel_route else log_z - hankel_route

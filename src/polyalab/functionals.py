@@ -29,6 +29,8 @@ from .multiindex import (
     is_integer_at_least,
 )
 
+MIN_CONTOUR_GRID = 4  # torus points per axis, at the least, of a contour germ
+
 
 @dataclass(frozen=True)
 class GermCoefficients:
@@ -99,8 +101,8 @@ def coeffs_from_contour(
     """
     if not is_integer_at_least(dim, 1):
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-    if not is_integer_at_least(grid_size, 4):
-        raise ValueError(f"grid_size must be an integer >= 4, got {grid_size!r}")
+    if not is_integer_at_least(grid_size, MIN_CONTOUR_GRID):
+        raise ValueError(f"grid_size must be an integer >= {MIN_CONTOUR_GRID}, got {grid_size!r}")
     if not 0.0 < radius < math.inf:  # also rejects NaN
         raise ValueError(f"radius must be positive and finite, got {radius}")
     theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
@@ -165,19 +167,8 @@ def _term(dim: int, index: int, ld: float) -> PolyaTerm:
     return PolyaTerm(index, s, counts.degree_sum, ld, math.exp(ld / (2.0 * counts.degree_sum)))
 
 
-@dataclass(frozen=True)
-class HankelSequenceReport:
-    """D_i for i = 1..i_max."""
-
-    terms: tuple[PolyaTerm, ...]
-
-    def max_quantity(self) -> float | None:
-        vals = [t.quantity for t in self.terms if t.quantity is not None]
-        return max(vals) if vals else None
-
-
-def polya_sequence(germ: GermCoefficients, max_index: int) -> HankelSequenceReport:
-    """The full D_i sequence up to max_index; no limit value is claimed.
+def polya_sequence(germ: GermCoefficients, max_index: int) -> tuple[PolyaTerm, ...]:
+    """The terms at indices 1..max_index, in order; no limit value is claimed.
 
     H_1..H_max_index are the leading minors of the one max_index Hankel
     matrix; each equals hankel_logdet at its own size, bit for bit.
@@ -185,9 +176,7 @@ def polya_sequence(germ: GermCoefficients, max_index: int) -> HankelSequenceRepo
     if max_index < 1:
         raise ValueError("max_index must be positive")
     logdets = hankel_matrix(germ, max_index).prefix_logdets()
-    return HankelSequenceReport(
-        tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
-    )
+    return tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
 
 
 def polya_quantity(germ: GermCoefficients, s: int) -> PolyaTerm:

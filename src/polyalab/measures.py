@@ -50,8 +50,8 @@ DEFAULT_GRID = 4096  # sup/L2 grid points in all, the same count on every axis
 class Measure:
     """Base class for positive measures carried by a compact support.
 
-    The built-in continuous kinds have total mass 1; discrete measures and
-    ScaledMeasure wrappers can carry any positive mass, and sample() always
+    The built-in continuous kinds have total mass 1; a discrete measure
+    carries the sum of its weights, any positive mass, and sample() always
     draws from the normalized version.
     """
 
@@ -88,8 +88,8 @@ class Measure:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) points distributed by the measure; by default its support's draw.
 
-        The uniform kinds draw what their support draws; arcsine, discrete,
-        product and scaled measures draw another distribution and override it.
+        The uniform kinds draw what their support draws; arcsine, discrete
+        and product measures draw another distribution and override it.
         """
         return self.support.sample(rng, count)
 
@@ -220,12 +220,6 @@ class DiscreteMeasure(Measure):
     def support(self) -> CompactSet:
         return FiniteSet(self.atoms)
 
-    def atom_array(self) -> np.ndarray:
-        return np.asarray(self.atoms, dtype=complex)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray([float(w) for w in self.weights])
-
     def hermitian_moment(self, j, l) -> complex:
         jj = as_multi_index(j, self.dim)
         ll = as_multi_index(l, self.dim)
@@ -250,9 +244,9 @@ class DiscreteMeasure(Measure):
         return total
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        probs = self.weight_array()
+        probs = np.asarray([float(w) for w in self.weights])
         idx = rng.choice(len(self.atoms), size=count, p=probs / probs.sum())
-        return self.atom_array()[idx]
+        return np.asarray(self.atoms, dtype=complex)[idx]
 
 
 @dataclass(frozen=True)
@@ -292,34 +286,6 @@ class ProductMeasure(Measure):
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         cols = [f.sample(rng, count).reshape(-1) for f in self.factors]
         return np.stack(cols, axis=1)
-
-
-@dataclass(frozen=True)
-class ScaledMeasure(Measure):
-    """A positive multiple of a base measure; sampling stays normalized."""
-
-    base: Measure
-    factor: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", Fraction(self.factor))
-        if self.factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        object.__setattr__(self, "dim", self.base.dim)
-
-    @property
-    def support(self) -> CompactSet:
-        return self.base.support
-
-    def hermitian_moment(self, j, l) -> complex:
-        return float(self.factor) * self.base.hermitian_moment(j, l)
-
-    def hermitian_moment_fraction(self, j, l) -> Fraction | None:
-        part = self.base.hermitian_moment_fraction(j, l)
-        return None if part is None else self.factor * part
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.base.sample(rng, count)
 
 
 def gram(measure: Measure, count: int) -> MomentMatrix:

@@ -70,7 +70,7 @@ def iterated_functional_oracle(measure: DiscreteMeasure, size: int) -> float:
     """
     if not isinstance(measure, DiscreteMeasure):
         raise TypeError("the brute-force route needs a discrete measure")
-    atoms = measure.atom_array()
+    atoms = np.asarray(measure.atoms, dtype=complex)
     nat = atoms.shape[0]
     if nat > MAX_ORACLE_ATOMS or size > MAX_ORACLE_SIZE:
         raise ValueError(

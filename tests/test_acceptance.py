@@ -296,7 +296,7 @@ def test_criterion_12_repeat_invariance(capsys, tmp_path):
         bodies = []
         for run in (1, 2):
             out = tmp_path / f"run{run}-{name}"
-            code = cli_main(["--config", str(cfg_path), "--out", str(out), "--format", "csv"])
+            code = cli_main(["--config", str(cfg_path), "--out", str(out)])
             ok &= code == 0
             bodies.append((out / f"{name}.csv").read_bytes())
         ok &= bodies[0] == bodies[1]

@@ -19,7 +19,6 @@ from polyalab import (
     Interval,
     ProductMeasure,
     ProductSet,
-    ScaledMeasure,
     coeffs_from_measure,
     count_at_most,
     hankel_logdet,
@@ -36,6 +35,7 @@ from polyalab.experiments import (
     build_measure,
     build_strategy,
 )
+from polyalab.functionals import MIN_CONTOUR_GRID
 from polyalab.measures import DEFAULT_SAMPLES, MonteCarloEstimate, log_factorial
 from polyalab.reporting import rows_to_csv_text
 from polyalab.vandermonde import transfinite_diameter_estimate
@@ -141,9 +141,6 @@ def test_build_compact_kinds():
 def test_build_measure_kinds():
     arc = build_measure({"kind": "arcsine"})
     assert arc == ArcsineMeasure(-1.0, 1.0)
-    scaled = build_measure({"kind": "arcsine", "mass": "3/2"})
-    assert isinstance(scaled, ScaledMeasure)
-    assert scaled.mass == pytest.approx(1.5)
     disc = build_measure(
         {"kind": "discrete", "atoms": [0, 1], "weights": ["1/2", "1/2"]}
     )
@@ -296,6 +293,30 @@ def test_sharpness_runner_checks_support():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "kset, measure",
+    [
+        # the atom at 5 has weight 1e-6: random draws almost never hit it
+        ({"kind": "interval", "a": -1, "b": 1},
+         {"kind": "discrete", "atoms": [0, 0.5, 5], "weights": [1, 1, "1/1000000"]}),
+        # a sliver past the end of the set, and past one corner of a box
+        ({"kind": "interval", "a": -1, "b": 1},
+         {"kind": "uniform", "a": -1, "b": 1.001}),
+        ({"kind": "box", "bounds": [[-1, 1], [-1, 1]]},
+         {"kind": "product", "factors": [{"kind": "arcsine"},
+                                         {"kind": "uniform", "a": -1, "b": 1.001}]}),
+    ],
+    ids=["light-atom", "endpoint", "box-corner"],
+)
+def test_sharpness_support_check_sees_all_of_the_support(kset, measure):
+    cfg = ExperimentConfig(
+        "sharpness", "s", 0,
+        {"set": kset, "measure": measure, "degrees": [1, 2], "search": {"restarts": 1}},
+    )
+    with pytest.raises(ConfigError, match="supported"):
+        run_experiment(cfg)
+
+
 def test_sharpness_runner_clean_run():
     cfg = ExperimentConfig(
         "sharpness", "s", 0,
@@ -384,9 +405,8 @@ def _values(result, quantity):
         ({"kind": "box", "bounds": [[-1, 1], [-1, 1]]},
          {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}),
         (_INTERVAL, _DISCRETE_2),  # two atoms: singular Gram and Hankel past m = 2
-        (_INTERVAL, {"kind": "uniform", "a": -1, "b": 1, "mass": "1/2"}),
     ],
-    ids=["arcsine", "product-arcsine", "singular", "scaled-uniform"],
+    ids=["arcsine", "product-arcsine", "singular"],
 )
 def test_sharpness_rows_are_the_per_size_determinants(kset, measure):
     spec = {"set": kset, "measure": measure, "degrees": _DEGREES, "search": {"restarts": 1}}
@@ -442,8 +462,22 @@ def test_polya_check_records_one_prefix_pass_time_per_pair_in_order():
     assert [r.label for r in res.rows if r.quantity == "max_polya_D"] == ["p0", "p1", "p2"]
 
 
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"])
+def test_pair_labels_are_one_line(label):
+    pair = {"set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": 1}
+    spec = {"pairs": [pair, {**pair, "label": label}], "search": {"restarts": 1}}
+    with pytest.raises(ConfigError, match=r"^polya-check\.pairs\[1\]: label must be one line"):
+        run_experiment(ExperimentConfig("polya-check", "ok", 0, spec))
+
+
 def _contour_grid(grid):
     return {"kind": "contour", "germ": {"kind": "inverse"}, "radius": 1.5, "grid": grid}
+
+
+def test_contour_grid_takes_the_library_minimum():
+    build_germ(_contour_grid(MIN_CONTOUR_GRID))
+    with pytest.raises(ConfigError, match=rf"^germ: grid must be an integer >= {MIN_CONTOUR_GRID}"):
+        build_germ(_contour_grid(MIN_CONTOUR_GRID - 1))
 
 
 @pytest.mark.parametrize(
@@ -620,16 +654,19 @@ def test_non_finite_numbers_are_config_errors(experiment, key, spec):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, error",
     [
-        {"kind": "discrete", "atoms": [0], "weights": [math.inf]},
-        {"kind": "discrete", "atoms": [0], "weights": ["1/0"]},
-        {"kind": "arcsine", "mass": math.inf},
+        ({"kind": "discrete", "atoms": [0], "weights": [math.inf]},
+         r"^measure\.weights\[0\]: expected a finite"),
+        ({"kind": "discrete", "atoms": [0], "weights": ["1/0"]},
+         r"^measure\.weights\[0\]: expected a finite"),
+        # no measure kind takes a mass: a non-unit mass is a discrete measure's weights
+        ({"kind": "arcsine", "mass": math.inf}, r"^measure: unknown keys \['mass'\]"),
     ],
     ids=["weight-inf", "weight-1/0", "mass-inf"],
 )
-def test_non_finite_fractions_are_config_errors(spec):
-    with pytest.raises(ConfigError, match=r"^measure\.(weights\[0\]|mass): expected a finite"):
+def test_non_finite_fractions_are_config_errors(spec, error):
+    with pytest.raises(ConfigError, match=error):
         build_measure(spec)
 
 
@@ -845,7 +882,7 @@ def test_cli_seed_override(tmp_path):
          "samples": 2000},
     ).dump_text())
     assert cli_main(["--config", str(cfg_path), "--seed", "9",
-                     "--out", str(tmp_path), "--format", "csv"]) == 0
+                     "--out", str(tmp_path)]) == 0
     text = (tmp_path / "zs-check-seeded.csv").read_text()
     assert ",9\n" in text and ",1\n" not in text
 
@@ -881,16 +918,17 @@ def test_cli_reports_a_write_failure(tmp_path, capsys):
     assert taken.read_text() == "kept"
 
 
-def test_cli_format_selection(tmp_path):
+def test_cli_always_writes_both_reports(tmp_path):
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(ExperimentConfig(
         "bm-ratio", "fmt", 0,
         {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
     ).dump_text())
-    assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "j"),
-                     "--format", "json"]) == 0
-    assert not (tmp_path / "j" / "bm-ratio-fmt.csv").exists()
-    assert (tmp_path / "j" / "bm-ratio-fmt.json").exists()
+    out = tmp_path / "j"
+    assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["bm-ratio-fmt.csv", "bm-ratio-fmt.json"]
+    with pytest.raises(SystemExit):  # there is no format to choose
+        cli_main(["--config", str(cfg_path), "--out", str(out), "--format", "json"])
 
 
 def test_cli_report_names_keep_dotted_labels(tmp_path):

@@ -12,7 +12,6 @@ from polyalab import (
     DiscreteMeasure,
     DiskUniform,
     ProductMeasure,
-    ScaledMeasure,
     UniformSegment,
     bernstein_markov_ratio,
     coeffs_from_contour,
@@ -179,15 +178,6 @@ def test_product_measure_moments_factorize():
             assert float(exact) == pytest.approx(want)
 
 
-def test_scaled_measure_scales_everything():
-    base = ArcsineMeasure(-1.0, 1.0)
-    mu = ScaledMeasure(base, Fraction(3, 2))
-    assert mu.mass == pytest.approx(1.5)
-    for k in range(5):
-        assert mu.moment((k,)) == pytest.approx(1.5 * base.moment((k,)))
-    assert mu.moment_fraction((2,)) == Fraction(3, 2) * base.moment_fraction((2,))
-
-
 _ATOMS = (0.5 + 0.25j, -1.0 + 0.5j, 0.75j)
 _WEIGHTS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 2))
 _COMPLEX_ATOMS = DiscreteMeasure(tuple((z,) for z in _ATOMS), _WEIGHTS)
@@ -207,9 +197,8 @@ def _atom_sum(j, l):
             lambda j, l: _atom_sum(j[0], l[0])
             * chebyshev_quadrature_moment(-1.0, 1.0, j[1] + l[1]),
         ),
-        (ScaledMeasure(_COMPLEX_ATOMS, Fraction(3, 2)), lambda j, l: 1.5 * _atom_sum(j[0], l[0])),
     ],
-    ids=["discrete", "product", "scaled"],
+    ids=["discrete", "product"],
 )
 def test_complex_atom_moments_are_direct_sums(mu, direct):
     zero = (0,) * mu.dim
@@ -247,7 +236,6 @@ def _hankel_case(germ):
     [
         lambda: _gram_case(ArcsineMeasure(-1.0, 2.0)),
         lambda: _gram_case(ProductMeasure((ArcsineMeasure(0.0, 2.0), UniformSegment(-1.0, 0.5)))),
-        lambda: _gram_case(ScaledMeasure(PRODUCT_ARCSINE, Fraction(3, 2))),
         lambda: _gram_case(DiskUniform(1.5)),
         lambda: _gram_case(CircleUniform(2.0)),
         lambda: _gram_case(DiscreteMeasure(
@@ -265,7 +253,7 @@ def _hankel_case(germ):
         lambda: _hankel_case(coeffs_from_contour(lambda z: 1.0 / (z - 0.3 - 0.2j), grid_size=64)),
         lambda: _gram_case(ProductMeasure((CircleUniform(1.0), ArcsineMeasure(-1.0, 2.0)))),
     ],
-    ids=["arcsine", "product", "scaled", "disk", "circle", "discrete",
+    ids=["arcsine", "product", "disk", "circle", "discrete",
          "hankel-measure", "hankel-table", "complex-atoms", "hankel-contour", "circle-x-arcsine"],
 )
 def test_exact_gram_mirrors_the_full_build(case):
@@ -288,10 +276,9 @@ def test_exact_gram_mirrors_the_full_build(case):
         DiskUniform(1.5),
         ProductMeasure((CircleUniform(1.0), ArcsineMeasure(-1.0, 2.0))),
         ProductMeasure((DiskUniform(0.5), CircleUniform(3.0))),
-        ScaledMeasure(DiskUniform(0.5), Fraction(3)),
         DiscreteMeasure(((0.2 + 0.1j,), (1.0,), (-0.5j,)), (Fraction(1, 2), Fraction(1, 3), 2)),
     ],
-    ids=["circle", "disk", "circle-x-arcsine", "disk-x-circle", "scaled", "complex-atoms"],
+    ids=["circle", "disk", "circle-x-arcsine", "disk-x-circle", "complex-atoms"],
 )
 def test_rational_hermitian_moments_are_symmetric(mu):
     # a rational Hermitian matrix is real, so symmetric: gram's exact route
@@ -349,16 +336,17 @@ def test_z1_against_direct_quadrature():
 
 
 def test_z0_is_the_mass():
-    mu = ScaledMeasure(UniformSegment(0.0, 1.0), Fraction(5, 2))
+    mu = DiscreteMeasure((0.0, 1.0), (Fraction(3, 2), 1))
     assert math.exp(z_s_gram(mu, 0)) == pytest.approx(2.5)
 
 
 def test_zs_mass_scaling_identity():
-    base = ArcsineMeasure(-1.0, 1.0)
+    atoms = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    base = DiscreteMeasure(atoms, (Fraction(1, 5),) * 5)
     t = Fraction(7, 3)
     for s in (1, 2, 3):
         m = count_at_most(1, s)
-        lhs = z_s_gram(ScaledMeasure(base, t), s)
+        lhs = z_s_gram(DiscreteMeasure(atoms, (t / 5,) * 5), s)
         rhs = z_s_gram(base, s) + m * math.log(float(t))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -401,8 +389,9 @@ def test_montecarlo_seed_determinism():
 
 
 def test_montecarlo_sees_the_mass():
-    base = UniformSegment(0.0, 1.0)
-    scaled = ScaledMeasure(base, Fraction(2))
+    # doubling every weight leaves the sampling probabilities bit for bit
+    base = DiscreteMeasure((0.0, 0.5, 1.0), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    scaled = DiscreteMeasure((0.0, 0.5, 1.0), (Fraction(1, 2), Fraction(1, 2), 1))
     m = count_at_most(1, 1)
     a = z_s_montecarlo(base, 1, samples=4000, seed=5)
     b = z_s_montecarlo(scaled, 1, samples=4000, seed=5)
