@@ -24,7 +24,10 @@ record `peak_mib`, the tracemalloc peak of one call after a warm-up call
   product-arcsine `zs-check` at s = 3 (4,096 configurations of 10 points)
   and of the disk `zs-check` at s = 8 (4,096 configurations of 9 points)
 - `measures.bernstein_markov_ratio` of the product arcsine at s = 6 on its
-  256 x 256 grid, the grid included
+  256 x 256 grid, which it walks one block of points at a time
+- the draw of one Monte Carlo chunk's points, `sample` of the product
+  arcsine at s = 3 (40,960 points) and of the unit disk at s = 8 (36,864
+  points), the returned array included
 
 BENCH_exchange.json times one lockstep exchange pass,
 `vandermonde._exchange_pass`, over the 8 restarts of a default search: at
@@ -137,6 +140,10 @@ def peak_cases(rng: np.random.Generator) -> list[tuple[str, object]]:
         ("4096x9 disk Monte Carlo chunk", lambda: vandermonde.vdm_logabs_batch(disk_chunk)),
         ("256^2 product arcsine sup/L2 sweep, s=6",
          lambda: polyalab.bernstein_markov_ratio(product_arcsine, 6, per_axis=256)),
+        ("40960-point product arcsine Monte Carlo draw",
+         lambda: product_arcsine.sample(rng, chunk * 10)),
+        ("36864-point disk Monte Carlo draw",
+         lambda: polyalab.DiskUniform(1.0).sample(rng, chunk * 9)),
     ]
 
 
@@ -291,7 +298,7 @@ def main(argv=None) -> int:
         print(f"{name:45s} {timing['median_s'] * 1e3:12.2f} ms {peak:8.2f} MiB", file=sys.stderr)
     monomial = record(
         "multiindex.monomial_matrix; traced peak: vandermonde.vdm_logabs_batch, "
-        "measures.bernstein_markov_ratio",
+        "measures.bernstein_markov_ratio, ProductMeasure.sample, DiskUniform.sample",
         rows,
     )
     monomial["metric"] += "; peak_mib: tracemalloc peak of one call after a warm-up call"

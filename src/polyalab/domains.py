@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,8 +54,24 @@ class CompactSet:
         raise NotImplementedError
 
     def grid(self, per_axis: int) -> np.ndarray:
-        """Deterministic covering grid, (total, dim); total grows like per_axis^dim."""
+        """Deterministic covering grid, (total, dim).
+
+        total is about per_axis^dim: per_axis points on each axis of a
+        product, per_axis points on an interval or circle, and about
+        per_axis points, centre and boundary included, on a disk.  A
+        finite set's grid is its points, whatever per_axis is.
+        """
         raise NotImplementedError
+
+    def grid_blocks(self, per_axis: int, size: int):
+        """The rows of grid(per_axis) in grid order, size at a time; the last block may be short.
+
+        Here each block is a slice of the whole grid; a product builds
+        each block on its own, so only one block of points is held.
+        """
+        pts = self.grid(per_axis)
+        for start in range(0, pts.shape[0], size):
+            yield pts[start : start + size]
 
     def project(self, z) -> np.ndarray:
         """Nearest points of the set to an (n, dim) batch, as (n, dim).
@@ -139,6 +156,14 @@ class _Round(CompactSet):
         if not 0.0 < self.radius < math.inf:  # also rejects NaN
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
+    def _on_rings(self, r, theta: np.ndarray) -> np.ndarray:
+        """center + r * exp(1j * theta) as a (count, 1) column, each step in place."""
+        out = np.multiply(1j, theta)
+        np.exp(out, out=out)
+        np.multiply(r, out, out=out)
+        np.add(self.center, out, out=out)
+        return out.reshape(-1, 1)
+
 
 @dataclass(frozen=True)
 class Circle(_Round):
@@ -150,11 +175,11 @@ class Circle(_Round):
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         theta = rng.uniform(0.0, 2 * math.pi, size=count)
-        return (self.center + self.radius * np.exp(1j * theta)).reshape(-1, 1)
+        return self._on_rings(self.radius, theta)
 
     def grid(self, per_axis: int) -> np.ndarray:
         theta = np.linspace(0.0, 2 * math.pi, per_axis, endpoint=False)
-        return (self.center + self.radius * np.exp(1j * theta)).reshape(-1, 1)
+        return self._on_rings(self.radius, theta)
 
     def project(self, z) -> np.ndarray:
         d = as_points(z, 1) - self.center
@@ -169,7 +194,7 @@ class Circle(_Round):
         if count < 1:
             return None
         theta = 2 * math.pi * np.arange(count) / count
-        return (self.center + self.radius * np.exp(1j * theta)).reshape(-1, 1)
+        return self._on_rings(self.radius, theta)
 
 
 @dataclass(frozen=True)
@@ -182,20 +207,21 @@ class Disk(_Round):
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # area-uniform: radius via sqrt of a uniform variate
-        r = self.radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+        r = rng.uniform(0.0, 1.0, size=count)
+        np.sqrt(r, out=r)
+        np.multiply(self.radius, r, out=r)
         theta = rng.uniform(0.0, 2 * math.pi, size=count)
-        return (self.center + r * np.exp(1j * theta)).reshape(-1, 1)
+        return self._on_rings(r, theta)
 
     def grid(self, per_axis: int) -> np.ndarray:
-        # concentric rings, boundary included; extremal problems live there anyway
-        rings = max(2, per_axis // 8)
-        pts = [np.array([self.center])]
+        # the centre and R concentric rings, the boundary the last; 8q points
+        # on ring q make 1 + 4R(R + 1), about per_axis points in all
+        rings = max(2, round(math.sqrt(per_axis) / 2))
+        pts = [np.array([[self.center]])]
         for q in range(1, rings + 1):
-            r = self.radius * q / rings
-            m = max(6, int(round(per_axis * q / rings)))
-            theta = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-            pts.append(self.center + r * np.exp(1j * theta))
-        return np.concatenate(pts).reshape(-1, 1)
+            theta = np.linspace(0.0, 2 * math.pi, 8 * q, endpoint=False)
+            pts.append(self._on_rings(self.radius * (q / rings), theta))
+        return np.concatenate(pts)
 
     def project(self, z) -> np.ndarray:
         w = as_points(z, 1)
@@ -209,6 +235,17 @@ class Disk(_Round):
     def reference_points(self, count: int) -> np.ndarray | None:
         # sup-norm extremal configurations sit on the boundary circle
         return Circle(self.center, self.radius).reference_points(count)
+
+
+def sample_columns(factors, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, len(factors)): column k is factors[k].sample(rng, count), drawn in factor order.
+
+    Each column is written into the one output as it is drawn.
+    """
+    out = np.empty((count, len(factors)), dtype=complex)
+    for k, f in enumerate(factors):
+        out[:, k] = f.sample(rng, count)[:, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,16 +275,23 @@ class ProductSet(CompactSet):
         return all(f.contains(v, tol) for f, v in zip(self.factors, w))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        cols = [f.sample(rng, count).reshape(-1) for f in self.factors]
-        return np.stack(cols, axis=1)
+        return sample_columns(self.factors, rng, count)
 
     def grid(self, per_axis: int) -> np.ndarray:
+        # the one block that covers the whole grid
+        return next(self.grid_blocks(per_axis, sys.maxsize))
+
+    def grid_blocks(self, per_axis: int, size: int):
         axes = [f.grid(per_axis).reshape(-1) for f in self.factors]
-        # each axis is broadcast straight into the one (N, dim) output
-        out = np.empty((*(len(a) for a in axes), self.dim), dtype=complex)
-        for k, column in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-            out[..., k] = column
-        return out.reshape(-1, self.dim)
+        shape = tuple(len(a) for a in axes)
+        total = math.prod(shape)
+        for start in range(0, total, size):
+            # row i of the grid takes entry unravel_index(i)[k] of axis k
+            flat = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+            out = np.empty((len(flat[0]), self.dim), dtype=complex)
+            for k, (axis, index) in enumerate(zip(axes, flat)):
+                out[:, k] = axis[index]
+            yield out
 
     def project(self, z) -> np.ndarray:
         w = as_points(z, self.dim)

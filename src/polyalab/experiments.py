@@ -319,8 +319,10 @@ def _point_mass_germ(spec: dict, ctx: str) -> GermCoefficients:
 def _contour_germ(spec: dict, ctx: str) -> GermCoefficients:
     germ, dim = _build(_need(spec, "germ", ctx), f"{ctx}.germ", "contour germ", _CONTOUR_GERMS)
     radius = _real(spec, "radius", ctx)
-    grid = _number_at_least(spec, "grid", 64, MIN_CONTOUR_GRID, ctx)
-    return coeffs_from_contour(germ, dim=dim, radius=radius, grid_size=grid)
+    given = {}  # a grid the config sets; else coeffs_from_contour's default
+    if "grid" in spec:
+        given["grid_size"] = _number_at_least(spec, "grid", None, MIN_CONTOUR_GRID, ctx)
+    return coeffs_from_contour(germ, dim=dim, radius=radius, **given)
 
 
 _GERMS = {
@@ -518,6 +520,23 @@ def run_hankel(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
+def _build_pair(pair, p_idx: int) -> tuple[str, CompactSet, GermCoefficients, int, int]:
+    """Polya-check pair p_idx, checked whole: (label, set, germ, s_max, i_max)."""
+    ctx = f"polya-check.pairs[{p_idx}]"
+    if not isinstance(pair, dict):
+        raise ConfigError(f"{ctx}: expected a mapping")
+    _check_keys(pair, _PAIR_KEYS, ctx)
+    plabel = str(pair.get("label", f"pair{p_idx}"))
+    _one_line(plabel, f"{ctx}: label")
+    kset = build_compact(_need(pair, "set", ctx), f"{ctx}.set")
+    germ = build_germ(_need(pair, "germ", ctx), f"{ctx}.germ")
+    if kset.dim != germ.dim:
+        raise ConfigError(f"{ctx}: set dimension {kset.dim} != germ dimension {germ.dim}")
+    s_max = _number_at_least(pair, "s_max", None, 1, ctx)
+    i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
+    return plabel, kset, germ, s_max, i_max
+
+
 def run_polya_check(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.spec
     pairs = _need(spec, "pairs", "polya-check")
@@ -526,20 +545,10 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
     slack = _number_at_least(spec, "slack", DEFAULT_SLACK, 0.0, "polya-check", float)
     result = RunResult(cfg)
     search = _Search(result)
+    # every pair is checked before the first search runs
+    built = [_build_pair(pair, p_idx) for p_idx, pair in enumerate(pairs)]
     passes = result.extras["prefix_pass_s"] = []
-    for p_idx, pair in enumerate(pairs):
-        ctx = f"polya-check.pairs[{p_idx}]"
-        if not isinstance(pair, dict):
-            raise ConfigError(f"{ctx}: expected a mapping")
-        _check_keys(pair, _PAIR_KEYS, ctx)
-        plabel = str(pair.get("label", f"pair{p_idx}"))
-        _one_line(plabel, f"{ctx}: label")
-        kset = build_compact(_need(pair, "set", ctx), f"{ctx}.set")
-        germ = build_germ(_need(pair, "germ", ctx), f"{ctx}.germ")
-        if kset.dim != germ.dim:
-            raise ConfigError(f"{ctx}: set dimension {kset.dim} != germ dimension {germ.dim}")
-        s_max = _number_at_least(pair, "s_max", None, 1, ctx)
-        i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
+    for p_idx, (plabel, kset, germ, s_max, i_max) in enumerate(built):
         for s in range(1, s_max + 1):
             d_last = search.d_s(kset, s, _cell_seed(cfg.seed, 3, p_idx, s), label=plabel).d_s
         terms, wall = _hankel_rows(result, germ, i_max, plabel)

@@ -16,6 +16,12 @@ Monte Carlo estimator cross-checks the identity.  The Gram matrix reads
 each distinct moment once: on a real support an entry is the moment of
 its index sum a + b (conj(z) = z there), elsewhere of its pair (a, b),
 whose exact value is that of (b, a).
+
+The batched point kernels hold one block of points at a time: Monte Carlo
+draws MONTE_CARLO_CHUNK configurations per chunk, each draw written into
+its result, and the sup/L2 kernel walks its grid through
+CompactSet.grid_blocks, holding one block of grid points and their basis
+values, never the whole grid.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .domains import (
     FiniteSet,
     Interval,
     ProductSet,
+    sample_columns,
 )
 from .linalg import MomentMatrix, exact_ldl, moment_matrix
 from .multiindex import (
@@ -137,8 +144,12 @@ class ArcsineMeasure(Measure):
         return _arcsine_moment(self.a, self.b, deg)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        t = np.cos(math.pi * rng.uniform(0.0, 1.0, size=count))
-        x = (self.a + self.b) / 2 + (self.b - self.a) / 2 * t
+        # (a + b)/2 + (b - a)/2 * cos(pi u), each step in place on the draw
+        x = rng.uniform(0.0, 1.0, size=count)
+        np.multiply(math.pi, x, out=x)
+        np.cos(x, out=x)
+        np.multiply((self.b - self.a) / 2, x, out=x)
+        np.add((self.a + self.b) / 2, x, out=x)
         return x.astype(complex).reshape(-1, 1)
 
 
@@ -284,8 +295,7 @@ class ProductMeasure(Measure):
         return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        cols = [f.sample(rng, count).reshape(-1) for f in self.factors]
-        return np.stack(cols, axis=1)
+        return sample_columns(self.factors, rng, count)
 
 
 def gram(measure: Measure, count: int) -> MomentMatrix:
@@ -400,10 +410,8 @@ def bernstein_markov_ratio(measure: Measure, s: int, per_axis: int | None = None
         coeffs = orthonormal_coefficients(measure, m)
     except (ValueError, np.linalg.LinAlgError):
         return math.inf
-    pts = measure.support.grid(per_axis)
     peak = -math.inf
-    step = max(1, _GRID_BLOCK // m)
-    for start in range(0, pts.shape[0], step):
-        q = coeffs @ basis_matrix(pts[start : start + step], m)
+    for pts in measure.support.grid_blocks(per_axis, max(1, _GRID_BLOCK // m)):
+        q = coeffs @ basis_matrix(pts, m)
         peak = np.maximum(peak, np.max(np.sum(np.abs(q) ** 2, axis=0)))
     return float(np.sqrt(peak))

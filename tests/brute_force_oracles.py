@@ -11,6 +11,11 @@ inverse of the unit lower factor.  The library's exact determinants split
 a matrix along its zero pattern; the oracle here eliminates the whole
 matrix at once.  The library's one-variable greedy start scores every
 restart's pool in one array; the oracle here scores one pool at a time.
+The library's sup/L2 kernel walks its grid one block at a time, a product
+grid built block by block; the oracle here builds the whole grid first.
+The library's samplers write each draw into their result in place; the
+oracle here draws through float temporaries and stacks one column per
+factor.
 """
 
 import itertools
@@ -19,7 +24,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyalab import DiscreteMeasure, basis_matrix
+from polyalab import (
+    ArcsineMeasure,
+    Circle,
+    DiscreteMeasure,
+    Disk,
+    Measure,
+    ProductMeasure,
+    ProductSet,
+    basis_matrix,
+    count_at_most,
+    orthonormal_coefficients,
+)
+from polyalab.measures import _GRID_BLOCK
 
 MAX_ORACLE_ATOMS = 4
 MAX_ORACLE_SIZE = 3
@@ -151,3 +168,55 @@ def unsplit_logdet(rows) -> float:
 def unsplit_prefix_logdets(rows) -> list[float]:
     """unsplit_logdet of every leading principal submatrix, sizes 1..n."""
     return [unsplit_logdet([row[:size] for row in rows[:size]]) for size in range(1, len(rows) + 1)]
+
+
+def whole_grid(kset, per_axis: int) -> np.ndarray:
+    """grid(per_axis) at once: a product's axes broadcast into one (N, dim) array."""
+    if not isinstance(kset, ProductSet):
+        return kset.grid(per_axis)
+    axes = [f.grid(per_axis).reshape(-1) for f in kset.factors]
+    out = np.empty((*(len(a) for a in axes), kset.dim), dtype=complex)
+    for k, column in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        out[..., k] = column
+    return out.reshape(-1, kset.dim)
+
+
+def whole_grid_bm_ratio(measure, s: int, per_axis: int) -> float:
+    """bernstein_markov_ratio with the whole grid built first, then swept in its blocks."""
+    m = count_at_most(measure.dim, s)
+    try:
+        coeffs = orthonormal_coefficients(measure, m)
+    except (ValueError, np.linalg.LinAlgError):
+        return math.inf
+    pts = whole_grid(measure.support, per_axis)
+    peak = -math.inf
+    step = max(1, _GRID_BLOCK // m)
+    for start in range(0, pts.shape[0], step):
+        q = coeffs @ basis_matrix(pts[start : start + step], m)
+        peak = np.maximum(peak, np.max(np.sum(np.abs(q) ** 2, axis=0)))
+    return float(np.sqrt(peak))
+
+
+def sample(source, rng: np.random.Generator, count: int) -> np.ndarray:
+    """source.sample(rng, count) through float temporaries and one stacked column per factor.
+
+    source is a measure or a set; a uniform measure draws what its support
+    draws, and an interval or a finite set draws as the library does.
+    """
+    if isinstance(source, (ProductMeasure, ProductSet)):
+        cols = [sample(f, rng, count).reshape(-1) for f in source.factors]
+        return np.stack(cols, axis=1)
+    if isinstance(source, ArcsineMeasure):
+        t = np.cos(math.pi * rng.uniform(0.0, 1.0, size=count))
+        x = (source.a + source.b) / 2 + (source.b - source.a) / 2 * t
+        return x.astype(complex).reshape(-1, 1)
+    if isinstance(source, Circle):
+        theta = rng.uniform(0.0, 2 * math.pi, size=count)
+        return (source.center + source.radius * np.exp(1j * theta)).reshape(-1, 1)
+    if isinstance(source, Disk):
+        r = source.radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+        theta = rng.uniform(0.0, 2 * math.pi, size=count)
+        return (source.center + r * np.exp(1j * theta)).reshape(-1, 1)
+    if isinstance(source, Measure) and not isinstance(source, DiscreteMeasure):
+        return sample(source.support, rng, count)
+    return source.sample(rng, count)

@@ -9,8 +9,8 @@ over the whole pool in several; refinement draws and projects one batch
 per level; its projections take a whole batch of points; a search builds
 the fixed part of its candidate pools once; a single configuration's
 log|V| is a batch of one; monomials are gathered from per-axis power
-tables; the sup/L2 kernel walks its grid in blocks; a product set fills
-its grid in place; a moment matrix evaluates each distinct moment once.
+tables; the sup/L2 kernel walks its grid in blocks; a product set builds
+its grid block by block; a moment matrix evaluates each distinct moment once.
 These helpers are the plain forms
 they replace: each restart runs alone, with a table-based pass of its
 own (``run_restart``, ``restart_exchange_pass``); every position

@@ -60,6 +60,37 @@ def test_product_grid_matches_the_meshgrid_construction(kset):
     assert kset.grid(9).tobytes() == per_point_oracles.product_grid(kset, 9).tobytes()
 
 
+@pytest.mark.parametrize("kset", ALL_SETS + [
+    ProductSet((Disk(0.0, 1.5), Interval(0.0, 3.5), Circle(0.5 + 0.5j, 2.0)))
+], ids=set_id)
+@pytest.mark.parametrize("per_axis, size", [(9, 1), (9, 7), (9, 2000), (37, 100)])
+def test_grid_blocks_are_the_grid_in_order(kset, per_axis, size):
+    blocks = list(kset.grid_blocks(per_axis, size))
+    whole = kset.grid(per_axis)
+    assert all(len(b) == size for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= size
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "per_axis, rings, total",
+    [(1, 2, 25), (4, 2, 25), (64, 4, 81), (128, 6, 169), (256, 8, 289), (4096, 32, 4225)],
+)
+def test_disk_grid_lays_about_per_axis_points(per_axis, rings, total):
+    disk = Disk(0.5 - 2j, 3.0)
+    pts = disk.grid(per_axis)[:, 0]
+    assert pts.shape == (total,) == (1 + 4 * rings * (rings + 1),)
+    assert pts[0] == disk.center
+    # ring q holds 8q points at radius 3q/R; the last ring is the boundary
+    dist = np.abs(pts - disk.center)
+    start = 1
+    for q in range(1, rings + 1):
+        ring = dist[start : start + 8 * q]
+        assert np.allclose(ring, disk.radius * q / rings, rtol=1e-14)
+        start += 8 * q
+    assert np.isclose(dist[-8 * rings:], disk.radius, rtol=1e-15, atol=0).all()
+    assert all(disk.contains(p) for p in pts[-8 * rings:])
+
+
 @pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)
 def test_projection_lands_on_the_set(kset):
     rng = np.random.default_rng(1)

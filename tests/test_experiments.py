@@ -470,6 +470,26 @@ def test_pair_labels_are_one_line(label):
         run_experiment(ExperimentConfig("polya-check", "ok", 0, spec))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"label": "two\nlines"}, {"s_max": "two"}, {"set": {"kind": "interval", "a": 1, "b": 0}},
+     {"germ": {"kind": "nope"}}, {"extra": 1}],
+    ids=["label", "s_max", "set", "germ", "key"],
+)
+def test_polya_check_checks_every_pair_before_searching(monkeypatch, bad):
+    searched = []
+    search = experiments.transfinite_diameter_estimate
+    monkeypatch.setattr(
+        experiments, "transfinite_diameter_estimate",
+        lambda *args: searched.append(args[1]) or search(*args),
+    )
+    pair = {"set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": 2}
+    spec = {"pairs": [pair, {**pair, **bad}], "search": {"restarts": 1}}
+    with pytest.raises(ConfigError, match=r"^polya-check\.pairs\[1\]"):
+        run_experiment(ExperimentConfig("polya-check", "ok", 0, spec))
+    assert searched == []
+
+
 def _contour_grid(grid):
     return {"kind": "contour", "germ": {"kind": "inverse"}, "radius": 1.5, "grid": grid}
 
@@ -478,6 +498,21 @@ def test_contour_grid_takes_the_library_minimum():
     build_germ(_contour_grid(MIN_CONTOUR_GRID))
     with pytest.raises(ConfigError, match=rf"^germ: grid must be an integer >= {MIN_CONTOUR_GRID}"):
         build_germ(_contour_grid(MIN_CONTOUR_GRID - 1))
+
+
+def test_contour_grid_default_is_the_library_one(monkeypatch):
+    # an unset grid forwards no grid_size, so coeffs_from_contour states the default
+    given = []
+    contour = experiments.coeffs_from_contour
+    monkeypatch.setattr(
+        experiments, "coeffs_from_contour",
+        lambda *args, **kwargs: given.append(kwargs) or contour(*args, **kwargs),
+    )
+    unset = _contour_grid(None)
+    del unset["grid"]
+    build_germ(unset)
+    build_germ(_contour_grid(32))
+    assert given == [{"dim": 1, "radius": 1.5}, {"dim": 1, "radius": 1.5, "grid_size": 32}]
 
 
 @pytest.mark.parametrize(
@@ -830,8 +865,10 @@ _ARCSINE = {"kind": "arcsine", "a": -1.0, "b": 1.0}
 def test_bm_ratio_default_grid_holds_about_4096_points(monkeypatch, factors, per_axis):
     # without a grid key the driver forwards nothing: the grid is the library's
     calls = []
-    grid = ProductSet.grid
-    monkeypatch.setattr(ProductSet, "grid", lambda kset, n: calls.append(n) or grid(kset, n))
+    blocks = ProductSet.grid_blocks
+    monkeypatch.setattr(
+        ProductSet, "grid_blocks", lambda kset, n, size: calls.append(n) or blocks(kset, n, size)
+    )
     measure = {"kind": "product", "factors": [_ARCSINE] * factors}
     run_experiment(ExperimentConfig("bm-ratio", "b", 0, {"measure": measure, "degrees": [1]}))
     assert calls == [per_axis]

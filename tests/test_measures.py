@@ -8,10 +8,14 @@ import pytest
 
 from polyalab import (
     ArcsineMeasure,
+    Circle,
     CircleUniform,
     DiscreteMeasure,
+    Disk,
     DiskUniform,
+    Interval,
     ProductMeasure,
+    ProductSet,
     UniformSegment,
     bernstein_markov_ratio,
     coeffs_from_contour,
@@ -461,7 +465,7 @@ def test_exact_ldl_matches_fraction_oracle_on_gram(measure, count):
         (PRODUCT_ARCSINE, 4, 64),
         (PRODUCT_ARCSINE, 6, 100),
         (CircleUniform(1.5), 5, 5000),
-        (DiskUniform(2.0), 3, 400),
+        (DiskUniform(2.0), 3, 16384),
         (ArcsineMeasure(-1.0, 1.0), 3, 5000),
     ],
 )
@@ -501,6 +505,86 @@ def test_montecarlo_memory_stays_within_a_block(measure, s, mib):
     assert peak < mib * 2**20
 
 
+@pytest.mark.parametrize(
+    "measure, s, per_axis",
+    [
+        (ArcsineMeasure(-1.0, 2.0), 4, 37),
+        (ArcsineMeasure(-1.0, 2.0), 4, 256),
+        (ArcsineMeasure(-1.0, 2.0), 9, 5003),
+        (DiskUniform(1.5), 5, 4096),
+        (ProductMeasure((ArcsineMeasure(), UniformSegment(0.0, 2.0))), 4, 37),
+        (ProductMeasure((ArcsineMeasure(), UniformSegment(0.0, 2.0))), 6, 256),
+        (ProductMeasure((ArcsineMeasure(), UniformSegment(0.0, 2.0), ArcsineMeasure())), 3, 16),
+        (ProductMeasure((ArcsineMeasure(), UniformSegment(0.0, 2.0), ArcsineMeasure())), 3, 37),
+    ],
+    ids=["1d-37", "1d-256", "1d-5003", "disk-4096", "2d-37", "2d-256", "3d-16", "3d-37"],
+)
+def test_bm_ratio_blocked_sweep_equals_the_whole_grid_sweep(measure, s, per_axis):
+    total = brute_force_oracles.whole_grid(measure.support, per_axis).shape[0]
+    assert total % (_GRID_BLOCK // count_at_most(measure.dim, s)) != 0
+    want = brute_force_oracles.whole_grid_bm_ratio(measure, s, per_axis)
+    assert bernstein_markov_ratio(measure, s, per_axis) == want
+
+
+def _traced_peak(call) -> int:
+    call()  # warm the caches
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bm_ratio_sweep_holds_one_block_of_grid_points():
+    # building the whole 65,536-point grid first took the peak to 3.25 MiB
+    peak = _traced_peak(lambda: bernstein_markov_ratio(PRODUCT_ARCSINE, 6, per_axis=256))
+    assert peak < 2 * 2**20
+
+
+def test_bm_ratio_on_the_default_disk_grid_stays_small():
+    # about 4,096 grid points; a grid of 1,050,625 points peaked at 32 MiB
+    assert _traced_peak(lambda: bernstein_markov_ratio(DiskUniform(), 4)) < 2**20
+
+
+@pytest.mark.parametrize(
+    "source, count, mib",
+    [(PRODUCT_ARCSINE, 40_960, 2.3), (DiskUniform(1.0), 36_864, 1.4)],
+    ids=["product", "disk"],
+)
+def test_montecarlo_draws_write_into_their_result(source, count, mib):
+    # drawing through float temporaries and stacked columns took 2.50 and 1.69 MiB
+    peak = _traced_peak(lambda: source.sample(np.random.default_rng(0), count))
+    assert peak < mib * 2**20
+
+
+DRAW_SOURCES = [
+    ArcsineMeasure(-3.0, 0.5),
+    ProductMeasure((ArcsineMeasure(), ArcsineMeasure(0.5, 3.0))),
+    ProductSet((Disk(0.5 - 1j, 2.5), Circle(-1.0 + 2j, 0.75), Interval(-2.0, 3.0))),
+    Disk(-0.25 + 1.5j, 2.5),
+    Circle(1.0 - 0.5j, 0.75),
+    DiskUniform(1.0),
+    CircleUniform(3.0),
+]
+
+
+@pytest.mark.parametrize("count", [1, 7, 512, 40_960])
+@pytest.mark.parametrize("seed", [0, 5, 31])
+@pytest.mark.parametrize(
+    "source", DRAW_SOURCES,
+    ids=["arcsine", "product-arcsine", "product-set", "disk", "circle", "disk-unit", "circle-3"],
+)
+def test_draws_keep_the_bits_of_the_stacked_draws(source, seed, count):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = source.sample(got_rng, count)
+    want = brute_force_oracles.sample(source, want_rng, count)
+    assert got.shape == want.shape == (count, source.dim) and got.dtype == want.dtype
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("dim, per_axis", [(1, 4096), (2, 64), (3, 16)])
 def test_bm_ratio_default_grid_holds_about_4096_points_in_every_dimension(
     monkeypatch, dim, per_axis
@@ -508,8 +592,10 @@ def test_bm_ratio_default_grid_holds_about_4096_points_in_every_dimension(
     measure = ArcsineMeasure() if dim == 1 else ProductMeasure((ArcsineMeasure(),) * dim)
     support = type(measure.support)
     calls = []
-    grid = support.grid
-    monkeypatch.setattr(support, "grid", lambda kset, n: calls.append(n) or grid(kset, n))
+    blocks = support.grid_blocks
+    monkeypatch.setattr(
+        support, "grid_blocks", lambda kset, n, size: calls.append(n) or blocks(kset, n, size)
+    )
     assert math.isfinite(bernstein_markov_ratio(measure, 1))
     assert calls == [per_axis] == [round(DEFAULT_GRID ** (1 / dim))]
 
