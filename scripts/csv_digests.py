@@ -2,13 +2,15 @@
 
     python3 scripts/csv_digests.py                      # every shipped config
     python3 scripts/csv_digests.py > before.txt         # save the digests
-    python3 scripts/csv_digests.py --against before.txt # exit 1 on any change
+    python3 scripts/csv_digests.py --against before.txt # exit 1 on a change or a flag
     python3 scripts/csv_digests.py configs/polya_matrix.yaml
 
 With no paths it runs every `configs/*.yaml` and every
 `perfbench/workloads/*/*.yaml`, in that order.  Each line is
 `sha256  path`, the path relative to the checkout root.  A speedup that
-leaves every line unchanged leaves the reports byte-identical.
+leaves every line unchanged leaves the reports byte-identical.  With
+`--against`, a config whose run raises a flag also fails the check, as
+`flagged: path: flag` on stderr.
 
 BLAS is pinned to one thread before numpy is first imported, so float
 outputs repeat bit for bit, and the library is imported from this
@@ -43,9 +45,11 @@ def display(path: Path) -> str:
     return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else str(path)
 
 
-def digest(path: Path) -> str:
+def digest(path: Path) -> tuple[str, list[str]]:
+    """The sha256 of the config's report CSV, and the flags its run raised."""
     result = polyalab.run_experiment(polyalab.ExperimentConfig.load(path))
-    return hashlib.sha256(polyalab.rows_to_csv_text(result.rows).encode()).hexdigest()
+    sha = hashlib.sha256(polyalab.rows_to_csv_text(result.rows).encode()).hexdigest()
+    return sha, result.flags
 
 
 def read_digests(path: Path) -> dict[str, str]:
@@ -64,17 +68,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     expected = read_digests(args.against) if args.against else None
-    changed = []
+    changed, flagged = [], []
     for path in args.configs or default_configs():
-        name, sha = display(path), digest(path)
+        name, (sha, flags) = display(path), digest(path)
         print(f"{sha}  {name}", flush=True)
         if expected is not None and expected.get(name) != sha:
             changed.append(name)
-    if expected is not None:
-        for name in changed:
-            print(f"changed: {name} (was {expected.get(name, 'absent')})", file=sys.stderr)
-        return 1 if changed else 0
-    return 0
+        flagged += [f"{name}: {flag}" for flag in flags]
+    if expected is None:
+        return 0
+    for name in changed:
+        print(f"changed: {name} (was {expected.get(name, 'absent')})", file=sys.stderr)
+    for line in flagged:
+        print(f"flagged: {line}", file=sys.stderr)
+    return 1 if changed or flagged else 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Model compact sets in C^n and convergent families of them.
 
-Every set knows how to test membership up to a tolerance, draw random
-points, lay down a deterministic evaluation grid, project arbitrary points
-onto itself, and (where classical theory provides one) hand out a
-distinguished near-extremal point configuration.  Products of
-one-dimensional sets cover the multivariate cases.
+Every set knows how to project arbitrary points onto itself, draw random
+points, lay down a deterministic evaluation grid, and (where classical
+theory provides one) hand out a distinguished near-extremal point
+configuration.  Membership up to a tolerance derives from the projection.
+Products of one-dimensional sets cover the multivariate cases.
 """
 
 from __future__ import annotations
@@ -19,15 +19,6 @@ import numpy as np
 
 MEMBERSHIP_TOL = 1e-9
 
-Point = np.ndarray  # shape (dim,), complex
-
-
-def as_point(z, dim: int) -> Point:
-    arr = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(-1)
-    if arr.shape[0] != dim:
-        raise ValueError(f"point has dimension {arr.shape[0]}, set has dimension {dim}")
-    return arr
-
 
 def as_points(z, dim: int) -> np.ndarray:
     arr = np.asarray(z, dtype=complex)
@@ -37,7 +28,7 @@ def as_points(z, dim: int) -> np.ndarray:
 
 
 class CompactSet:
-    """Base class; concrete sets implement the geometry hooks."""
+    """Base class: each set states its geometry in project, and membership derives from it."""
 
     dim: int = 1
 
@@ -47,7 +38,11 @@ class CompactSet:
         return False
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
+        """True iff projecting the one point z moves no coordinate by more than tol."""
+        w = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(1, -1)
+        if w.shape[1] != self.dim:
+            raise ValueError(f"point has dimension {w.shape[1]}, set has dimension {self.dim}")
+        return bool(np.abs(self.project(w) - w).max() <= tol)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) random points of the set."""
@@ -107,10 +102,6 @@ class Interval(CompactSet):
     def is_real(self) -> bool:
         return True
 
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, 1)[0]
-        return abs(w.imag) <= tol and self.a - tol <= w.real <= self.b + tol
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=(count, 1)).astype(complex)
 
@@ -169,10 +160,6 @@ class _Round(CompactSet):
 class Circle(_Round):
     """Circle |z - center| = radius."""
 
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, 1)[0]
-        return abs(abs(w - self.center) - self.radius) <= tol
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         theta = rng.uniform(0.0, 2 * math.pi, size=count)
         return self._on_rings(self.radius, theta)
@@ -200,10 +187,6 @@ class Circle(_Round):
 @dataclass(frozen=True)
 class Disk(_Round):
     """Closed disk |z - center| <= radius."""
-
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, 1)[0]
-        return abs(w - self.center) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # area-uniform: radius via sqrt of a uniform variate
@@ -270,10 +253,6 @@ class ProductSet(CompactSet):
     def is_real(self) -> bool:
         return all(f.is_real for f in self.factors)
 
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, self.dim)
-        return all(f.contains(v, tol) for f, v in zip(self.factors, w))
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return sample_columns(self.factors, rng, count)
 
@@ -331,11 +310,6 @@ class FiniteSet(CompactSet):
 
     def _array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=complex)
-
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        w = as_point(z, self.dim)
-        d = np.abs(self._array() - w[None, :]).max(axis=1)
-        return bool(d.min() <= tol)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         arr = self._array()

@@ -646,12 +646,13 @@ def run_zs_check(cfg: ExperimentConfig) -> RunResult:
     result = RunResult(cfg)
     for s, log_gram in zip(degrees, _log_zs(result, measure, degrees)):
         mc, wall = _timed(z_s_montecarlo, measure, s, seed=_cell_seed(cfg.seed, 6, s), **given)
-        if log_gram == mc.log_value:
-            zscore = 0.0  # exact agreement, including the doubly singular case
-        elif mc.std_error_log > 0 and math.isfinite(mc.log_value) and math.isfinite(log_gram):
+        if mc.std_error_log > 0 and math.isfinite(mc.log_value) and math.isfinite(log_gram):
             zscore = (mc.log_value - log_gram) / mc.std_error_log
         else:
-            zscore = math.inf
+            # no error bar (every sample equal, as at s = 0) or a singular side:
+            # agreement up to rounding, the doubly singular case included
+            close = math.isclose(mc.log_value, log_gram, rel_tol=1e-12, abs_tol=1e-12)
+            zscore = 0.0 if close else math.inf
         result.add("log_zs_gram", log_gram, s=s)
         result.add("log_zs_mc", mc.log_value, s=s, std_error=mc.std_error_log, wall_clock=wall)
         result.add("zscore", zscore, s=s)

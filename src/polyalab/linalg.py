@@ -32,8 +32,9 @@ functionals).  Each class is eliminated alone, and a determinant or
 leading minor is the product of its classes' (Bareiss 1968): the
 eliminations skip the structural zeros, a zero minor re-eliminates only
 its own class, and since a zero entry has denominator 1, every row scale,
-integer and logarithm is the one the whole matrix gives.  A single matrix or configuration is evaluated as a batch of
-one, so each float route has one body.
+integer and logarithm is the one the whole matrix gives.  A single matrix
+or configuration is evaluated as a batch of one, so each float route has
+one body.
 """
 
 from __future__ import annotations

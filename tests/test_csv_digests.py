@@ -46,3 +46,22 @@ def test_every_report_csv_matches_the_committed_digests():
     assert len(result.stdout.splitlines()) == len(
         (ROOT / "tests" / "csv_digests.txt").read_text().splitlines()
     )
+
+
+def test_csv_digests_against_fails_on_a_flagged_run(tmp_path):
+    # two atoms carry no degree-3 L2 norm: the Gram matrix is singular and
+    # the run flags an infinite ratio, though its CSV bytes are stable
+    config = tmp_path / "singular-bm.yaml"
+    config.write_text(ExperimentConfig(
+        "bm-ratio", "singular", 0,
+        {"measure": {"kind": "discrete", "atoms": [0, 1], "weights": ["1/2", "1/2"]},
+         "degrees": [3]},
+    ).dump_text())
+
+    first = _run(str(config))
+    assert first.returncode == 0, first.stderr
+    saved = tmp_path / "before.txt"
+    saved.write_text(first.stdout)
+    again = _run(str(config), "--against", str(saved))
+    assert again.returncode == 1
+    assert again.stderr == f"flagged: {config}: s=3: ratio is infinite (singular Gram matrix)\n"

@@ -121,12 +121,24 @@ def test_membership_tolerances():
     assert not iv.contains(1.1)
     assert not iv.contains(0.5 + 0.1j)
     assert iv.contains(1.0 + 1e-12j)
+    # the band is round: 1 + 1e-9 + 1e-9j lies 1.41e-9 from [-1, 1], though
+    # each axis alone is within tol
+    assert iv.contains(1 + 0.9e-9) and iv.contains(1 + 0.9e-9j)
+    assert not iv.contains(1 + 0.9e-9 + 0.9e-9j)
+    assert iv.contains(1 + 1e-9 + 1e-9j) is False
+    assert iv.contains(1 + 1e-9 + 1e-9j, tol=1.5e-9) is True
     circ = Circle(0.0, 1.0)
     assert circ.contains(1.0j)
     assert not circ.contains(0.9j)
     disk = Disk(0.0, 1.0)
     assert disk.contains(0.9j)
     assert not disk.contains(1.2)
+
+
+@pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)
+def test_membership_takes_one_point_of_the_set_dimension(kset):
+    with pytest.raises(ValueError, match=f"point has dimension {kset.dim + 1}, set has dimension"):
+        kset.contains(np.zeros(kset.dim + 1))
 
 
 def test_reality_flags():

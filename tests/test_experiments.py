@@ -371,6 +371,31 @@ def test_zs_check_runner():
     assert mc.std_error > 0
 
 
+@pytest.mark.parametrize("weights", [["3/2", "1/5"], ["1/3", "1/5"], ["5/7", "1/5"], ["2", "1/5"]])
+def test_zs_check_agrees_at_s0_whatever_the_mass(weights):
+    # m_0 = 1: every sample has |V|^2 = 1, so the error bar is exactly 0 and
+    # the two routes differ only in the rounding of log(mass)
+    spec = {"measure": {"kind": "discrete", "atoms": [0.5, -0.25], "weights": weights},
+            "degrees": [0, 1], "samples": 64}
+    res = run_experiment(ExperimentConfig("zs-check", "z", 0, spec))
+    zero = [r for r in res.rows if r.s == 0]
+    assert next(r.std_error for r in zero if r.quantity == "log_zs_mc") == 0.0
+    assert next(r.value for r in zero if r.quantity == "zscore") == 0.0
+    assert not [f for f in res.flags if f.startswith("s=0:")]
+
+
+def test_zs_check_flags_a_real_gap_under_a_zero_error_bar(monkeypatch):
+    gram = z_s_gram(ArcsineMeasure(), 1)
+    monkeypatch.setattr(
+        experiments, "z_s_montecarlo",
+        lambda measure, s, **kwargs: MonteCarloEstimate(gram + 1e-3, 0.0, 64),
+    )
+    spec = {"measure": _ARCSINE, "degrees": [1], "samples": 64}
+    res = run_experiment(ExperimentConfig("zs-check", "z", 0, spec))
+    assert _values(res, "zscore") == [math.inf]
+    assert res.flags == ["s=1: Monte Carlo and Gram routes disagree (inf sigma)"]
+
+
 @pytest.mark.parametrize(
     "experiment, key, value",
     [("zs-check", "samples", 1), ("bm-ratio", "grid", 0)],

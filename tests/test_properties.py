@@ -38,6 +38,7 @@ from polyalab import (  # noqa: E402
     rows_to_csv_text,
 )
 from polyalab import linalg  # noqa: E402
+from polyalab.domains import MEMBERSHIP_TOL  # noqa: E402
 from polyalab.experiments import EXPERIMENT_KINDS  # noqa: E402
 from polyalab.linalg import exact_ldl, exact_logdet, exact_prefix_logdets  # noqa: E402
 from polyalab.reporting import CSV_COLUMNS  # noqa: E402
@@ -348,6 +349,48 @@ def test_batched_projection_is_per_point_projection(case):
 def test_batched_projection_fixes_points_on_the_set(kset):
     on_set = kset.grid(6)
     assert kset.project(on_set).tobytes() == project_each(kset, on_set).tobytes()
+
+
+TOLERANCE = st.sampled_from([MEMBERSHIP_TOL, 1e-6, 1e-3, 0.25])
+
+
+@st.composite
+def membership_cases(draw):
+    """A set, a tolerance, and one point: a grid point nudged by up to 3 tol, or any point."""
+    kset = draw(st.sampled_from(PROJECTION_SETS))
+    tol = draw(TOLERANCE)
+    if draw(st.booleans()):
+        grid = kset.grid(6)
+        base = grid[draw(st.integers(0, len(grid) - 1))]
+        nudge = st.floats(-3 * tol, 3 * tol)
+        offset = [complex(draw(nudge), draw(nudge)) for _ in range(kset.dim)]
+        point = base + np.array(offset)
+    else:
+        point = np.array(draw(st.lists(POINT, min_size=kset.dim, max_size=kset.dim)), dtype=complex)
+    return kset, tol, point
+
+
+@hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@hypothesis.given(membership_cases())
+@hypothesis.example((Interval(-1.0, 1.0), MEMBERSHIP_TOL, np.array([1 + 1e-9 + 1e-9j])))
+@hypothesis.example((Circle(0.0, 1.0), 0.25, np.array([0.0])))
+@hypothesis.example((Disk(1.0j, 0.5), 1e-3, np.array([1.0j + 0.5005])))
+def test_membership_is_no_coordinate_moving_past_tol_under_projection(case):
+    kset, tol, point = case
+    moved = np.abs(kset.project(point.reshape(1, -1))[0] - point).max()
+    assert kset.contains(point, tol) == (moved <= tol)
+    if kset.dim == 1:  # a one-coordinate point may also be a bare scalar
+        assert kset.contains(point[0], tol) == (moved <= tol)
+
+
+@pytest.mark.parametrize("kset", PROJECTION_SETS, ids=set_id)
+def test_grid_sample_and_reference_rows_are_members(kset):
+    rows = [kset.grid(per_axis) for per_axis in (1, 6, 37)]
+    rows += [kset.sample(np.random.default_rng(seed), 50) for seed in range(3)]
+    rows += [kset.reference_points(count) for count in range(1, 12)]
+    for pts in rows:
+        if pts is not None:
+            assert all(kset.contains(p) for p in pts)
 
 
 @st.composite
