@@ -38,11 +38,16 @@ class CompactSet:
         return False
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        """True iff projecting the one point z moves no coordinate by more than tol."""
+        """True iff projecting the one point z moves no coordinate by more than its tolerance.
+
+        A coordinate's tolerance is tol times its projected size |p_k|, or tol
+        below size 1: project rounds in proportion to the coordinates it forms.
+        """
         w = np.atleast_1d(np.asarray(z, dtype=complex)).reshape(1, -1)
         if w.shape[1] != self.dim:
             raise ValueError(f"point has dimension {w.shape[1]}, set has dimension {self.dim}")
-        return bool(np.abs(self.project(w) - w).max() <= tol)
+        p = self.project(w)
+        return bool(np.all(np.abs(p - w) <= tol * np.maximum(1.0, np.abs(p))))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) random points of the set."""

@@ -38,7 +38,6 @@ from .domains import (
     CompactFamily,
     CompactSet,
     Disk,
-    FiniteSet,
     Interval,
     ProductSet,
     interval_family,
@@ -243,19 +242,14 @@ def _each(build, spec: dict, key: str, ctx: str) -> tuple:
     return tuple(build(f, f"{ctx}.{key}[{i}]") for i, f in enumerate(_need(spec, key, ctx)))
 
 
-def _center(spec: dict, ctx: str) -> complex:
-    return _as_scalar(spec.get("center", 0.0), "center", ctx)
-
-
 _SETS = {
     "interval": ({"a", "b"}, lambda s, c: Interval(_real(s, "a", c), _real(s, "b", c))),
-    "circle": ({"center", "radius"}, lambda s, c: Circle(_center(s, c), _real(s, "radius", c))),
-    "disk": ({"center", "radius"}, lambda s, c: Disk(_center(s, c), _real(s, "radius", c))),
+    "circle": ({"radius"}, lambda s, c: Circle(radius=_real(s, "radius", c))),
+    "disk": ({"radius"}, lambda s, c: Disk(radius=_real(s, "radius", c))),
     "box": ({"bounds"}, lambda s, c: ProductSet(
         tuple(Interval(a, b) for a, b in _bounds(_need(s, "bounds", c), c))
     )),
     "product": ({"factors"}, lambda s, c: ProductSet(_each(build_compact, s, "factors", c))),
-    "finite": ({"points"}, lambda s, c: FiniteSet(_each(_as_point, s, "points", c))),
 }
 
 
@@ -428,6 +422,7 @@ class _Search:
 
     Above the cap a cell scores the set's reference configuration alone, as
     it does with search.restarts 0; a set without one is a config error.
+    A driver without a `search_cap` key (polya-check, stability) reads DEFAULT_SEARCH_CAP.
     """
 
     def __init__(self, result: RunResult, capped: bool = True):
@@ -533,8 +528,7 @@ def _build_pair(pair, p_idx: int) -> tuple[str, CompactSet, GermCoefficients, in
     if kset.dim != germ.dim:
         raise ConfigError(f"{ctx}: set dimension {kset.dim} != germ dimension {germ.dim}")
     s_max = _number_at_least(pair, "s_max", None, 1, ctx)
-    i_max = _number_at_least(pair, "i_max", count_at_most(kset.dim, s_max), 1, ctx)
-    return plabel, kset, germ, s_max, i_max
+    return plabel, kset, germ, s_max, count_at_most(kset.dim, s_max)
 
 
 def run_polya_check(cfg: ExperimentConfig) -> RunResult:
@@ -677,17 +671,17 @@ def run_bm_ratio(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
-_PAIR_KEYS = {"label", "set", "germ", "s_max", "i_max"}
+_PAIR_KEYS = {"label", "set", "germ", "s_max"}
 
 # each experiment's payload keys, any other being a config error, and its driver
 _EXPERIMENTS = {
     "tdiam": ({"set", "degrees", "search_cap", "search"}, run_tdiam),
     "fekete": ({"set", "sizes", "search"}, run_fekete),
     "hankel": ({"germ", "i_max"}, run_hankel),
-    "polya-check": ({"pairs", "slack", "search_cap", "search"}, run_polya_check),
+    "polya-check": ({"pairs", "slack", "search"}, run_polya_check),
     "sharpness": ({"set", "measure", "degrees", "search_cap", "tolerance", "search"},
                   run_sharpness),
-    "stability": ({"family", "s", "j_values", "search_cap", "search"}, run_stability),
+    "stability": ({"family", "s", "j_values", "search"}, run_stability),
     "zs-check": ({"measure", "degrees", "samples"}, run_zs_check),
     "bm-ratio": ({"measure", "degrees", "grid"}, run_bm_ratio),
 }

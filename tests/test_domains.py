@@ -133,6 +133,17 @@ def test_membership_tolerances():
     disk = Disk(0.0, 1.0)
     assert disk.contains(0.9j)
     assert not disk.contains(1.2)
+    # a coordinate's tolerance is tol * max(1, |its projection|): 0.1 at 1e8 + 1
+    far = Circle(1e8, 1.0)
+    assert far.contains(1e8 + 1.05)
+    assert not far.contains(1e8 + 1.2)
+    # the small coordinate keeps its own tolerance beside the large one
+    mixed = ProductSet((Interval(-1.0, 1.0), Circle(1e8, 1.0)))
+    assert mixed.contains([1.0, 1e8 + 1.0])
+    assert not mixed.contains([1.0 + 1e-6, 1e8 + 1.0])
+    # below size 1 the tolerance is tol itself
+    small = Circle(0.0, 1e-3)
+    assert small.contains(1e-3 + 0.9e-9) and not small.contains(1e-3 + 2e-9)
 
 
 @pytest.mark.parametrize("kset", ALL_SETS, ids=set_id)

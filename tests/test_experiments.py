@@ -77,7 +77,7 @@ YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
 def test_every_shipped_config_loads_alike_under_either_yaml_loader(monkeypatch, loader):
-    assert len(SHIPPED_CONFIGS) == 21
+    assert len(SHIPPED_CONFIGS) == 25
     monkeypatch.setattr(experiments, "_YAML_LOADER", loader)
     for path in SHIPPED_CONFIGS:
         text = path.read_text()
@@ -118,16 +118,12 @@ def test_config_validation():
 def test_build_compact_kinds():
     assert build_compact({"kind": "interval", "a": 0, "b": 1}) == Interval(0.0, 1.0)
     assert build_compact({"kind": "circle", "radius": 2}) == Circle(0.0, 2.0)
-    circ = build_compact({"kind": "circle", "radius": 1, "center": {"re": 1, "im": -1}})
-    assert circ.center == 1.0 - 1.0j
     box = build_compact({"kind": "box", "bounds": [[0, 1], [2, 3]]})
     assert box == ProductSet((Interval(0.0, 1.0), Interval(2.0, 3.0)))
     prod = build_compact(
         {"kind": "product", "factors": [{"kind": "interval", "a": 0, "b": 1}] * 2}
     )
     assert isinstance(prod, ProductSet)
-    fin = build_compact({"kind": "finite", "points": [0, 1, {"re": 0, "im": 1}]})
-    assert fin.dim == 1
     with pytest.raises(ConfigError):
         build_compact({"kind": "pentagon"})
     with pytest.raises(ConfigError):
@@ -478,8 +474,9 @@ def test_zs_check_estimate_is_the_library_call_at_its_cell_seed():
 
 
 def test_polya_check_records_one_prefix_pass_time_per_pair_in_order():
-    pairs = [{"label": f"p{k}", "set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": 1, "i_max": n}
-             for k, n in enumerate([3, 2, 4])]
+    # a pair on the interval reads H_i up to i = s_max + 1: 3, 2 and 4
+    pairs = [{"label": f"p{k}", "set": _INTERVAL, "germ": _ARCSINE_GERM, "s_max": s}
+             for k, s in enumerate([2, 1, 3])]
     res = run_experiment(ExperimentConfig("polya-check", "c", 0, {"pairs": pairs}))
     passes = res.extras["prefix_pass_s"]
     assert len(passes) == 3 and all(isinstance(v, float) and v >= 0.0 for v in passes)
@@ -562,14 +559,12 @@ def test_contour_grid_default_is_the_library_one(monkeypatch):
         ("tdiam", "a", {"set": {"kind": "interval", "a": "x", "b": 1}, "degrees": [2]}),
         ("tdiam", "bounds", {"set": {"kind": "box", "bounds": [["x", 1], [0, 1]]},
                              "degrees": [2]}),
-        ("tdiam", "center", {"set": {"kind": "circle", "center": {"re": "x"}, "radius": 1},
-                             "degrees": [2]}),
+        ("hankel", "c", {"germ": {"kind": "geometric", "c": {"re": "x"}}, "i_max": 2}),
         # YAML's true and false are not the numbers 1 and 0
         ("tdiam", "a", {"set": {"kind": "interval", "a": True, "b": 2}, "degrees": [2]}),
         ("tdiam", "radius", {"set": {"kind": "circle", "radius": True}, "degrees": [2]}),
         ("tdiam", "bounds", {"set": {"kind": "box", "bounds": [[False, True]]}, "degrees": [2]}),
-        ("tdiam", "center", {"set": {"kind": "circle", "center": {"re": True}, "radius": 1},
-                             "degrees": [2]}),
+        ("hankel", "c", {"germ": {"kind": "geometric", "c": {"re": True}}, "i_max": 2}),
     ],
 )
 def test_non_numeric_scalars_are_config_errors(experiment, key, spec):
@@ -604,7 +599,7 @@ def test_every_shipped_config_passes_the_key_check():
     # every nested mapping is built too, so its keys are checked, but no driver runs
     builders = {"set": build_compact, "measure": build_measure, "germ": build_germ,
                 "family": build_family, "search": build_strategy}
-    assert len(SHIPPED_CONFIGS) == 21
+    assert len(SHIPPED_CONFIGS) == 25
     for path in SHIPPED_CONFIGS:
         spec = ExperimentConfig.load(path).spec
         for key in spec.keys() & builders.keys():
@@ -625,7 +620,6 @@ _KIND_CASES = {
         {"kind": "disk", "radius": 1},
         {"kind": "box", "bounds": [[0, 1], [0, 1]]},
         {"kind": "product", "factors": [_INTERVAL]},
-        {"kind": "finite", "points": [0, 1]},
     ]),
     "family": (build_family, experiments._FAMILIES, [{"kind": "interval", "a": -1, "b": 1}]),
     "measure": (build_measure, experiments._MEASURES, [
@@ -703,8 +697,8 @@ _GEOMETRIC_INF = {"kind": "geometric", "c": math.inf}
                                           "rate": math.inf}, "s": 1, "j_values": [1], **_ONE}),
         ("hankel", "c", {"germ": _GEOMETRIC_INF, "i_max": 2}),
         ("hankel", "c", {"germ": {**_CONTOUR, "germ": _GEOMETRIC_INF}, "i_max": 2}),
-        ("tdiam", "coordinate", {"set": {"kind": "finite", "points": [0, -math.inf]},
-                                 "degrees": [1], **_ONE}),
+        ("hankel", "coordinate", {"germ": {"kind": "measure", "measure": {
+            "kind": "discrete", "atoms": [0, -math.inf], "weights": [1, 1]}}, "i_max": 2}),
     ],
     ids=["radius", "slack", "tolerance", "rate", "point-mass-c", "contour-c", "point"],
 )
@@ -752,10 +746,9 @@ def test_no_restarts_scores_the_reference_configuration():
     )
 
 
+# the drivers that take a search_cap key; polya-check and stability read DEFAULT_SEARCH_CAP
 _BOX_SPECS = {
     "tdiam": {"set": _BOX, "degrees": [1, 2]},
-    "polya-check": {"pairs": [{"set": _BOX, "s_max": 2, "germ": {
-        "kind": "measure", "measure": {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}}}]},
     "sharpness": {"set": {"kind": "box", "bounds": [[-1, 1], [-1, 1]]}, "degrees": [1, 2],
                   "measure": {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}},
 }
@@ -772,6 +765,84 @@ def test_a_degree_above_the_search_cap_without_a_reference_configuration_is_a_co
         match=r"^degree 2 exceeds the search cap 1 and the set has no reference configuration",
     ):
         run_experiment(ExperimentConfig(experiment, "bad", 0, spec))
+
+
+def test_polya_check_reads_the_default_search_cap(monkeypatch):
+    # polya-check takes no search_cap key; DEFAULT_SEARCH_CAP is its cap
+    monkeypatch.setattr(experiments, "DEFAULT_SEARCH_CAP", 1)
+    pair = {"set": _BOX, "s_max": 2, "germ": {
+        "kind": "measure", "measure": {"kind": "product", "factors": [_ARCSINE, _ARCSINE]}}}
+    spec = {"pairs": [pair], "search": {"restarts": 1}}
+    with pytest.raises(
+        ConfigError,
+        match=r"^degree 2 exceeds the search cap 1 and the set has no reference configuration",
+    ):
+        run_experiment(ExperimentConfig("polya-check", "bad", 0, spec))
+
+
+_CIRCLE_PAIR = {"set": {"kind": "circle", "radius": 1}, "germ": {"kind": "geometric", "c": 0.3},
+                "s_max": 1}
+
+
+@pytest.mark.parametrize(
+    "experiment, spec, error",
+    [
+        # the finite set kind goes with its one key, points
+        ("tdiam", {"set": {"kind": "finite", "points": [0, 1]}, "degrees": [1]},
+         r"^set: unknown compact-set kind 'finite'"),
+        ("tdiam", {"set": {"kind": "circle", "radius": 1, "center": 0}, "degrees": [1]},
+         r"^set: unknown keys \['center'\]"),
+        ("tdiam", {"set": {"kind": "disk", "radius": 1, "center": 0}, "degrees": [1]},
+         r"^set: unknown keys \['center'\]"),
+        ("polya-check", {"pairs": [{**_CIRCLE_PAIR, "i_max": 2}]},
+         r"^polya-check\.pairs\[0\]: unknown keys \['i_max'\]"),
+        ("polya-check", {"pairs": [_CIRCLE_PAIR], "search_cap": 5},
+         r"^polya-check: unknown keys \['search_cap'\]"),
+        ("stability", {"family": {"kind": "interval", "a": -1, "b": 1}, "s": 1, "j_values": [1],
+                       "search_cap": 5},
+         r"^stability: unknown keys \['search_cap'\]"),
+    ],
+    ids=["set-finite", "set-circle.center", "set-disk.center", "pair-i_max",
+         "polya-check.search_cap", "stability.search_cap"],
+)
+def test_deleted_config_names_are_config_errors_naming_them(experiment, spec, error):
+    with pytest.raises(ConfigError, match=error):
+        run_experiment(ExperimentConfig(experiment, "old", 0, spec))
+
+
+def _shipped_run(name):
+    cfg = ExperimentConfig.load(_ROOT / "configs" / name)
+    result = run_experiment(cfg)
+    assert result.flags == []
+    return cfg.spec, result
+
+
+def test_circle_zs_config_is_the_diagonal_gram_closed_form():
+    # on |z| = r the monomials are orthogonal with norms r^(2j), so
+    # log Z_s = log m! + m(m - 1) log r with m = s + 1
+    spec, result = _shipped_run("circle_zs.yaml")
+    r = spec["measure"]["radius"]
+    got = {row.s: row.value for row in result.rows if row.quantity == "log_zs_gram"}
+    assert sorted(got) == spec["degrees"] == [0, 1, 2, 3, 4]
+    for s, value in got.items():
+        m = s + 1
+        assert abs(value - (math.lgamma(m + 1) + m * (m - 1) * math.log(r))) <= 1e-12
+
+
+def test_discrete_hankel_config_is_the_vandermonde_closed_form_then_zero():
+    # H_n of r atoms x_i with weights w_i is prod w_i * prod_{i<j} (x_i - x_j)^2
+    # at n = r, and exactly 0 past it (Kronecker)
+    spec, result = _shipped_run("discrete_hankel.yaml")
+    atoms = spec["germ"]["measure"]["atoms"]
+    weights = [Fraction(w) for w in spec["germ"]["measure"]["weights"]]
+    h3 = sum(math.log(w) for w in weights) + 2 * sum(
+        math.log(abs(atoms[i] - atoms[j])) for i in range(3) for j in range(i + 1, 3)
+    )
+    assert round(h3, 4) == -3.8055
+    got = {row.i: row.value for row in result.rows if row.quantity == "log_hankel"}
+    assert sorted(got) == [1, 2, 3, 4, 5, 6]
+    assert abs(got[3] - h3) <= 1e-12
+    assert [got[i] for i in (4, 5, 6)] == [-math.inf] * 3
 
 
 def _fake_estimates(member=None, limit=None):
@@ -846,13 +917,12 @@ def test_unknown_polya_check_pair_keys_are_config_errors():
     [
         {"kind": "circle", "radius": math.inf},
         {"kind": "disk", "radius": math.inf},
-        {"kind": "circle", "radius": 1.0, "center": {"re": math.inf}},
         {"kind": "interval", "a": -math.inf, "b": 1.0},
         {"kind": "box", "bounds": [[-1.0, 1.0], [0.0, math.inf]]},
         {"kind": "product", "factors": []},
         {"kind": "box", "bounds": []},
     ],
-    ids=["circle-inf", "disk-inf", "circle-centre-inf", "interval-inf", "box-inf",
+    ids=["circle-inf", "disk-inf", "interval-inf", "box-inf",
          "empty-product", "empty-box"],
 )
 def test_unbounded_or_empty_sets_are_config_errors(spec):

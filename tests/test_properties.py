@@ -375,17 +375,32 @@ def membership_cases(draw):
 @hypothesis.example((Interval(-1.0, 1.0), MEMBERSHIP_TOL, np.array([1 + 1e-9 + 1e-9j])))
 @hypothesis.example((Circle(0.0, 1.0), 0.25, np.array([0.0])))
 @hypothesis.example((Disk(1.0j, 0.5), 1e-3, np.array([1.0j + 0.5005])))
+@hypothesis.example((Circle(0.5 + 0.5j, 2.0), 1e-3, np.array([0.5 + 0.5j + 2.002])))
 def test_membership_is_no_coordinate_moving_past_tol_under_projection(case):
+    # a coordinate's tolerance is tol times its projected size, and tol below size 1
     kset, tol, point = case
-    moved = np.abs(kset.project(point.reshape(1, -1))[0] - point).max()
-    assert kset.contains(point, tol) == (moved <= tol)
+    projected = kset.project(point.reshape(1, -1))[0]
+    within = bool(np.all(np.abs(projected - point) <= tol * np.maximum(1.0, np.abs(projected))))
+    assert kset.contains(point, tol) == within
     if kset.dim == 1:  # a one-coordinate point may also be a bare scalar
-        assert kset.contains(point[0], tol) == (moved <= tol)
+        assert kset.contains(point[0], tol) == within
 
 
-@pytest.mark.parametrize("kset", PROJECTION_SETS, ids=set_id)
+# project rounds in proportion to the size of the coordinates it forms,
+# past an absolute 1e-9 at size 1e7: a large set, a far-off small one, and
+# a product whose coordinates differ in size
+LARGE_OR_FAR_SETS = [
+    Circle(0.0, 1e7),
+    Circle(0.0, 1e8),
+    Circle(1e8, 1.0),
+    Disk(0.0, 1e7),
+    ProductSet((Interval(-1.0, 1.0), Circle(1e8, 1.0))),
+]
+
+
+@pytest.mark.parametrize("kset", PROJECTION_SETS + LARGE_OR_FAR_SETS, ids=set_id)
 def test_grid_sample_and_reference_rows_are_members(kset):
-    rows = [kset.grid(per_axis) for per_axis in (1, 6, 37)]
+    rows = [kset.grid(per_axis) for per_axis in (1, 6, 37, 64)]
     rows += [kset.sample(np.random.default_rng(seed), 50) for seed in range(3)]
     rows += [kset.reference_points(count) for count in range(1, 12)]
     for pts in rows:
