@@ -55,6 +55,9 @@ sequence, `linalg.exact_prefix_logdets`, `linalg.exact_logdet` and
   nonzero: one class, the control for matrices that do not split
 - the Gram prefix pass at m = 153 (s = 16) of the uniform measure on the
   square [0, 1]^2: one dense class, where the elimination's cubic cost shows
+- the Hankel prefix passes of the arcsine measure on [0, 2] at size 61 and
+  of the uniform measure on [0, 1] at size 40 (a Hilbert matrix): one
+  dense class each, whose denominators grow along every row
 - the Gram prefix pass at m = 40 of a 3-atom real discrete measure (atoms
   0, 1 and -1): one class of rank 3, so every leading minor past size 3 is
   zero, and each larger leading block is eliminated with pivoting
@@ -227,6 +230,8 @@ def exact_cases() -> list[tuple[str, object, list]]:
     unit_square = polyalab.ProductMeasure(
         (polyalab.UniformSegment(0.0, 1.0), polyalab.UniformSegment(0.0, 1.0))
     )
+    off_centre = polyalab.coeffs_from_measure(polyalab.ArcsineMeasure(0.0, 2.0))
+    unit_interval = polyalab.coeffs_from_measure(polyalab.UniformSegment(0.0, 1.0))
     return [
         ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
         ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
@@ -237,6 +242,10 @@ def exact_cases() -> list[tuple[str, object, list]]:
          polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
         ("uniform [0, 1]^2 Gram prefix pass, m=153", linalg.exact_prefix_logdets,
          polyalab.gram(unit_square, 153).exact),
+        ("arcsine[0, 2] Hankel prefix pass, size 61", linalg.exact_prefix_logdets,
+         polyalab.hankel_matrix(off_centre, 61).exact),
+        ("uniform [0, 1] Hankel prefix pass, size 40", linalg.exact_prefix_logdets,
+         polyalab.hankel_matrix(unit_interval, 40).exact),
         ("3-atom discrete Gram prefix pass, m=40", linalg.exact_prefix_logdets,
          polyalab.gram(three_atoms, 40).exact),
         ("product arcsine Gram exact_logdet, m=153", linalg.exact_logdet,

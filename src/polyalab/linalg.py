@@ -15,14 +15,17 @@ every moment is rational.  A whole sequence of leading principal minors
 comes from one elimination without pivoting, whose pivots are exactly
 those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
 elimination, not n, and a single determinant is the last minor of that
-pass; run over [cA | I], the same loop gives an exact LDL^T.  One Bareiss
+pass; run over [B | I], the same loop gives an exact LDL^T.  One Bareiss
 loop serves both exact routes, and it exchanges rows only past a zero
-leading minor.  Every moment matrix is symmetric, and the loop updates
-one triangle of a symmetric class: its integer rows are S = diag(d) A,
-d the row lcms and A symmetric, so after k steps entry (i, k) is entry
-(k, i) times d_i / d_k, an exact division, and the pivots are the same
-integers for half the products.  Symmetry is checked once per class, on
-the rational entries; a class that is not symmetric, and the row
+leading minor.  Both eliminate the integer matrix B = D A D, D = diag(d)
+with d_i^2 about the denominators of row and column i, so that
+det(B_k) = det(A_k) prod_{r<k} d_r^2: on the arcsine Hankel matrix at
+size 61 its widest integer has 115 bits, where scaling each row by its
+denominator lcm gives 886.  Every moment matrix is symmetric, and so is
+its B, so the loop updates one triangle of a symmetric class: after k
+steps entry (i, j) is a bordered minor of B and equals entry (j, i), and
+the pivots are the same integers for half the products.  Symmetry is
+checked once per class; a class that is not symmetric, and the row
 exchanges past a zero minor, keep the full update.  Each exact route
 first splits the matrix into classes: the connected components of the
 graph of its nonzero entries, found by one O(n^2) scan.  A symmetric
@@ -31,7 +34,7 @@ one variable and up to 2^n in n (Dunkl & Xu 2014, centrally symmetric
 functionals).  Each class is eliminated alone, and a determinant or
 leading minor is the product of its classes' (Bareiss 1968): the
 eliminations skip the structural zeros, a zero minor re-eliminates only
-its own class, and since a zero entry has denominator 1, every row scale,
+its own class, and since a zero entry has denominator 1, every scale,
 integer and logarithm is the one the whole matrix gives.  A single matrix
 or configuration is evaluated as a batch of one, so each float route has
 one body.
@@ -111,14 +114,39 @@ def _fraction_rows(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
     return fracs
 
 
-def _scaled_rows(fracs: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, as integers, and those lcms."""
-    lcms = [math.lcm(*(f.denominator for f in row)) for row in fracs]
+def _symmetric_scaling(
+    fracs: list[list[Fraction]], dens: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """B = D A D as integers, and d, for a square rational matrix A, D = diag(d).
+
+    fracs holds A and dens its denominators.  d_i starts at 2^ceil(v/2)
+    times the odd part of den(A_ii), v its 2-adic valuation, so d_i^2 A_ii
+    is an integer.  Then one pass over the upper triangle in index order:
+    wherever d_a d_b A_ab or d_a d_b A_ba is not yet an integer, the later
+    index's d_b is multiplied by q / gcd(q, d_a d_b), q the lcm of the two
+    denominators.  A bump multiplies a scale by an integer, so every entry
+    already integral stays so, and the diagonal needs none.  No denominator
+    is factored, any square rational matrix is served, and a zero entry
+    (denominator 1) never bumps, so each class of the zero pattern gets the
+    scales it would get alone.  B is symmetric whenever A is.
+    """
+    d = []
+    for i, row in enumerate(dens):
+        q = row[i]
+        v = (q & -q).bit_length() - 1
+        d.append((q >> v) << (v + 1) // 2)
+    for b in range(1, len(d)):
+        for a in range(b):
+            q, r = dens[a][b], dens[b][a]
+            if q != r:
+                q = math.lcm(q, r)
+            if q != 1 and (p := d[a] * d[b]) % q:
+                d[b] *= q // math.gcd(q, p)
     scaled = [
-        [(num := f.numerator) and num * (d // f.denominator) for f in row]  # 0: no division
-        for row, d in zip(fracs, lcms)
+        [(num := f.numerator) and num * (di * dj // q) for f, q, dj in zip(row, qs, d)]
+        for row, qs, di in zip(fracs, dens, d)
     ]
-    return scaled, lcms
+    return scaled, d
 
 
 def _symmetric(rows: Sequence[Sequence]) -> bool:
@@ -175,32 +203,33 @@ def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
 def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     """log|det| of every leading principal submatrix, sizes 1..n, by exact integer elimination.
 
-    Each row is scaled by the lcm of its whole row's denominators.  The
-    matrix splits into the classes of its zero pattern, and one Bareiss
-    elimination without pivoting runs over each class's submatrix; its pivot
-    p is the class's integer leading minor of size p + 1.  Past a zero pivot
-    later minors need not vanish ([[0, 1], [1, 0]] has minors 0 and -1), so
-    that class alone eliminates each larger leading block of its own with
-    row exchanges; the other classes keep their single pass.  A zero entry
-    has denominator 1, so a class's rows keep their whole rows' lcms, and
-    the integer leading minor of size k + 1 is, up to sign, the product of
-    each class's leading minor over the indices up to k.  Size k + 1 is then
-    turned into the determinant of the matrix whose rows are scaled by the
-    lcm of their first k + 1 denominators only, as that submatrix alone is
-    scaled, so each entry equals the last one of this function on that
-    submatrix, bit for bit.  Only the final logarithms are floating point.
-    A class whose rational entries are symmetric, checked once, is
-    eliminated over one triangle with its rows' lcms as the scales of
-    _leading_minors; the same pivots come out.
+    The matrix A is eliminated as the integer matrix B = D A D of
+    _symmetric_scaling.  It splits into the classes of its zero pattern,
+    and one Bareiss elimination without pivoting runs over each class's
+    submatrix of B; its pivot p is the class's integer leading minor of size
+    p + 1.  Past a zero pivot later minors need not vanish ([[0, 1], [1, 0]]
+    has minors 0 and -1), so that class alone eliminates each larger leading
+    block of its own with row exchanges; the other classes keep their single
+    pass.  A zero entry has denominator 1, so a class's scales are the whole
+    matrix's, and det(B_{k+1}) is, up to sign, the product of each class's
+    leading minor over the indices up to k.  As det(B_{k+1}) =
+    det(A_{k+1}) prod_{r<=k} d_r^2, an exact division turns it into the
+    determinant of A_{k+1} with each row scaled by the lcm of its first
+    k + 1 denominators, as that submatrix alone is scaled, so each entry
+    equals the last one of this function on that submatrix, bit for bit.
+    Only the final logarithms are floating point, and each lcm's is taken
+    once, when the lcm changes.  A class whose B is symmetric, checked
+    once, is eliminated over one triangle; the same pivots come out.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
-    scaled, full_lcm = _scaled_rows(fracs)
+    dens = [[f.denominator for f in row] for row in fracs]
+    scaled, d = _symmetric_scaling(fracs, dens)
     classes = _classes(scaled)
     class_minors = []
     for cls in classes:
-        scales = [full_lcm[i] for i in cls] if _symmetric(_submatrix(fracs, cls)) else None
-        minors = _leading_minors(_submatrix(scaled, cls), scales=scales)  # up to the first zero
+        sub = _submatrix(scaled, cls)
+        minors = _leading_minors(sub, symmetric=_symmetric(sub))  # up to the first zero
         for size in range(len(minors) + 1, len(cls) + 1):
             minors.append(_leading_minors(_submatrix(scaled, cls[:size]), exchange=True)[-1])
         class_minors.append(minors)
@@ -209,23 +238,32 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
         for p, i in enumerate(cls):
             where[i] = (c, p)
     current = [1] * len(classes)  # each class's leading minor over the indices so far
-    minor = 1  # their product
+    minor = 1  # their product: det(B_{k+1}) up to sign
     out: list[float] = []
     prefix_lcm: list[int] = []  # at size k + 1: row r's lcm over its first k + 1 entries
-    full_scale = 1
+    logs: list[float] = []  # math.log of each prefix_lcm, recomputed only when it changes
+    lcm_prod = 1  # prod(prefix_lcm)
+    d_prod = 1  # prod_{r<=k} d_r^2
     for k in range(n):
         for r in range(k):
-            prefix_lcm[r] = math.lcm(prefix_lcm[r], fracs[r][k].denominator)
-        prefix_lcm.append(math.lcm(*(f.denominator for f in fracs[k][: k + 1])))
-        full_scale *= full_lcm[k]
+            old = prefix_lcm[r]
+            if old % (q := dens[r][k]):
+                prefix_lcm[r] = new = math.lcm(old, q)
+                logs[r] = math.log(new)
+                lcm_prod *= new // old
+        new = math.lcm(*dens[k][: k + 1])
+        prefix_lcm.append(new)
+        logs.append(math.log(new))
+        lcm_prod *= new
+        d_prod *= d[k] * d[k]
         log_scale = 0.0
-        for d in prefix_lcm:  # row by row, as the submatrix alone sums them
-            log_scale += math.log(d)
+        for v in logs:  # row by row, as the submatrix alone sums them
+            log_scale += v
         c, p = where[k]
         last, current[c] = current[c], class_minors[c][p]
         # past its class's zero minor there is no last minor to divide out
         minor = minor // last * current[c] if last else math.prod(current)
-        out.append(_scaled_logdet(minor * math.prod(prefix_lcm) // full_scale, log_scale))
+        out.append(_scaled_logdet(minor * lcm_prod // d_prod, log_scale))
     return out
 
 
@@ -286,7 +324,7 @@ def moment_matrix(
 
 
 def _leading_minors(
-    a: list[list[int]], exchange: bool = False, scales: Sequence[int] | None = None
+    a: list[list[int]], exchange: bool = False, symmetric: bool = False
 ) -> list[int]:
     """The pivots of Bareiss elimination over a's first len(a) columns, in place.
 
@@ -296,13 +334,12 @@ def _leading_minors(
     in its column, so the last pivot is the determinant up to sign, 0 when
     a is singular.
 
-    scales, given only without exchanges, says that a's square part is
-    S = diag(scales) A with A symmetric.  After k steps entry (i, j), i and
-    j >= k, is (prod_{r<k} d_r) d_i M_ij, d = scales, where M_ij = M_ji is
-    the minor of A bordering its leading k x k block by row i and column j.
-    So a[i][k] = a[k][i] d_i / d_k, an exact division, and each step updates
-    only the upper triangle and the columns past the square part: the same
-    pivots for half the integer products.
+    symmetric, given only without exchanges, says that a's square part is
+    symmetric.  After k steps entry (i, j), i and j >= k, is the minor of
+    that square part bordering its leading k x k block by row i and column
+    j, and those minors are symmetric too.  So a[i][k] = a[k][i], and each
+    step updates only the upper triangle and the columns past the square
+    part: the same pivots for half the integer products.
     """
     pivots = []
     prev = 1
@@ -314,28 +351,27 @@ def _leading_minors(
         pivots.append(pivot)
         if pivot == 0:
             break
-        _bareiss_step(a, k, prev, scales)
+        _bareiss_step(a, k, prev, symmetric)
         prev = pivot
     return pivots
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int, scales: Sequence[int] | None) -> None:
+def _bareiss_step(a: list[list[int]], k: int, prev: int, symmetric: bool) -> None:
     """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot.
 
-    With scales, a's square part is diag(scales) times a symmetric matrix,
-    and row i is updated from column i on only: its multiplier a[i][k] is
-    read off row k as a[k][i] * scales[i] // scales[k] (see _leading_minors),
-    and the strictly lower triangle is neither read nor written.
+    When a's square part is symmetric, row i is updated from column i on
+    only, with the multiplier a[k][i] (see _leading_minors), and the
+    strictly lower triangle is neither read nor written.
     """
     pivot = a[k][k]
     row_k = a[k]
     for i in range(k + 1, len(a)):
         row_i = a[i]
-        if scales is None:
+        if symmetric:
+            left, start = row_k[i], i
+        else:
             left, start = row_i[k], k + 1
             row_i[k] = 0
-        else:
-            left, start = row_k[i] * scales[i] // scales[k], i
         for j in range(start, len(row_k)):
             # Bareiss identity: the division by the previous pivot is exact
             row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
@@ -346,44 +382,49 @@ def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]],
 
     L and L^-1 are zero between the classes of A's zero pattern, so each
     class is factored alone and its rows are scattered back.  Per class, one
-    Bareiss pass without pivoting runs over [cA | I], A the class's
-    submatrix and c the lcm of its denominators: after step k - 1, row k's
-    right block is D_{k-1} (L^-1)_k, and d_k = D_k / (c D_{k-1}), D_k the
-    pivot of step k and D_{-1} = 1.  Raises ValueError at the first index
-    whose pivot is not positive, quoting that class's pivot, and before any
-    elimination when A is not symmetric.  The left block cA has one scale
-    for every row, so a_ik = a_ki and each step updates one triangle of it
+    Bareiss pass without pivoting runs over [B | I], B the class's
+    submatrix of the symmetric integer matrix E A E of _symmetric_scaling,
+    E = diag(e): after step k - 1, row k's right block is D_{k-1} (L_B^-1)_k,
+    D_k the pivot of step k and D_{-1} = 1, and since A = E^-1 B E^-1,
+    (L^-1)_kj = (L_B^-1)_kj e_j / e_k and d_k = D_k / (D_{k-1} e_k^2).  Each
+    Fraction is built once, and none for the zeros above the diagonal.
+    Raises ValueError at the first index whose pivot is not positive,
+    quoting that class's pivot of B, and before any elimination when A is
+    not symmetric.  B is symmetric, so each step updates one triangle of it
     and the whole right block.
     """
     fracs = _fraction_rows(rows)
     n = len(fracs)
     if not _symmetric(fracs):
         raise ValueError("matrix is not symmetric")
+    scaled, e = _symmetric_scaling(fracs, [[f.denominator for f in row] for row in fracs])
     pivots: list[int] = [0] * n
     blocks = []
-    for cls in _classes(fracs):
-        sub = _submatrix(fracs, cls)
+    for cls in _classes(scaled):
         m = len(cls)
-        c = math.lcm(*(f.denominator for row in sub for f in row))
         aug = [
-            [f.numerator * (c // f.denominator) for f in row] + [int(i == j) for j in range(m)]
-            for i, row in enumerate(sub)
+            [scaled[i][j] for j in cls] + [int(p == q) for q in range(m)]
+            for p, i in enumerate(cls)
         ]
-        minors = _leading_minors(aug, scales=[1] * m)  # cA: every row scale is c
-        for i, d in zip(cls, minors):
-            pivots[i] = d
-        blocks.append((cls, c, aug, [1, *minors]))  # D_{p-1} at position p
+        minors = _leading_minors(aug, symmetric=True)
+        for i, pivot in zip(cls, minors):
+            pivots[i] = pivot
+        blocks.append((cls, aug, [1, *minors]))  # D_{p-1} at position p
     # in index order: a class's entries past its first zero are never reached
-    for k, d in enumerate(pivots):
-        if d <= 0:
-            raise ValueError(f"matrix is not positive definite (pivot {k} = {d})")
+    for k, pivot in enumerate(pivots):
+        if pivot <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {k} = {pivot})")
     zero = Fraction(0)
     inverse = [[zero] * n for _ in range(n)]
     diag = [zero] * n
-    for cls, c, aug, prev in blocks:
+    for cls, aug, prev in blocks:
         m = len(cls)
         for p, i in enumerate(cls):
-            for j, v in zip(cls, aug[p][m:]):
-                inverse[i][j] = Fraction(v, prev[p])
-            diag[i] = Fraction(prev[p + 1], c * prev[p])
+            scale = prev[p] * e[i]
+            row = inverse[i]
+            # (L_B^-1)_p is zero past column p
+            for j, v in zip(cls[: p + 1], aug[p][m : m + p + 1]):
+                if v:
+                    row[j] = Fraction(v * e[j], scale)
+            diag[i] = Fraction(prev[p + 1], scale * e[i])
     return inverse, diag

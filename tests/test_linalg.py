@@ -21,11 +21,13 @@ from polyalab import (
     hankel_matrix,
     z_s_gram,
 )
+from polyalab import linalg
 from polyalab.linalg import (
     _classes,
     _fraction_rows,
     _leading_minors,
-    _scaled_rows,
+    _symmetric,
+    _symmetric_scaling,
     _upper_pairs,
     batch_logabs,
     batch_pairwise_logabs,
@@ -280,9 +282,13 @@ PER_SIZE_MATRICES = [
     [[Fraction(1), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 5)]],
     CHECKERBOARD,
     FOUR_CLASSES,
+    # one dense class each, with denominators that grow along every row:
+    # the off-centre arcsine and the Hilbert-like uniform [0, 1] Hankel
+    hankel_matrix(coeffs_from_measure(ArcsineMeasure(0.0, 2.0)), 25).exact,
+    hankel_matrix(coeffs_from_measure(UniformSegment(0.0, 1.0)), 20).exact,
 ]
 PER_SIZE_IDS = ["swap", "zero-column", "rank-1", "hilbert-8", "mixed-denominators",
-                "checkerboard", "four-classes"]
+                "checkerboard", "four-classes", "arcsine-0-2-hankel", "uniform-0-1-hankel"]
 
 
 @pytest.mark.parametrize("rows", PER_SIZE_MATRICES, ids=PER_SIZE_IDS)
@@ -387,7 +393,7 @@ def _lower_as_none(a):
     return [[None if j < i else v for j, v in enumerate(row)] for i, row in enumerate(a)]
 
 
-# symmetric, with unequal row scales; the last has leading minors 1, 0 and
+# symmetric, with unequal scales; the last has leading minors 1, 0 and
 # stops at the zero
 SYMMETRIC = [
     CHECKERBOARD,
@@ -398,28 +404,79 @@ SYMMETRIC = [
 ]
 
 
+SYMMETRIC_IDS = ["checkerboard", "four-classes", "one-class", "hilbert-8", "zero-minor"]
+
+
+def _dad(rows):
+    """_symmetric_scaling of rows: the integer rows of D A D, and d."""
+    fracs = _fraction_rows(rows)
+    return _symmetric_scaling(fracs, [[f.denominator for f in row] for row in fracs])
+
+
+# every mirrored pair has unequal denominators, built from large powers of
+# two, a large prime and small factors
+UNEQUAL_MIRRORS = [
+    [Fraction(1, 2**41), Fraction(3, 1_000_003), Fraction(1, 6)],
+    [Fraction(5, 2**40), Fraction(7, 9), Fraction(2, 2**20 * 1_000_003)],
+    [0, Fraction(1, 35), Fraction(1, 3)],
+]
+
+
 @pytest.mark.parametrize(
-    "rows", SYMMETRIC, ids=["checkerboard", "four-classes", "one-class", "hilbert-8", "zero-minor"]
+    "rows",
+    [*SYMMETRIC, *NOT_SYMMETRIC, UNEQUAL_MIRRORS],
+    ids=[*SYMMETRIC_IDS, "chain", "one-class-of-two", "unequal-mirrors"],
 )
+def test_symmetric_scaling_is_d_a_d_in_integers(rows):
+    scaled, d = _dad(rows)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            assert type(scaled[i][j]) is int
+            assert scaled[i][j] == d[i] * d[j] * Fraction(v)
+    assert _symmetric(scaled) == _symmetric(rows)
+
+
+def test_symmetric_scaling_starts_at_half_the_diagonal_twos_and_bumps_the_later_index():
+    # d_i = 2^ceil(v/2) times the odd part of den(A_ii): 1/8 -> 4, 1/12 -> 6
+    assert _dad([[Fraction(1, 8), 0, 0], [0, Fraction(1, 12), 0], [0, 0, 3]])[1] == [4, 6, 1]
+    # d_0 d_1 A_01 = 1/3 is not an integer: d_1, the later index, takes the 3
+    assert _dad([[1, Fraction(1, 3)], [Fraction(1, 3), 1]]) == ([[1, 1], [1, 9]], [1, 3])
+    # A_01 and A_10 differ: d_1 takes the lcm of their denominators
+    assert _dad([[1, Fraction(1, 4)], [Fraction(1, 6), 1]])[1] == [1, 12]
+
+
+def test_bareiss_integers_stay_narrow_on_the_arcsine_hankel(monkeypatch):
+    # on D A D every integer the elimination leaves at size 61 fits in 115
+    # bits; rows scaled by their lcms reach 886
+    widest = 0
+    step = linalg._bareiss_step
+
+    def measured(a, k, prev, symmetric):
+        nonlocal widest
+        step(a, k, prev, symmetric)
+        widest = max(widest, *(abs(v).bit_length() for row in a for v in row))
+
+    monkeypatch.setattr(linalg, "_bareiss_step", measured)
+    exact_prefix_logdets(hankel_matrix(coeffs_from_measure(_ARCSINE), 61).exact)
+    assert 0 < widest <= 160
+
+
+@pytest.mark.parametrize("rows", SYMMETRIC, ids=SYMMETRIC_IDS)
 def test_a_symmetric_pass_reads_and_writes_only_the_upper_triangle(rows):
-    scaled, scales = _scaled_rows(_fraction_rows(rows))
+    scaled, _ = _dad(rows)
     want = _leading_minors([row[:] for row in scaled])
     sentinel = _lower_as_none(scaled)
-    assert _leading_minors(sentinel, scales=scales) == want
+    assert _leading_minors(sentinel, symmetric=True) == want
     assert all(v is None for i, row in enumerate(sentinel) for v in row[:i])
 
 
 def test_a_symmetric_pass_over_an_augmented_matrix_keeps_its_right_block():
-    # exact_ldl's [cA | I]: every row scale is c, and the right block is
-    # updated whole
-    fracs = _fraction_rows(ONE_CLASS)
-    c = math.lcm(*(f.denominator for row in fracs for f in row))
-    m = len(fracs)
-    aug = [
-        [int(f * c) for f in row] + [int(i == j) for j in range(m)] for i, row in enumerate(fracs)
-    ]
+    # exact_ldl's [DAD | I]: the right block is updated whole
+    scaled, _ = _dad(ONE_CLASS)
+    m = len(scaled)
+    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(scaled)]
     full = [row[:] for row in aug]
     want = _leading_minors(full)
     sentinel = _lower_as_none(aug)
-    assert _leading_minors(sentinel, scales=[1] * m) == want
+    assert _leading_minors(sentinel, symmetric=True) == want
     assert [row[m:] for row in sentinel] == [row[m:] for row in full]

@@ -45,11 +45,21 @@ from polyalab.reporting import CSV_COLUMNS  # noqa: E402
 from test_linalg import assert_prefixes_match_per_size  # noqa: E402
 from test_multiindex import assert_matches_broadcast_form  # noqa: E402
 
+# large powers of two, a large prime and their products, alone or times a
+# small factor: mirrored entries often have unequal denominators that do
+# not factor over small primes, which the exact routes' symmetric scaling
+# must clear without factoring
+LARGE = st.sampled_from([2**20, 2**41, 1_000_003, 2**20 * 1_000_003, 2**41 * 1_000_003])
+DENOMINATOR = st.one_of(
+    st.integers(1, 12),
+    LARGE,
+    st.builds(lambda small, large: small * large, st.integers(1, 12), LARGE),
+)
 # zero is drawn often enough that many examples have a vanishing leading
 # minor with nonzero minors after it, and many have none
 ENTRY = st.one_of(
     st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-9, 9), DENOMINATOR),
 )
 
 
@@ -166,9 +176,9 @@ def test_a_zero_minor_re_eliminates_only_its_own_class(monkeypatch):
     steps = []
     step = linalg._bareiss_step
 
-    def counted(a, k, prev, scales):
+    def counted(a, k, prev, symmetric):
         steps.append((len(a), k))
-        step(a, k, prev, scales)
+        step(a, k, prev, symmetric)
 
     monkeypatch.setattr(linalg, "_bareiss_step", counted)
     exact_prefix_logdets(TWO_CLASSES_ONE_ZERO)
@@ -218,7 +228,7 @@ def test_split_exact_ldl_is_the_unsplit_factorization(rows):
 def symmetric_matrices_with_repeats(draw, max_size=7):
     """Symmetric rational matrices, some with a vanishing leading minor past a nonzero one.
 
-    Row denominators differ, so the row scales do.  A mirrored entry is the
+    Row denominators differ, so the scales do.  A mirrored entry is the
     same object or an equal copy.  Sometimes row and column r repeat a
     multiple of an earlier row and column, so every minor from size r + 1 on
     vanishes.
