@@ -74,6 +74,11 @@ BENCH_exact.json also times building a moment matrix, `measures.gram` and
   m = 231 are not cached between calls
 - the arcsine Hankel matrix at size 61, the `hankel` config of `exact`;
   its moments are cached after the first call, so this row is the lookup
+- the product-arcsine Hankel matrix at size 45 (s = 8), the two-variable
+  `hankel` config of `exact`: 153 distinct moments, each a product of
+  two cached one-variable moments
+- the arcsine Gram matrix at m = 41, the largest of the `sharpness`
+  config of `exact`
 
 A timing is the mean seconds per call over a block of `number` calls,
 with `number` doubled until one block lasts at least 0.2 s; each row
@@ -260,11 +265,15 @@ def build_cases() -> list[tuple[str, int, object]]:
     square = polyalab.ProductMeasure(
         (polyalab.UniformSegment(-1.0, 1.0), polyalab.UniformSegment(-1.0, 1.0))
     )
-    arcsine = polyalab.coeffs_from_measure(polyalab.ArcsineMeasure(-1.0, 1.0))
+    arcsine = polyalab.ArcsineMeasure(-1.0, 1.0)
+    germ = polyalab.coeffs_from_measure(arcsine)
+    product = polyalab.coeffs_from_measure(polyalab.ProductMeasure((arcsine, arcsine)))
     return [
         ("uniform square gram, m=153", 153, lambda: polyalab.gram(square, 153)),
         ("uniform square gram, m=231", 231, lambda: polyalab.gram(square, 231)),
-        ("arcsine hankel_matrix, size 61", 61, lambda: polyalab.hankel_matrix(arcsine, 61)),
+        ("arcsine hankel_matrix, size 61", 61, lambda: polyalab.hankel_matrix(germ, 61)),
+        ("product-arcsine hankel_matrix, size 45", 45, lambda: polyalab.hankel_matrix(product, 45)),
+        ("arcsine gram, m=41", 41, lambda: polyalab.gram(arcsine, 41)),
     ]
 
 

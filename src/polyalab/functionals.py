@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .linalg import MomentMatrix, moment_matrix
 from .measures import Measure
 from .multiindex import (
-    MultiIndex, as_multi_index, count_at_most, degree_counts, enumeration_for, index_sum,
+    MultiIndex, as_multi_index, count_at_most, count_exact, degree_counts, enumeration_for,
     is_integer_at_least,
 )
 
@@ -128,9 +129,9 @@ def hankel_matrix(germ: GermCoefficients, size: int) -> MomentMatrix:
     """The size-by-size Hankel-type matrix a_{k(a)+k(b)} of the coefficient sequence."""
     if size < 1:
         raise ValueError("size must be positive")
-    idx = enumeration_for(germ.dim).prefix(size)
+    codes, decode = enumeration_for(germ.dim).key_codes(size)
     exact = germ.exact_fn or (lambda k: None)
-    return moment_matrix(idx, index_sum, exact, germ.fn)
+    return moment_matrix(np.add.outer(codes, codes).tolist(), decode, exact, germ.fn)
 
 
 def hankel_logdet(germ: GermCoefficients, size: int) -> float:
@@ -155,16 +156,15 @@ def polya_term(germ: GermCoefficients, index: int) -> PolyaTerm:
     At index 1 the normalizing degree sum is zero, so the quantity is
     undefined and reported as None.
     """
-    return _term(germ.dim, index, hankel_logdet(germ, index))
+    s = enumeration_for(germ.dim).degree_of(index)
+    return _term(index, s, degree_counts(germ.dim, s).degree_sum, hankel_logdet(germ, index))
 
 
-def _term(dim: int, index: int, ld: float) -> PolyaTerm:
-    """The PolyaTerm at index, given log|H_index| as ld; a singular H gives D = 0."""
-    s = enumeration_for(dim).degree_of(index)
-    counts = degree_counts(dim, s)
-    if counts.degree_sum == 0:
+def _term(index: int, s: int, degree_sum: int, ld: float) -> PolyaTerm:
+    """The PolyaTerm at index, of degree s, given log|H_index| as ld; a singular H gives D = 0."""
+    if degree_sum == 0:
         return PolyaTerm(index, s, 0, ld, None)
-    return PolyaTerm(index, s, counts.degree_sum, ld, math.exp(ld / (2.0 * counts.degree_sum)))
+    return PolyaTerm(index, s, degree_sum, ld, math.exp(ld / (2.0 * degree_sum)))
 
 
 def polya_sequence(germ: GermCoefficients, max_index: int) -> tuple[PolyaTerm, ...]:
@@ -176,7 +176,12 @@ def polya_sequence(germ: GermCoefficients, max_index: int) -> tuple[PolyaTerm, .
     if max_index < 1:
         raise ValueError("max_index must be positive")
     logdets = hankel_matrix(germ, max_index).prefix_logdets()
-    return tuple(_term(germ.dim, i, ld) for i, ld in enumerate(logdets, start=1))
+    degrees = [sum(k) for k in enumeration_for(germ.dim).prefix(max_index)]
+    # degree_counts(dim, s).degree_sum for every degree s up to the last
+    sums = list(accumulate(q * count_exact(germ.dim, q) for q in range(degrees[-1] + 1)))
+    return tuple(
+        _term(i, s, sums[s], ld) for i, (s, ld) in enumerate(zip(degrees, logdets), start=1)
+    )
 
 
 def polya_quantity(germ: GermCoefficients, s: int) -> PolyaTerm:

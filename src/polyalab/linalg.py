@@ -9,9 +9,10 @@ exact integer Bareiss elimination for matrices with rational entries.  The
 exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
-matrices are both built here as a MomentMatrix from their distinct
-moments, each evaluated once, and keep only their rational rows whenever
-every moment is rational.  A whole sequence of leading principal minors
+matrices are both built here as a MomentMatrix from a grid of integer
+key codes, one moment per code: each distinct code is evaluated once,
+the rows are filled by lookup, and only the rational rows are kept
+whenever every moment is rational.  A whole sequence of leading minors
 comes from one elimination without pivoting, whose pivots are exactly
 those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
 elimination, not n, and a single determinant is the last minor of that
@@ -46,7 +47,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -300,27 +303,31 @@ class MomentMatrix:
 
 
 def moment_matrix(
-    basis: Sequence,
-    key: Callable[[Any, Any], Hashable],
+    codes: Sequence[Sequence[int]],
+    decode: Callable[[int], Any],
     exact_value: Callable[[Any], Fraction | None],
     float_value: Callable[[Any], complex],
 ) -> MomentMatrix:
-    """The matrix [value(key(a, b))] over a basis prefix, shared by Gram and Hankel.
+    """The matrix [value(decode(codes[a][b]))], shared by Gram and Hankel.
 
-    An entry depends on (a, b) only through its moment key, so each distinct
-    key is evaluated once and the rows are filled by lookup.  Exact, with no
-    float copy, when every exact value is rational; the first None switches
-    the whole matrix to the float values, again one per distinct key.
+    codes is the square grid of integer key codes of the entries, and
+    entries with equal codes share one moment, so each distinct code is
+    decoded and evaluated once and the rows are filled by lookup.  Exact,
+    with no float copy, when every exact value is rational; the first None
+    switches the whole matrix to the float values, again one per distinct
+    code.
     """
-    keys = [[key(a, b) for b in basis] for a in basis]
-    values = dict.fromkeys(k for row in keys for k in row)  # each distinct key once
-    for k in values:
-        values[k] = exact_value(k)
-        if values[k] is None:
-            floats = {k: float_value(k) for k in values}
-            matrix = np.array([[floats[k] for k in row] for row in keys], dtype=complex)
-            return MomentMatrix(len(basis), matrix, None)
-    return MomentMatrix(len(basis), None, tuple(tuple(values[k] for k in row) for row in keys))
+    keys = {c: decode(c) for c in set(chain.from_iterable(codes))}
+    # itemgetter of a single key returns the bare value, not a 1-tuple
+    rows = [itemgetter(*row) if len(row) > 1 else lambda t, c=row[0]: (t[c],) for row in codes]
+    values = {}
+    for c, k in keys.items():
+        if (value := exact_value(k)) is None:
+            floats = {c: float_value(k) for c, k in keys.items()}
+            matrix = np.array([row(floats) for row in rows], dtype=complex)
+            return MomentMatrix(len(codes), matrix, None)
+        values[c] = value
+    return MomentMatrix(len(codes), None, tuple(row(values) for row in rows))
 
 
 def _leading_minors(

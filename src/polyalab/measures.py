@@ -14,8 +14,12 @@ determinant-integral interchange it equals m_s! times the determinant of
 the monomial Gram matrix, which is how z_s_gram computes it; a log-domain
 Monte Carlo estimator cross-checks the identity.  The Gram matrix reads
 each distinct moment once: on a real support an entry is the moment of
-its index sum a + b (conj(z) = z there), elsewhere of its pair (a, b),
-whose exact value is that of (b, a).
+its index sum a + b (conj(z) = z there), keyed by the sum of the two
+indices' integer codes, elsewhere of its pair (a, b), keyed by the pair
+code, whose exact value is that of (b, a).  A kind states its exact
+formula once, on checked indices (_hermitian_fraction); the public
+moments check their indices once, and a product measure multiplies its
+factors' formulas without checking them again.
 
 The batched point kernels hold one block of points at a time: Monte Carlo
 draws MONTE_CARLO_CHUNK configurations per chunk, each draw written into
@@ -44,7 +48,7 @@ from .domains import (
 )
 from .linalg import MomentMatrix, exact_ldl, moment_matrix
 from .multiindex import (
-    as_multi_index, count_at_most, enumeration_for, index_sum, is_integer_at_least
+    MultiIndex, as_multi_index, count_at_most, enumeration_for, is_integer_at_least
 )
 from .vandermonde import as_seed_sequence, basis_matrix, vdm_logabs_batch
 
@@ -82,7 +86,7 @@ class Measure:
 
     def moment_fraction(self, k) -> Fraction | None:
         """Exact integral of z^k, or None: the exact hermitian moment at l = 0."""
-        return self.hermitian_moment_fraction(k, (0,) * self.dim)
+        return self._hermitian_fraction(as_multi_index(k, self.dim), (0,) * self.dim)
 
     def hermitian_moment(self, j, l) -> complex:
         """Integral of z^j conj(z)^l; by default the exact moment, rounded."""
@@ -90,6 +94,10 @@ class Measure:
 
     def hermitian_moment_fraction(self, j, l) -> Fraction | None:
         """Exact rational hermitian moment, or None when no exact form exists."""
+        return self._hermitian_fraction(as_multi_index(j, self.dim), as_multi_index(l, self.dim))
+
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction | None:
+        """The kind's exact moment formula, on indices already checked; None by default."""
         return None
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -99,11 +107,6 @@ class Measure:
         and product measures draw another distribution and override it.
         """
         return self.support.sample(rng, count)
-
-
-def _real_degree(j, l, dim: int) -> tuple[int, ...]:
-    # on a real support conj(z) = z, so z^j conj(z)^l is z^(j + l)
-    return index_sum(as_multi_index(j, dim), as_multi_index(l, dim))
 
 
 def _std_arcsine_moment(k: int) -> Fraction:
@@ -139,9 +142,9 @@ class ArcsineMeasure(Measure):
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (deg,) = _real_degree(j, l, 1)
-        return _arcsine_moment(self.a, self.b, deg)
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction:
+        # on a real support conj(z) = z, so z^j conj(z)^l is z^(j + l)
+        return _arcsine_moment(self.a, self.b, j[0] + l[0])
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # (a + b)/2 + (b - a)/2 * cos(pi u), each step in place on the draw
@@ -165,8 +168,8 @@ class UniformSegment(Measure):
     def support(self) -> CompactSet:
         return Interval(self.a, self.b)
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (deg,) = _real_degree(j, l, 1)
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction:
+        deg = j[0] + l[0]
         lo, hi = Fraction(self.a), Fraction(self.b)
         return (hi ** (deg + 1) - lo ** (deg + 1)) / ((deg + 1) * (hi - lo))
 
@@ -182,9 +185,8 @@ class CircleUniform(Measure):
     def support(self) -> CompactSet:
         return Circle(0j, self.radius)
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = as_multi_index(j, 1)
-        (dl,) = as_multi_index(l, 1)
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction:
+        (dj,), (dl,) = j, l
         if dj != dl:
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj)
@@ -201,9 +203,8 @@ class DiskUniform(Measure):
     def support(self) -> CompactSet:
         return Disk(0j, self.radius)
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction:
-        (dj,) = as_multi_index(j, 1)
-        (dl,) = as_multi_index(l, 1)
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction:
+        (dj,), (dl,) = j, l
         if dj != dl:
             return Fraction(0)
         return Fraction(self.radius) ** (2 * dj) / (dj + 1)
@@ -242,15 +243,14 @@ class DiscreteMeasure(Measure):
             total += float(w) * complex(term)
         return total
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction | None:
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction | None:
         if not self.support.is_real:
             return None
-        kk = _real_degree(j, l, self.dim)
         total = Fraction(0)
         for p, w in zip(self.atoms, self.weights):
             term = Fraction(1)
-            for v, e in zip(p, kk):
-                term *= Fraction(v.real) ** e
+            for v, ej, el in zip(p, j, l):
+                term *= Fraction(v.real) ** (ej + el)
             total += w * term
         return total
 
@@ -283,15 +283,16 @@ class ProductMeasure(Measure):
             out *= f.hermitian_moment(ej, el)
         return out
 
-    def hermitian_moment_fraction(self, j, l) -> Fraction | None:
-        jj = as_multi_index(j, self.dim)
-        ll = as_multi_index(l, self.dim)
-        out = Fraction(1)
-        for f, ej, el in zip(self.factors, jj, ll):
-            part = f.hermitian_moment_fraction(ej, el)
+    def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction | None:
+        out = None
+        for f, ej, el in zip(self.factors, j, l):
+            part = f._hermitian_fraction((ej,), (el,))
             if part is None:
                 return None
-            out *= part
+            if out is None or not part:
+                out = part
+            elif out:  # a zero product stays zero, with no multiplication
+                out *= part
         return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -300,15 +301,31 @@ class ProductMeasure(Measure):
 
 def gram(measure: Measure, count: int) -> MomentMatrix:
     """Gram matrix of the first count monomials: integrals of e_a conj(e_b)."""
-    idx = enumeration_for(measure.dim).prefix(count)
+    codes, decode = enumeration_for(measure.dim).key_codes(count)
     if measure.support.is_real:
-        return moment_matrix(idx, index_sum, measure.moment_fraction, measure.moment)
-    # a rational Hermitian matrix is real, so symmetric: the exact route
-    # evaluates each unordered pair once, a float fallback each (j, l)
-    exact = functools.cache(measure.hermitian_moment_fraction)
-    approx = measure.hermitian_moment
+        # an entry is the hermitian moment at (a + b, 0), coded c(a) + c(b)
+        zero = (0,) * measure.dim
+        return moment_matrix(
+            np.add.outer(codes, codes).tolist(),
+            decode,
+            lambda k: measure.hermitian_moment_fraction(k, zero),
+            measure.moment,
+        )
+    # the pair (j, l) is coded c(j) * top + c(l); a rational Hermitian matrix
+    # is real, so symmetric: the exact route evaluates each unordered pair
+    # once, a float fallback each (j, l)
+    top = int(codes.max()) + 1
+    index = dict(zip(codes.tolist(), enumeration_for(measure.dim).prefix(count)))
+
+    @functools.cache
+    def exact(lo: int, hi: int) -> Fraction | None:
+        return measure.hermitian_moment_fraction(index[lo], index[hi])
+
     return moment_matrix(
-        idx, lambda j, l: (j, l), lambda k: exact(*sorted(k)), lambda k: approx(*k)
+        np.add.outer(codes * top, codes).tolist(),
+        lambda c: divmod(c, top),
+        lambda k: exact(*sorted(k)),
+        lambda k: measure.hermitian_moment(index[k[0]], index[k[1]]),
     )
 
 

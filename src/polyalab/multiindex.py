@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -40,15 +40,10 @@ def as_multi_index(k, dim: int) -> MultiIndex:
     """Validate k (an int in one variable, else a sequence) as a dim-variable index."""
     if isinstance(k, (int, np.integer)):
         k = (int(k),)
-    k = tuple(int(v) for v in k)
-    if len(k) != dim or any(v < 0 for v in k):
+    k = tuple(map(int, k))
+    if len(k) != dim or (k and min(k) < 0):
         raise ValueError(f"bad multi-index {k} for dimension {dim}")
     return k
-
-
-def index_sum(j: MultiIndex, l: MultiIndex) -> MultiIndex:
-    """j + l: the index of z^j z^l, a Hankel entry's, and a real Gram entry's."""
-    return tuple(map(add, j, l))
 
 
 def indices_of_degree(dim: int, s: int) -> list[MultiIndex]:
@@ -139,7 +134,36 @@ class GradedEnumeration:
 
     def degree_of(self, i: int) -> int:
         """Degree of the i-th index (1-based position)."""
-        return sum(self.prefix(i)[i - 1])
+        if i < 1:
+            raise ValueError(f"position must be >= 1, got {i}")
+        self._extend_to(i)
+        return sum(self._indices[i - 1])
+
+    def key_codes(self, count: int) -> tuple[np.ndarray, Callable[[int], MultiIndex]]:
+        """Additive integer codes of the first count indices, and their decoder.
+
+        The code of an index is c(k) = sum_i k_i R^i, R = 2 s + 1 for the
+        prefix's top degree s, read off the cached exponent array.  No axis
+        of a sum j + l of two prefix indices reaches R, so c(j) + c(l) =
+        c(j + l), and decode reads such a sum back off its base-R digits: a
+        Hankel or real Gram entry's moment key is the sum of two codes.  The
+        codes are int64 while a pair code c(j) C + c(l), C > every code,
+        fits, and Python ints past that.
+        """
+        exps = self.exponents(count)
+        radix = 2 * int(exps[-1].sum()) + 1
+        dtype = np.int64 if radix ** (2 * self.dim) < 2**63 else object
+        weights = np.array([radix**i for i in range(self.dim)], dtype=dtype)
+        dim = self.dim
+
+        def decode(code: int) -> MultiIndex:
+            digits = []
+            for _ in range(dim):
+                code, digit = divmod(code, radix)
+                digits.append(digit)
+            return tuple(digits)
+
+        return exps.astype(dtype, copy=False) @ weights, decode
 
 
 def enumerate_indices(dim: int, count: int) -> list[MultiIndex]:

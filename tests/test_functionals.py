@@ -17,6 +17,7 @@ from polyalab import (
     coeffs_from_table,
     count_at_most,
     degree_counts,
+    enumeration_for,
     hankel_logdet,
     hankel_matrix,
     polya_quantity,
@@ -221,8 +222,9 @@ def test_polya_sequence_matches_per_size_hankel(make_germ, n):
     terms = polya_sequence(germ, n)
     assert len(terms) == n
     for i, term in enumerate(terms, start=1):
-        want = hankel_logdet(germ, i)
-        assert term.hankel == want, i
+        assert term.hankel == hankel_logdet(germ, i), i
+        # index, degree, degree sum and D too, read off one prefix
+        assert term == polya_term(germ, i), i
 
 
 def test_polya_sequence_builds_one_hankel_matrix(monkeypatch):
@@ -333,3 +335,58 @@ def test_circle_hermitian_moments_not_used_here():
     # so the Hankel sequence degenerates immediately
     germ = coeffs_from_measure(CircleUniform(1.0))
     assert polya_term(germ, 2).quantity == 0.0
+
+
+# A germ gallery: integer sequences whose Hankel determinants are known in
+# closed form (Krattenthaler, "Advanced determinant calculus: a complement",
+# Linear Algebra Appl. 411, 2005).  As table germs they share no code with
+# any measure's moments, so they check the Hankel builder's index sums and
+# the exact elimination on their own.
+
+
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _gallery_sequence(dim, entry, size):
+    """polya_sequence of the table germ a_k = entry(k) over every index sum of size."""
+    top = 2 * enumeration_for(dim).degree_of(size)
+    table = {k: entry(k) for k in enumeration_for(dim).prefix(count_at_most(dim, top))}
+    return polya_sequence(coeffs_from_table(dim, table), size)
+
+
+def test_catalan_hankel_determinants_are_one():
+    # the moments of the semicircle law on [0, 4]: H_n = 1 at every n
+    terms = _gallery_sequence(1, lambda k: _catalan(k[0]), 60)
+    assert [t.hankel for t in terms] == [0.0] * 60
+    # so D_n = 1, the capacity of [0, 4], exactly
+    assert all(t.quantity == 1.0 for t in terms[1:])
+
+
+def test_tensor_catalan_leading_minors_are_one():
+    # a_(j, k) = C_j C_k: each monomial's residual against the earlier ones
+    # is the product of two monic orthogonal polynomials of norm 1, so every
+    # leading minor in graded order is 1, not only those that close a degree
+    terms = _gallery_sequence(2, lambda k: _catalan(k[0]) * _catalan(k[1]), 45)
+    assert [t.hankel for t in terms] == [0.0] * 45
+
+
+def test_central_binomial_hankel_determinants_are_powers_of_two():
+    # the moments of the arcsine law on [0, 4]: H_n = 2^(n - 1)
+    terms = _gallery_sequence(1, lambda k: math.comb(2 * k[0], k[0]), 60)
+    for n, t in enumerate(terms, start=1):
+        # log of an exact integer against (n - 1) log 2 in floats
+        assert t.hankel == pytest.approx((n - 1) * math.log(2.0), rel=0.0, abs=1e-12), n
+
+
+def test_shifted_motzkin_zero_minors_follow_the_period_six_pattern():
+    # a_k = M_(k+1): H_n = 1, 0, -1, -1, 0, 1 repeated with period 6, so
+    # every third minor is zero and the minors past it reach the row-exchange
+    # re-elimination; each zero must come out -inf and every other value 0.0
+    motzkin = [1, 1]
+    for i in range(2, 122):
+        motzkin.append(((2 * i + 1) * motzkin[-1] + (3 * i - 3) * motzkin[-2]) // (i + 2))
+    pattern = (1, 0, -1, -1, 0, 1)
+    terms = _gallery_sequence(1, lambda k: motzkin[k[0] + 1], 60)
+    for n, t in enumerate(terms, start=1):
+        assert t.hankel == (-math.inf if pattern[(n - 1) % 6] == 0 else 0.0), n

@@ -273,6 +273,60 @@ def test_exact_gram_mirrors_the_full_build(case):
         assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
+# In 1-3 variables, measures and a table germ for each route of the
+# builder: distinct moments that share no value (one atom at (2, 3, 5) and
+# the table 2^j 3^k 5^l, by unique factorization), so an entry that read
+# the wrong index sum could not match by chance; a real product measure; a
+# complex support, whose Gram entries are keyed by pairs; and complex atoms,
+# whose Gram matrix has no exact route and is built from floats.
+_ORACLE_CASES = {
+    "one-atom gram": lambda dim: DiscreteMeasure(((2.0, 3.0, 5.0)[:dim],), (Fraction(1, 3),)),
+    "product gram": lambda dim: ProductMeasure(
+        (ArcsineMeasure(-1.0, 2.0), UniformSegment(0.0, 1.0), ArcsineMeasure(0.0, 2.0))[:dim]
+    ),
+    "disk gram": lambda dim: ProductMeasure(
+        (DiskUniform(1.5), DiskUniform(0.5), CircleUniform(2.0))[:dim]
+    ),
+    "complex-atom gram": lambda dim: DiscreteMeasure(
+        tuple(p[:dim] for p in ((0.2 + 0.1j, 1.0, -0.5), (1.0, -0.5j, 0.3), (-0.5, 0.3, 0.25j))),
+        (Fraction(1, 2), Fraction(1, 3), 2),
+    ),
+    "table hankel": lambda dim: coeffs_from_table(
+        dim,
+        {
+            k: Fraction(math.prod(p**e for p, e in zip((2, 3, 5), k)), 7)
+            for k in enumeration_for(dim).prefix(count_at_most(dim, 12))
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+@pytest.mark.parametrize("s", range(7))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_matrix_rows_equal_every_entry_built_alone(dim, s, case):
+    # the builder keys each entry by an integer code and evaluates each
+    # distinct code once; every row must equal the per-entry build: exact
+    # rows by ==, a float matrix byte for byte
+    source = _ORACLE_CASES[case](dim)
+    m = count_at_most(dim, s)
+    if case == "table hankel":
+        got, want = hankel_matrix(source, m), per_point_oracles.hankel_matrix_entries(source, m)
+    else:
+        idx = enumeration_for(dim).prefix(m)
+        got = gram(source, m)
+        want = per_point_oracles.moment_matrix_entries(
+            idx, source.hermitian_moment_fraction, source.hermitian_moment
+        )
+    assert (got.exact is None) == (case == "complex-atom gram")
+    if want.exact is not None:
+        assert got.matrix is None
+        assert got.exact == want.exact
+    else:
+        assert got.exact is None
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
 @pytest.mark.parametrize(
     "mu",
     [

@@ -86,6 +86,29 @@ def test_degree_of_is_one_based_and_consistent():
     idx = enum.prefix(25)
     for i, k in enumerate(idx, start=1):
         assert enum.degree_of(i) == sum(k)
+    # a fresh enumeration generates what it reads; position 0 does not exist
+    fresh = GradedEnumeration(2)
+    assert fresh.degree_of(10) == 3
+    with pytest.raises(ValueError):
+        fresh.degree_of(0)
+
+
+@pytest.mark.parametrize("dim, count", [(1, 61), (2, 45), (3, 84), (20, 231)])
+def test_key_codes_add_like_their_indices(dim, count):
+    # c(j) + c(l) = c(j + l) for every pair of the prefix, and decode reads
+    # each sum back; at 20 variables the codes outgrow int64 and are ints
+    enum = GradedEnumeration(dim)
+    codes, decode = enum.key_codes(count)
+    idx = enum.prefix(count)
+    assert [decode(c) for c in codes.tolist()] == idx
+    sums = {}
+    for (a, ca), (b, cb) in itertools.product(zip(idx, codes.tolist()), repeat=2):
+        k = tuple(x + y for x, y in zip(a, b))
+        assert decode(ca + cb) == k
+        assert sums.setdefault(k, ca + cb) == ca + cb
+    # distinct index sums have distinct codes
+    assert len(set(sums.values())) == len(sums)
+    assert codes.dtype == (object if dim == 20 else np.int64)
 
 
 def test_exponent_array_matches_prefix():
