@@ -65,6 +65,12 @@ sequence, `linalg.exact_prefix_logdets`, `linalg.exact_logdet` and
   Gram at m = 153, and of the Hankel matrix at size 30 of the table germ
   a_k = k / (k + 1): a_0 = 0, so its one class has a zero first minor and
   each larger leading block is eliminated with pivoting
+- the Hankel prefix pass at size 60 of the shifted Motzkin germ
+  a_k = M_(k+1), whose leading minors are 1, 0, -1, -1, 0, 1 repeated: 20
+  zero minors in one class, each followed by pivoted re-eliminations
+
+Each kernel is handed the `MomentMatrix` itself, as the library hands it
+over, so that its grid of key codes is read once per distinct moment.
 
 BENCH_exact.json also times building a moment matrix, `measures.gram` and
 `functionals.hankel_matrix`, each distinct moment evaluated once:
@@ -223,8 +229,8 @@ def exchange_cases() -> list[tuple[str, int, np.ndarray, np.ndarray, np.ndarray,
     return cases
 
 
-def exact_cases() -> list[tuple[str, object, list]]:
-    """(name, kernel, exact rows) of each BENCH_exact.json row."""
+def exact_cases() -> list[tuple[str, object, object]]:
+    """(name, kernel, exact MomentMatrix) of each BENCH_exact.json elimination row."""
     arcsine = polyalab.ArcsineMeasure(-1.0, 1.0)
     product = polyalab.ProductMeasure((arcsine, arcsine))
     hankel = polyalab.hankel_matrix(polyalab.coeffs_from_measure(arcsine), 61)
@@ -237,26 +243,32 @@ def exact_cases() -> list[tuple[str, object, list]]:
     )
     off_centre = polyalab.coeffs_from_measure(polyalab.ArcsineMeasure(0.0, 2.0))
     unit_interval = polyalab.coeffs_from_measure(polyalab.UniformSegment(0.0, 1.0))
+    motzkin = [1, 1]
+    for i in range(2, 121):
+        motzkin.append(((2 * i + 1) * motzkin[-1] + (3 * i - 3) * motzkin[-2]) // (i + 2))
+    shifted_motzkin = polyalab.coeffs_from_table(1, {(k,): motzkin[k + 1] for k in range(119)})
     return [
-        ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel.exact),
+        ("arcsine Hankel prefix pass, size 61", linalg.exact_prefix_logdets, hankel),
         ("product arcsine Gram prefix pass, m=153", linalg.exact_prefix_logdets,
-         polyalab.gram(product, 153).exact),
+         polyalab.gram(product, 153)),
         ("product arcsine Gram exact_ldl, m=28", linalg.exact_ldl,
-         polyalab.gram(product, 28).exact),
+         polyalab.gram(product, 28)),
         ("arcsine[0, 2] Gram prefix pass, m=41", linalg.exact_prefix_logdets,
-         polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41).exact),
+         polyalab.gram(polyalab.ArcsineMeasure(0.0, 2.0), 41)),
         ("uniform [0, 1]^2 Gram prefix pass, m=153", linalg.exact_prefix_logdets,
-         polyalab.gram(unit_square, 153).exact),
+         polyalab.gram(unit_square, 153)),
         ("arcsine[0, 2] Hankel prefix pass, size 61", linalg.exact_prefix_logdets,
-         polyalab.hankel_matrix(off_centre, 61).exact),
+         polyalab.hankel_matrix(off_centre, 61)),
         ("uniform [0, 1] Hankel prefix pass, size 40", linalg.exact_prefix_logdets,
-         polyalab.hankel_matrix(unit_interval, 40).exact),
+         polyalab.hankel_matrix(unit_interval, 40)),
         ("3-atom discrete Gram prefix pass, m=40", linalg.exact_prefix_logdets,
-         polyalab.gram(three_atoms, 40).exact),
+         polyalab.gram(three_atoms, 40)),
         ("product arcsine Gram exact_logdet, m=153", linalg.exact_logdet,
-         polyalab.gram(product, 153).exact),
+         polyalab.gram(product, 153)),
         ("a_0 = 0 table Hankel exact_logdet, size 30", linalg.exact_logdet,
-         polyalab.hankel_matrix(zero_first, 30).exact),
+         polyalab.hankel_matrix(zero_first, 30)),
+        ("shifted Motzkin Hankel prefix pass, size 60", linalg.exact_prefix_logdets,
+         polyalab.hankel_matrix(shifted_motzkin, 60)),
     ]
 
 

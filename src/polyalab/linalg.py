@@ -10,9 +10,12 @@ exact route is what keeps large moment-matrix determinants meaningful: the
 late LU pivots of those matrices sit far below the double-precision noise
 floor, where a floating factorization returns garbage.  Gram and Hankel
 matrices are both built here as a MomentMatrix from a grid of integer
-key codes, one moment per code: each distinct code is evaluated once,
-the rows are filled by lookup, and only the rational rows are kept
-whenever every moment is rational.  A whole sequence of leading minors
+key codes, one moment per code, each distinct code evaluated once.  When
+every moment is rational the matrix is that grid and one Fraction per
+code, and the exact routes work from it: each code's numerator and
+denominator is read once, and the numerator and denominator grids, so
+the zero pattern, are filled by lookup; plain rows are a grid with one
+code per entry, through the same body.  A whole sequence of leading minors
 comes from one elimination without pivoting, whose pivots are exactly
 those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
 elimination, not n, and a single determinant is the last minor of that
@@ -25,9 +28,10 @@ size 61 its widest integer has 115 bits, where scaling each row by its
 denominator lcm gives 886.  Every moment matrix is symmetric, and so is
 its B, so the loop updates one triangle of a symmetric class: after k
 steps entry (i, j) is a bordered minor of B and equals entry (j, i), and
-the pivots are the same integers for half the products.  Symmetry is
-checked once per class; a class that is not symmetric, and the row
-exchanges past a zero minor, keep the full update.  Each exact route
+the pivots are the same integers for half the products, and only that
+triangle of B is built.  Symmetry is checked once per matrix; a matrix
+that is not symmetric, and the row exchanges past a zero minor, build
+their classes' whole B and keep the full update.  Each exact route
 first splits the matrix into classes: the connected components of the
 graph of its nonzero entries, found by one O(n^2) scan.  A symmetric
 measure's moment matrix splits by parity, two classes (a checkerboard) in
@@ -107,49 +111,83 @@ def batch_logabs(matrices: np.ndarray) -> np.ndarray:
 
 
 Rational = Fraction | int
+Grid = Sequence[Sequence[int]]
 
 
-def _fraction_rows(rows: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """rows as Fractions, checked square; Fraction entries are kept, not copied."""
-    fracs = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
-    if any(len(r) != len(fracs) for r in fracs):
+def _as_grid(rows: Sequence[Sequence[Rational]]) -> MomentMatrix:
+    """rows, checked square, as an exact MomentMatrix with one code per entry."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return fracs
+    entries = chain.from_iterable(rows)
+    values = dict(enumerate(v if isinstance(v, Fraction) else Fraction(v) for v in entries))
+    return MomentMatrix(n, None, [range(i * n, i * n + n) for i in range(n)], values)
 
 
-def _symmetric_scaling(
-    fracs: list[list[Fraction]], dens: list[list[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """B = D A D as integers, and d, for a square rational matrix A, D = diag(d).
+def _grids(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> tuple[Grid, Grid]:
+    """The numerator and denominator grids of a square rational matrix.
 
-    fracs holds A and dens its denominators.  d_i starts at 2^ceil(v/2)
-    times the odd part of den(A_ii), v its 2-adic valuation, so d_i^2 A_ii
-    is an integer.  Then one pass over the upper triangle in index order:
-    wherever d_a d_b A_ab or d_a d_b A_ba is not yet an integer, the later
-    index's d_b is multiplied by q / gcd(q, d_a d_b), q the lcm of the two
-    denominators.  A bump multiplies a scale by an integer, so every entry
-    already integral stays so, and the diagonal needs none.  No denominator
-    is factored, any square rational matrix is served, and a zero entry
-    (denominator 1) never bumps, so each class of the zero pattern gets the
-    scales it would get alone.  B is symmetric whenever A is.
+    Each distinct code's numerator and denominator is read once, and the
+    grids are filled by lookup through the code grid; plain rows are first a
+    grid with one code per entry.
+    """
+    grid = rows if isinstance(rows, MomentMatrix) else _as_grid(rows)
+    nums = {c: v.numerator for c, v in grid.values.items()}
+    dens = {c: v.denominator for c, v in grid.values.items()}
+    getters = _row_getters(grid.codes)
+    return [row(nums) for row in getters], [row(dens) for row in getters]
+
+
+def _row_getters(codes: Grid) -> list[Callable[[dict], tuple]]:
+    """Per row of codes, a function from a {code: value} dict to the row's values."""
+    # itemgetter of a single key returns the bare value, not a 1-tuple
+    return [itemgetter(*row) if len(row) > 1 else lambda t, c=row[0]: (t[c],) for row in codes]
+
+
+def _scales(dens: Grid, classes: list[list[int]]) -> list[int]:
+    """d with B = D A D an integer matrix, D = diag(d), from A's denominator grid.
+
+    d_i starts at 2^ceil(v/2) times the odd part of den(A_ii), v its 2-adic
+    valuation, so d_i^2 A_ii is an integer.  Then one pass over the upper
+    triangle of each class of the zero pattern in index order: wherever
+    d_a d_b A_ab or d_a d_b A_ba is not yet an integer, the later index's d_b
+    is multiplied by q / gcd(q, d_a d_b), q the lcm of the two denominators.
+    A bump multiplies a scale by an integer, so every entry already integral
+    stays so, and the diagonal needs none.  No denominator is factored, any
+    square rational matrix is served, and a zero entry (denominator 1) never
+    bumps, so the entries between classes are skipped and each class gets
+    the scales it would get alone.  B is symmetric whenever A is.
     """
     d = []
     for i, row in enumerate(dens):
         q = row[i]
         v = (q & -q).bit_length() - 1
         d.append((q >> v) << (v + 1) // 2)
-    for b in range(1, len(d)):
-        for a in range(b):
-            q, r = dens[a][b], dens[b][a]
-            if q != r:
-                q = math.lcm(q, r)
-            if q != 1 and (p := d[a] * d[b]) % q:
-                d[b] *= q // math.gcd(q, p)
-    scaled = [
-        [(num := f.numerator) and num * (di * dj // q) for f, q, dj in zip(row, qs, d)]
-        for row, qs, di in zip(fracs, dens, d)
-    ]
-    return scaled, d
+    for cls in classes:
+        for p, b in enumerate(cls):
+            for a in cls[:p]:
+                q, r = dens[a][b], dens[b][a]
+                if q != r:
+                    q = math.lcm(q, r)
+                if q != 1 and (g := d[a] * d[b]) % q:
+                    d[b] *= q // math.gcd(q, g)
+    return d
+
+
+def _scaled(
+    nums: Grid, dens: Grid, d: list[int], idx: list[int], upper: bool = False
+) -> list[list[int]]:
+    """The rows of B = D A D over the indices idx, as integers, from A's grids.
+
+    With upper, only the upper triangle is computed: each row's entries left
+    of the diagonal are 0, which a symmetric pass never reads.
+    """
+    rows = []
+    for p, i in enumerate(idx):
+        num, den, di = nums[i], dens[i], d[i]
+        row = [(v := num[j]) and v * (di * d[j] // den[j]) for j in (idx[p:] if upper else idx)]
+        rows.append([0] * p + row if upper else row)
+    return rows
 
 
 def _symmetric(rows: Sequence[Sequence]) -> bool:
@@ -189,11 +227,7 @@ def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
     return classes
 
 
-def _submatrix(rows: Sequence[Sequence], idx: list[int]) -> list[list]:
-    return [[rows[i][j] for j in idx] for i in idx]
-
-
-def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
+def exact_logdet(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> float:
     """log|det| of a matrix with rational entries, by exact integer elimination.
 
     The determinant is the last leading principal minor, so this is the last
@@ -203,38 +237,42 @@ def exact_logdet(rows: Sequence[Sequence[Rational]]) -> float:
     return prefix[-1] if prefix else 0.0
 
 
-def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
+def exact_prefix_logdets(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> list[float]:
     """log|det| of every leading principal submatrix, sizes 1..n, by exact integer elimination.
 
-    The matrix A is eliminated as the integer matrix B = D A D of
-    _symmetric_scaling.  It splits into the classes of its zero pattern,
-    and one Bareiss elimination without pivoting runs over each class's
-    submatrix of B; its pivot p is the class's integer leading minor of size
-    p + 1.  Past a zero pivot later minors need not vanish ([[0, 1], [1, 0]]
-    has minors 0 and -1), so that class alone eliminates each larger leading
-    block of its own with row exchanges; the other classes keep their single
-    pass.  A zero entry has denominator 1, so a class's scales are the whole
-    matrix's, and det(B_{k+1}) is, up to sign, the product of each class's
-    leading minor over the indices up to k.  As det(B_{k+1}) =
-    det(A_{k+1}) prod_{r<=k} d_r^2, an exact division turns it into the
-    determinant of A_{k+1} with each row scaled by the lcm of its first
-    k + 1 denominators, as that submatrix alone is scaled, so each entry
-    equals the last one of this function on that submatrix, bit for bit.
-    Only the final logarithms are floating point, and each lcm's is taken
-    once, when the lcm changes.  A class whose B is symmetric, checked
-    once, is eliminated over one triangle; the same pivots come out.
+    rows is an exact MomentMatrix, whose grid is read once per distinct
+    code (_grids), or plain rows, a grid with one code per entry.  The
+    matrix A is eliminated as the integer matrix B = D A D of _scales.  It
+    splits into the classes of its zero pattern, and one Bareiss elimination
+    without pivoting runs over each class's rows of B, built alone; its
+    pivot p is the class's integer leading minor of size p + 1.  When A is
+    symmetric, checked once, so is B, and each class builds and eliminates
+    one triangle; the same pivots come out.  Past a zero pivot later minors
+    need not vanish ([[0, 1], [1, 0]] has minors 0 and -1), so that class
+    alone builds its whole B and eliminates each larger leading block of it
+    with row exchanges; the other classes keep their single pass.  A zero
+    entry has denominator 1, so a class's scales are the whole matrix's,
+    and det(B_{k+1}) is, up to sign, the product of each class's leading
+    minor over the indices up to k.  As det(B_{k+1}) = det(A_{k+1})
+    prod_{r<=k} d_r^2, an exact division turns it into the determinant of
+    A_{k+1} with each row scaled by the lcm of its first k + 1 denominators,
+    as that submatrix alone is scaled, so each entry equals the last one of
+    this function on that submatrix, bit for bit.  Only the final logarithms
+    are floating point, and each lcm's is taken once, when the lcm changes.
     """
-    fracs = _fraction_rows(rows)
-    n = len(fracs)
-    dens = [[f.denominator for f in row] for row in fracs]
-    scaled, d = _symmetric_scaling(fracs, dens)
-    classes = _classes(scaled)
+    nums, dens = _grids(rows)
+    n = len(nums)
+    classes = _classes(nums)
+    d = _scales(dens, classes)
+    symmetric = _symmetric(nums) and _symmetric(dens)
     class_minors = []
     for cls in classes:
-        sub = _submatrix(scaled, cls)
-        minors = _leading_minors(sub, symmetric=_symmetric(sub))  # up to the first zero
-        for size in range(len(minors) + 1, len(cls) + 1):
-            minors.append(_leading_minors(_submatrix(scaled, cls[:size]), exchange=True)[-1])
+        minors = _leading_minors(_scaled(nums, dens, d, cls, upper=symmetric), symmetric=symmetric)
+        if len(minors) < len(cls):  # stopped at a zero minor
+            full = _scaled(nums, dens, d, cls)
+            for size in range(len(minors) + 1, len(cls) + 1):
+                block = [row[:size] for row in full[:size]]
+                minors.append(_leading_minors(block, exchange=True)[-1])
         class_minors.append(minors)
     where = [(0, 0)] * n  # index -> (its class, its position in the class)
     for c, cls in enumerate(classes):
@@ -248,7 +286,8 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
     lcm_prod = 1  # prod(prefix_lcm)
     d_prod = 1  # prod_{r<=k} d_r^2
     for k in range(n):
-        for r in range(k):
+        c, p = where[k]
+        for r in classes[c][:p]:  # an entry outside k's class is 0, denominator 1
             old = prefix_lcm[r]
             if old % (q := dens[r][k]):
                 prefix_lcm[r] = new = math.lcm(old, q)
@@ -262,7 +301,6 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]]) -> list[float]:
         log_scale = 0.0
         for v in logs:  # row by row, as the submatrix alone sums them
             log_scale += v
-        c, p = where[k]
         last, current[c] = current[c], class_minors[c][p]
         # past its class's zero minor there is no last minor to divide out
         minor = minor // last * current[c] if last else math.prod(current)
@@ -279,15 +317,34 @@ def _scaled_logdet(det: int, log_scale: float) -> float:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """A moment matrix (Gram or Hankel type): its exact rows, or else its float matrix."""
+    """A moment matrix (Gram or Hankel type): its exact grid, or else its float matrix.
+
+    An exact one keeps what moment_matrix builds it from: the square grid
+    of integer key codes of its entries and one Fraction per distinct code,
+    so that entries with equal codes are one moment.  The exact routes read
+    each code's numerator and denominator once and the rest through the
+    grid.  A float one keeps only its matrix.  Its len is its number of
+    rows, so an exact one passes as the rows of exact_logdet.
+    """
 
     size: int
     matrix: np.ndarray | None
-    exact: tuple[tuple[Fraction, ...], ...] | None
+    codes: Grid | None
+    values: dict[int, Fraction] | None
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def exact(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The rational rows, by lookup through the grid; None for a float matrix."""
+        if self.values is None:
+            return None
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.codes)
 
     def logdet(self) -> float:
-        if self.exact is not None:
-            return exact_logdet(self.exact)
+        if self.values is not None:
+            return exact_logdet(self)
         return logdet(self.matrix)
 
     def prefix_logdets(self) -> list[float]:
@@ -297,13 +354,13 @@ class MomentMatrix:
         bit for bit, so `sharpness` and `zs-check` read every degree off the
         matrix of their largest degree.
         """
-        if self.exact is not None:
-            return exact_prefix_logdets(self.exact)
+        if self.values is not None:
+            return exact_prefix_logdets(self)
         return [logdet(self.matrix[:i, :i]) for i in range(1, self.size + 1)]
 
 
 def moment_matrix(
-    codes: Sequence[Sequence[int]],
+    codes: Grid,
     decode: Callable[[int], Any],
     exact_value: Callable[[Any], Fraction | None],
     float_value: Callable[[Any], complex],
@@ -312,22 +369,20 @@ def moment_matrix(
 
     codes is the square grid of integer key codes of the entries, and
     entries with equal codes share one moment, so each distinct code is
-    decoded and evaluated once and the rows are filled by lookup.  Exact,
-    with no float copy, when every exact value is rational; the first None
-    switches the whole matrix to the float values, again one per distinct
-    code.
+    decoded and evaluated once.  Exact when every exact value is rational:
+    the grid and one value per code, with no rows and no float copy.  The
+    first None switches the whole matrix to the float values, again one per
+    distinct code, with the rows filled by lookup.
     """
     keys = {c: decode(c) for c in set(chain.from_iterable(codes))}
-    # itemgetter of a single key returns the bare value, not a 1-tuple
-    rows = [itemgetter(*row) if len(row) > 1 else lambda t, c=row[0]: (t[c],) for row in codes]
     values = {}
     for c, k in keys.items():
         if (value := exact_value(k)) is None:
             floats = {c: float_value(k) for c, k in keys.items()}
-            matrix = np.array([row(floats) for row in rows], dtype=complex)
-            return MomentMatrix(len(codes), matrix, None)
+            matrix = np.array([row(floats) for row in _row_getters(codes)], dtype=complex)
+            return MomentMatrix(len(codes), matrix, None, None)
         values[c] = value
-    return MomentMatrix(len(codes), None, tuple(row(values) for row in rows))
+    return MomentMatrix(len(codes), None, codes, values)
 
 
 def _leading_minors(
@@ -384,35 +439,37 @@ def _bareiss_step(a: list[list[int]], k: int, prev: int, symmetric: bool) -> Non
             row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
 
 
-def exact_ldl(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+def exact_ldl(
+    rows: Sequence[Sequence[Rational]] | MomentMatrix,
+) -> tuple[list[list[Fraction]], list[Fraction]]:
     """(L^-1, d) with A = L diag(d) L^T, L unit lower, for a rational SPD matrix A.
 
-    L and L^-1 are zero between the classes of A's zero pattern, so each
-    class is factored alone and its rows are scattered back.  Per class, one
-    Bareiss pass without pivoting runs over [B | I], B the class's
-    submatrix of the symmetric integer matrix E A E of _symmetric_scaling,
-    E = diag(e): after step k - 1, row k's right block is D_{k-1} (L_B^-1)_k,
-    D_k the pivot of step k and D_{-1} = 1, and since A = E^-1 B E^-1,
-    (L^-1)_kj = (L_B^-1)_kj e_j / e_k and d_k = D_k / (D_{k-1} e_k^2).  Each
-    Fraction is built once, and none for the zeros above the diagonal.
-    Raises ValueError at the first index whose pivot is not positive,
-    quoting that class's pivot of B, and before any elimination when A is
-    not symmetric.  B is symmetric, so each step updates one triangle of it
-    and the whole right block.
+    rows is an exact MomentMatrix or plain rows, read as exact_prefix_logdets
+    reads them.  L and L^-1 are zero between the classes of A's zero
+    pattern, so each class is factored alone and its rows are scattered
+    back.  Per class, one Bareiss pass without pivoting runs over [B | I], B
+    the class's rows of the symmetric integer matrix E A E of _scales,
+    E = diag(e), of which one triangle is built: after step k - 1, row k's
+    right block is D_{k-1} (L_B^-1)_k, D_k the pivot of step k and
+    D_{-1} = 1, and since A = E^-1 B E^-1, (L^-1)_kj = (L_B^-1)_kj e_j / e_k
+    and d_k = D_k / (D_{k-1} e_k^2).  Each Fraction is built once, and none
+    for the zeros above the diagonal.  Raises ValueError at the first index
+    whose pivot is not positive, quoting that class's pivot of B, and before
+    any elimination when A is not symmetric.  Each step updates one triangle
+    of B and the whole right block.
     """
-    fracs = _fraction_rows(rows)
-    n = len(fracs)
-    if not _symmetric(fracs):
+    nums, dens = _grids(rows)
+    n = len(nums)
+    if not (_symmetric(nums) and _symmetric(dens)):
         raise ValueError("matrix is not symmetric")
-    scaled, e = _symmetric_scaling(fracs, [[f.denominator for f in row] for row in fracs])
+    classes = _classes(nums)
+    e = _scales(dens, classes)
     pivots: list[int] = [0] * n
     blocks = []
-    for cls in _classes(scaled):
+    for cls in classes:
         m = len(cls)
-        aug = [
-            [scaled[i][j] for j in cls] + [int(p == q) for q in range(m)]
-            for p, i in enumerate(cls)
-        ]
+        upper = _scaled(nums, dens, e, cls, upper=True)
+        aug = [row + [int(p == q) for q in range(m)] for p, row in enumerate(upper)]
         minors = _leading_minors(aug, symmetric=True)
         for i, pivot in zip(cls, minors):
             pivots[i] = pivot

@@ -311,21 +311,27 @@ def gram(measure: Measure, count: int) -> MomentMatrix:
             lambda k: measure.hermitian_moment_fraction(k, zero),
             measure.moment,
         )
-    # the pair (j, l) is coded c(j) * top + c(l); a rational Hermitian matrix
-    # is real, so symmetric: the exact route evaluates each unordered pair
-    # once, a float fallback each (j, l)
+    # the pair (j, l) is coded c(j) * top + c(l), and each route evaluates
+    # each unordered pair once: a rational Hermitian matrix is real, so
+    # symmetric, and a float fallback fills each entry below the diagonal
+    # with the conjugate of its mirror, so it is exactly Hermitian
     top = int(codes.max()) + 1
     index = dict(zip(codes.tolist(), enumeration_for(measure.dim).prefix(count)))
+    position = {c: p for p, c in enumerate(codes.tolist())}
 
     @functools.cache
     def exact(lo: int, hi: int) -> Fraction | None:
         return measure.hermitian_moment_fraction(index[lo], index[hi])
 
+    @functools.cache
+    def upper(j: int, l: int) -> complex:
+        return measure.hermitian_moment(index[j], index[l])
+
     return moment_matrix(
         np.add.outer(codes * top, codes).tolist(),
         lambda c: divmod(c, top),
         lambda k: exact(*sorted(k)),
-        lambda k: measure.hermitian_moment(index[k[0]], index[k[1]]),
+        lambda k: upper(*k) if position[k[0]] <= position[k[1]] else upper(k[1], k[0]).conjugate(),
     )
 
 
@@ -399,8 +405,8 @@ def orthonormal_coefficients(measure: Measure, count: int) -> np.ndarray:
     waits for the final float conversion.  Raises for a singular Gram matrix.
     """
     g = gram(measure, count)
-    if g.exact is not None:
-        inv, diag = exact_ldl(g.exact)
+    if g.values is not None:
+        inv, diag = exact_ldl(g)
         scales = [1.0 / math.sqrt(float(d)) for d in diag]
         out = [[float(v) * scale for v in row] for row, scale in zip(inv, scales)]
         return np.array(out, dtype=complex).reshape(count, count)

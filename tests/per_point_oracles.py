@@ -323,8 +323,24 @@ def moment_matrix_entries(basis, exact_entry, float_entry):
     rows = [[exact_entry(a, b) for b in basis] for a in basis]
     if any(f is None for row in rows for f in row):
         floats = [[float_entry(a, b) for b in basis] for a in basis]
-        return MomentMatrix(len(basis), np.array(floats, dtype=complex), None)
-    return MomentMatrix(len(basis), None, tuple(tuple(row) for row in rows))
+        return MomentMatrix(len(basis), np.array(floats, dtype=complex), None, None)
+    # one code per entry: code n a + b holds entry (a, b)
+    n = len(basis)
+    codes = [range(n * a, n * a + n) for a in range(n)]
+    return MomentMatrix(n, None, codes, dict(enumerate(f for row in rows for f in row)))
+
+
+def gram_entries(measure, basis):
+    """gram with every entry evaluated on its own; below the diagonal a float
+    entry is the conjugate of its mirror, as a Hermitian matrix's is."""
+    position = {k: i for i, k in enumerate(basis)}
+
+    def float_entry(a, b):
+        if position[a] <= position[b]:
+            return measure.hermitian_moment(a, b)
+        return measure.hermitian_moment(b, a).conjugate()
+
+    return moment_matrix_entries(basis, measure.hermitian_moment_fraction, float_entry)
 
 
 def hankel_matrix_entries(germ, size):

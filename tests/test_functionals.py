@@ -390,3 +390,41 @@ def test_shifted_motzkin_zero_minors_follow_the_period_six_pattern():
     terms = _gallery_sequence(1, lambda k: motzkin[k[0] + 1], 60)
     for n, t in enumerate(terms, start=1):
         assert t.hankel == (-math.inf if pattern[(n - 1) % 6] == 0 else 0.0), n
+
+
+# The next three germs carry denominators other than powers of two
+# (Hilbert) or no denominators at all (factorial, Bell), where every measure
+# of the workloads has power-of-two denominators.  Their closed forms are
+# products of factorials, c_n = prod_{i<n} i! (Krattenthaler 2005).
+
+
+def _superfactorial(n: int) -> int:
+    return math.prod(math.factorial(i) for i in range(n))
+
+
+def test_hilbert_hankel_determinants_are_the_cauchy_closed_form():
+    # a_k = 1/(k + 1), the moments of uniform [0, 1]: H_n = c_n^4 / c_2n,
+    # a reciprocal integer with odd prime factors up to 2n - 1
+    terms = _gallery_sequence(1, lambda k: Fraction(1, k[0] + 1), 40)
+    for n, t in enumerate(terms, start=1):
+        want = 4 * math.log(_superfactorial(n)) - math.log(_superfactorial(2 * n))
+        assert t.hankel == pytest.approx(want, rel=1e-12, abs=0.0), n
+
+
+def test_factorial_hankel_determinants_are_squared_superfactorials():
+    # a_k = k!, the moments of the Laguerre weight e^-x on [0, inf)
+    terms = _gallery_sequence(1, lambda k: math.factorial(k[0]), 30)
+    for n, t in enumerate(terms, start=1):
+        want = 2 * math.log(_superfactorial(n))
+        assert t.hankel == pytest.approx(want, rel=1e-12, abs=0.0), n
+
+
+def test_bell_hankel_determinants_are_superfactorials():
+    # a_k = B_k, the moments of the Poisson law of mean 1 (Charlier)
+    bell, row = [1], [1]
+    for _ in range(2 * 40):  # the Bell triangle: each row starts with the last's end
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        bell.append(row[0])
+    terms = _gallery_sequence(1, lambda k: bell[k[0]], 40)
+    for n, t in enumerate(terms, start=1):
+        assert t.hankel == pytest.approx(math.log(_superfactorial(n)), rel=1e-12, abs=0.0), n

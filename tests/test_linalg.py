@@ -8,6 +8,7 @@ import pytest
 import brute_force_oracles
 from polyalab import (
     ArcsineMeasure,
+    CircleUniform,
     DiscreteMeasure,
     GermCoefficients,
     ProductMeasure,
@@ -24,10 +25,11 @@ from polyalab import (
 from polyalab import linalg
 from polyalab.linalg import (
     _classes,
-    _fraction_rows,
+    _grids,
     _leading_minors,
+    _scaled,
+    _scales,
     _symmetric,
-    _symmetric_scaling,
     _upper_pairs,
     batch_logabs,
     batch_pairwise_logabs,
@@ -35,6 +37,7 @@ from polyalab.linalg import (
     exact_logdet,
     exact_prefix_logdets,
     logdet,
+    moment_matrix,
     pairwise_difference_logdet,
 )
 
@@ -408,9 +411,10 @@ SYMMETRIC_IDS = ["checkerboard", "four-classes", "one-class", "hilbert-8", "zero
 
 
 def _dad(rows):
-    """_symmetric_scaling of rows: the integer rows of D A D, and d."""
-    fracs = _fraction_rows(rows)
-    return _symmetric_scaling(fracs, [[f.denominator for f in row] for row in fracs])
+    """The integer rows of D A D, d from _scales, and d."""
+    nums, dens = _grids(rows)
+    d = _scales(dens, _classes(nums))
+    return _scaled(nums, dens, d, list(range(len(rows)))), d
 
 
 # every mirrored pair has unequal denominators, built from large powers of
@@ -480,3 +484,83 @@ def test_a_symmetric_pass_over_an_augmented_matrix_keeps_its_right_block():
     sentinel = _lower_as_none(aug)
     assert _leading_minors(sentinel, symmetric=True) == want
     assert [row[m:] for row in sentinel] == [row[m:] for row in full]
+
+
+# The exact routes read a MomentMatrix through its grid of key codes, one
+# numerator and denominator per distinct code; plain rows are a grid with
+# one code per entry.  Both must give the same bits on every branch.
+GRID_FORMS = {
+    # a Toeplitz grid, t_(i-j): neither codes nor values are symmetric, and
+    # some codes hold zeros
+    "not-symmetric": lambda: moment_matrix(
+        [[i - j + 11 for j in range(12)] for i in range(12)],
+        int,
+        lambda c: Fraction((7 * c) % 11 - 3, 1 + c % 5),
+        None,
+    ),
+    # Hankel codes over a_0 = 0, a_1 = 1, a_2 = 0: the row exchange at size 2
+    "swap": lambda: moment_matrix([[0, 1], [1, 2]], int, lambda c: Fraction(c % 2), None),
+    "table-zero-first-30": lambda: hankel_matrix(
+        coeffs_from_table(1, {(k,): Fraction(k, k + 1) for k in range(59)}), 30
+    ),
+    # pair codes c(j) * top + c(l): a grid that is not symmetric, of
+    # symmetric values, and one class per index
+    "circle-complex-gram": lambda: gram(CircleUniform(1.0), 20),
+    # rank 3: every minor past size 3 is zero, each larger block exchanged
+    "rank-3-discrete-gram-40": lambda: gram(
+        DiscreteMeasure(((0.0,), (1.0,), (-1.0,)), tuple(map(Fraction, (1, 1, 2), (4, 4, 4)))), 40
+    ),
+    "product-arcsine-hankel-45": lambda: hankel_matrix(
+        coeffs_from_measure(ProductMeasure((_ARCSINE, _ARCSINE))), 45
+    ),
+    "product-arcsine-gram-28": lambda: gram(ProductMeasure((_ARCSINE, _ARCSINE)), 28),
+}
+
+
+def _ldl_or_error(rows):
+    try:
+        return exact_ldl(rows)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", list(GRID_FORMS))
+def test_the_grid_form_and_the_plain_rows_agree_bit_for_bit(name):
+    mat = GRID_FORMS[name]()
+    rows = mat.exact
+    assert len(rows) == len(mat) == mat.size
+    got = [v.hex() for v in exact_prefix_logdets(mat)]
+    assert got == [v.hex() for v in exact_prefix_logdets(rows)]
+    assert got == [v.hex() for v in mat.prefix_logdets()]
+    assert exact_logdet(mat).hex() == exact_logdet(rows).hex() == got[-1]
+    assert _ldl_or_error(mat) == _ldl_or_error(rows)
+    if name == "circle-complex-gram":
+        assert not _symmetric(mat.codes) and _symmetric(rows)
+    if name in ("swap", "table-zero-first-30", "rank-3-discrete-gram-40"):
+        assert "-inf" in got[:-1]  # a zero minor before the last: the row-exchange path
+
+
+# exact_prefix_logdets of the product-arcsine Hankel matrix at size 45,
+# recorded before the exact routes read the code grid
+PRODUCT_ARCSINE_HANKEL_45_HEX = [
+    "0x0.0p+0", "-0x1.62e42fefa39efp-1", "-0x1.62e42fefa39efp+0", "-0x1.bb9d3beb8c86ap+1",
+    "-0x1.3687a9f1af2b1p+2", "-0x1.bb9d3beb8c86ap+2", "-0x1.4cb5ecf0a9650p+3",
+    "-0x1.a56ef8ec924ccp+3", "-0x1.fe2804e87b347p+3", "-0x1.3687a9f1af2b2p+4",
+    "-0x1.8429946e1af5ep+4", "-0x1.c6b45d6b09a3ap+4", "-0x1.049f9333fc28bp+5",
+    "-0x1.25e4f7b2737f9p+5", "-0x1.4cb5ecf0a964fp+5", "-0x1.7e9e03ae5c674p+5",
+    "-0x1.aafa89ac50db2p+5", "-0x1.d7570faa454efp+5", "-0x1.01d9cad41ce16p+6",
+    "-0x1.18080dd3171b5p+6", "-0x1.30fc1931f09c8p+6", "-0x1.4f7bb55088ac4p+6",
+    "-0x1.6b35890f4174cp+6", "-0x1.86ef5ccdfa3d3p+6", "-0x1.a2a9308cb305ap+6",
+    "-0x1.be63044b6bce0p+6", "-0x1.da1cd80a24964p+6", "-0x1.f89c7428bca5ep+6",
+    "-0x1.0e53d08389a20p+7", "-0x1.1ef682c2c54d7p+7", "-0x1.2f99350200f8ep+7",
+    "-0x1.403be7413ca45p+7", "-0x1.50de9980784fcp+7", "-0x1.61814bbfb3fb3p+7",
+    "-0x1.7223fdfeefa6ap+7", "-0x1.8429946e1af5ap+7", "-0x1.98f4f33d258c0p+7",
+    "-0x1.ac5d6ddc407eap+7", "-0x1.bfc5e87b5b716p+7", "-0x1.d32e631a76642p+7",
+    "-0x1.e696ddb99156ep+7", "-0x1.f9ff5858ac49ap+7", "-0x1.06b3e97be39e3p+8",
+    "-0x1.106826cb71179p+8", "-0x1.1acdd632f662cp+8",
+]
+
+
+def test_the_product_arcsine_hankel_keeps_its_recorded_bits():
+    mat = GRID_FORMS["product-arcsine-hankel-45"]()
+    assert [v.hex() for v in exact_prefix_logdets(mat)] == PRODUCT_ARCSINE_HANKEL_45_HEX

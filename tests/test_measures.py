@@ -225,10 +225,7 @@ def test_gram_modes_coincide_for_real_measures():
 
 def _gram_case(measure):
     idx = enumeration_for(measure.dim).prefix(15)
-    want = per_point_oracles.moment_matrix_entries(
-        idx, measure.hermitian_moment_fraction, measure.hermitian_moment
-    )
-    return gram(measure, 15), want
+    return gram(measure, 15), per_point_oracles.gram_entries(measure, idx)
 
 
 def _hankel_case(germ):
@@ -314,10 +311,7 @@ def test_moment_matrix_rows_equal_every_entry_built_alone(dim, s, case):
         got, want = hankel_matrix(source, m), per_point_oracles.hankel_matrix_entries(source, m)
     else:
         idx = enumeration_for(dim).prefix(m)
-        got = gram(source, m)
-        want = per_point_oracles.moment_matrix_entries(
-            idx, source.hermitian_moment_fraction, source.hermitian_moment
-        )
+        got, want = gram(source, m), per_point_oracles.gram_entries(source, idx)
     assert (got.exact is None) == (case == "complex-atom gram")
     if want.exact is not None:
         assert got.matrix is None
@@ -347,6 +341,29 @@ def test_rational_hermitian_moments_are_symmetric(mu):
         value, mirror = mu.hermitian_moment_fraction(j, l), mu.hermitian_moment_fraction(l, j)
         assert (value is None) == (mirror is None)
         assert value == mirror
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_complex_float_gram_evaluates_each_unordered_pair_once(dim, monkeypatch):
+    # complex atoms have no exact moments, so gram takes the float fallback:
+    # n (n + 1) / 2 moments, the entries below the diagonal their conjugates
+    calls = []
+    hermitian_moment = DiscreteMeasure.hermitian_moment
+
+    def counted(self, j, l):
+        calls.append((j, l))
+        return hermitian_moment(self, j, l)
+
+    monkeypatch.setattr(DiscreteMeasure, "hermitian_moment", counted)
+    atoms = ((0.2 + 0.1j, 1.0, -0.5), (1.0, -0.5j, 0.3), (-0.5, 0.3, 0.25j), (0.7j, 0.1, 0.9))
+    mu = DiscreteMeasure(tuple(p[:dim] for p in atoms), (Fraction(1, 2), Fraction(1, 3), 2, 1))
+    n = count_at_most(dim, 4)
+    g = gram(mu, n)
+    assert g.exact is None
+    assert len(calls) == len(set(calls)) == n * (n + 1) // 2
+    assert np.array_equal(g.matrix, g.matrix.conj().T)
+    want = per_point_oracles.gram_entries(mu, enumeration_for(dim).prefix(n))
+    assert g.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_gram_arcsine_closed_form():
