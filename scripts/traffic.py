@@ -7,16 +7,19 @@ and each `perfbench/workloads/*/*.yaml`) through `run_experiment`, then the
 first config once more through `polya-cli` into a temporary directory,
 with `sys.settrace` recording each call into `src/polyalab`.  It prints,
 in source order, every function and method defined there that none of
-those runs called, then a count and the wall time.  A name on the list is
-reached only from tests, the README, the benchmark, or a config kind that
-no shipped config uses; anything else is code that nothing runs.
+those runs called, each with its reason from `KEPT_FUNCTIONS`, then a
+count and the wall time.  A
+name is kept because the benchmark traces it by name, or because it
+serves an input that no shipped config sets; a name without a reason is
+code that only tests call, and `tests/test_traffic.py` fails on it.
 
 It then prints each config kind and key that none of those configs sets,
 read from the kind tables of `polyalab.experiments` and the fields of
 `SearchStrategy`: `measure disk` is a kind, `measure disk.radius` one of
 its keys, `search restarts` a field.  Each is printed with its reason
 from `KEPT`; a name without one is a setting that no shipped run
-exercises, and `tests/test_traffic.py` fails on it.
+exercises, and `tests/test_traffic.py` fails on it.  The last line
+counts the never-ran functions without a reason.
 """
 
 from __future__ import annotations
@@ -79,6 +82,41 @@ KEPT = {
 }
 
 
+_BENCH_TRACED = (
+    "traced by name in perfbench/worker.py; perfbench/ changes only with the benchmark"
+)
+# the library functions and methods that no shipped run calls, in source
+# order, each with the reason it is kept
+KEPT_FUNCTIONS = {
+    "domains.CompactSet.grid_blocks": (
+        "bm-ratio of a one-variable measure; the one shipped bm-ratio config is a product"
+    ),
+    "domains.Disk.grid": (
+        "searching a disk; the shipped disk cells score the reference configuration"
+    ),
+    "domains.Disk.project": (
+        "searching a disk; the shipped disk cells score the reference configuration"
+    ),
+    "domains.FiniteSet._array": "sharpness's support check on a discrete measure",
+    "domains.FiniteSet.grid": "sharpness's support check on a discrete measure",
+    "domains.FiniteSet.project": "sharpness's support check on a discrete measure",
+    "functionals.coeffs_from_table": (
+        "the tier-1 closed-form germs and scripts/bench_layers.py's zero-minor rows"
+    ),
+    "functionals.hankel_logdet": _BENCH_TRACED,
+    "functionals.polya_term": _BENCH_TRACED,
+    "linalg.pairwise_difference_logdet": _BENCH_TRACED,
+    "linalg.exact_logdet": _BENCH_TRACED,
+    "linalg.MomentMatrix.__len__": (
+        "perfbench/worker.py's linalg.exact_logdet n3 counter takes len() of its argument"
+    ),
+    "linalg.MomentMatrix.logdet": "called by the traced hankel_logdet and z_s_gram",
+    "measures.DiscreteMeasure.hermitian_moment": "float moments of complex atoms",
+    "measures.DiscreteMeasure.sample": "zs-check of a discrete measure",
+    "measures.z_s_gram": _BENCH_TRACED,
+}
+
+
 def _stub(node: ast.FunctionDef) -> bool:
     """An abstract method: its body, past a docstring, is `raise NotImplementedError`."""
     body = node.body[1:] if ast.get_docstring(node) is not None else node.body
@@ -127,6 +165,14 @@ def traced_calls(configs) -> set[tuple[str, int]]:
     return seen
 
 
+def never_ran_functions() -> tuple[list[str], int]:
+    """Each library function and method, in source order, that no config csv_digests.py
+    runs calls, and the number defined."""
+    defined = defined_functions()
+    called = traced_calls(default_configs())
+    return [name for key, name in sorted(defined.items()) if key not in called], len(defined)
+
+
 def settable() -> list[str]:
     """Every config kind and key, in table order."""
     out = []
@@ -166,18 +212,18 @@ def unset_config_names() -> list[str]:
 
 def main() -> int:
     start = time.perf_counter()
-    defined = defined_functions()
-    called = traced_calls(default_configs())
-    never = [name for key, name in sorted(defined.items()) if key not in called]
+    never, defined = never_ran_functions()
     for name in never:
-        print(name)
+        print(f"{name}: {KEPT_FUNCTIONS.get(name, 'no reason kept')}")
     elapsed = time.perf_counter() - start
-    print(f"{len(never)} of {len(defined)} functions and methods never ran ({elapsed:.1f} s)")
+    print(f"{len(never)} of {defined} functions and methods never ran ({elapsed:.1f} s)")
 
     unset = unset_config_names()
     for name in unset:
         print(f"{name}: {KEPT.get(name, 'no reason kept')}")
     print(f"{len(unset)} of {len(settable())} config kinds and keys no shipped config sets")
+    unkept = sum(1 for name in never if name not in KEPT_FUNCTIONS)
+    print(f"{unkept} never-ran functions without a reason")
     return 0
 
 

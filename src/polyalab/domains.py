@@ -316,11 +316,6 @@ class FiniteSet(CompactSet):
     def _array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=complex)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        arr = self._array()
-        idx = rng.integers(0, arr.shape[0], size=count)
-        return arr[idx]
-
     def grid(self, per_axis: int) -> np.ndarray:
         return self._array()
 
@@ -329,10 +324,6 @@ class FiniteSet(CompactSet):
         arr = self._array()
         d = np.abs(arr[None, :, :] - w[:, None, :]).max(axis=2)
         return arr[np.argmin(d, axis=1)]
-
-    def reference_points(self, count: int) -> np.ndarray | None:
-        arr = self._array()
-        return arr if arr.shape[0] >= count else None
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,6 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
         return ExperimentConfig.from_dict(data)
 
-    def dump_text(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
-
 
 def _one_line(label: str, what: str) -> None:
     """A label is one CSV cell: `what` holding a carriage return or newline is a config error."""
@@ -532,6 +529,14 @@ def _build_pair(pair, p_idx: int) -> tuple[str, CompactSet, GermCoefficients, in
 
 
 def run_polya_check(cfg: ExperimentConfig) -> RunResult:
+    """Per pair: d_s for s = 1..s_max, the D_i rows up to m_{s_max} and their maximum.
+
+    Each full degree s is checked against the d_s of the same degree: a
+    flag when D_{m_s} > d_s + slack.  For the germ of a probability measure
+    on K this is Heine's bound, |H_{m_s}| <= sup_K |V|^2, so
+    D_{m_s} <= d_s(K).  The indices between full degrees are reported but
+    not checked, and neither is the max_polya_D row.
+    """
     spec = cfg.spec
     pairs = _need(spec, "pairs", "polya-check")
     if not isinstance(pairs, list) or not pairs:
@@ -543,18 +548,21 @@ def run_polya_check(cfg: ExperimentConfig) -> RunResult:
     built = [_build_pair(pair, p_idx) for p_idx, pair in enumerate(pairs)]
     passes = result.extras["prefix_pass_s"] = []
     for p_idx, (plabel, kset, germ, s_max, i_max) in enumerate(built):
-        for s in range(1, s_max + 1):
-            d_last = search.d_s(kset, s, _cell_seed(cfg.seed, 3, p_idx, s), label=plabel).d_s
+        d = [
+            search.d_s(kset, s, _cell_seed(cfg.seed, 3, p_idx, s), label=plabel).d_s
+            for s in range(1, s_max + 1)
+        ]
         terms, wall = _hankel_rows(result, germ, i_max, plabel)
         passes.append(wall)
-        # 0.0 when no D_i is defined (i_max 1), which never exceeds d_s + slack >= 0
+        # 0.0 when no D_i is defined (i_max 1)
         top = max((t.quantity for t in terms if t.quantity is not None), default=0.0)
         result.add("max_polya_D", top, plabel, i=i_max)
-        if top > d_last + slack:
-            result.flags.append(
-                f"{plabel}: max D_i = {top:.6f} exceeds d_{s_max} = {d_last:.6f} "
-                f"+ slack {slack}"
-            )
+        for s, d_s in enumerate(d, start=1):
+            m = count_at_most(kset.dim, s)
+            if (q := terms[m - 1].quantity) > d_s + slack:
+                result.flags.append(
+                    f"{plabel}: D_{m} = {q:.6f} exceeds d_{s} = {d_s:.6f} + slack {slack}"
+                )
     return result
 
 

@@ -26,8 +26,7 @@ import numpy as np
 from .linalg import MomentMatrix, moment_matrix
 from .measures import Measure
 from .multiindex import (
-    MultiIndex, as_multi_index, count_at_most, count_exact, degree_counts, enumeration_for,
-    is_integer_at_least,
+    MultiIndex, count_exact, degree_counts, enumeration_for, is_integer_at_least
 )
 
 MIN_CONTOUR_GRID = 4  # torus points per axis, at the least, of a contour germ
@@ -40,14 +39,6 @@ class GermCoefficients:
     dim: int
     fn: Callable[[MultiIndex], complex]
     exact_fn: Callable[[MultiIndex], Fraction | None] | None = None
-
-    def coeff(self, k) -> complex:
-        return self.fn(as_multi_index(k, self.dim))
-
-    def coeff_fraction(self, k) -> Fraction | None:
-        if self.exact_fn is None:
-            return None
-        return self.exact_fn(as_multi_index(k, self.dim))
 
 
 def coeffs_from_measure(measure: Measure) -> GermCoefficients:
@@ -156,7 +147,7 @@ def polya_term(germ: GermCoefficients, index: int) -> PolyaTerm:
     At index 1 the normalizing degree sum is zero, so the quantity is
     undefined and reported as None.
     """
-    s = enumeration_for(germ.dim).degree_of(index)
+    s = sum(enumeration_for(germ.dim).prefix(index)[-1])
     return _term(index, s, degree_counts(germ.dim, s).degree_sum, hankel_logdet(germ, index))
 
 
@@ -183,9 +174,3 @@ def polya_sequence(germ: GermCoefficients, max_index: int) -> tuple[PolyaTerm, .
         _term(i, s, sums[s], ld) for i, (s, ld) in enumerate(zip(degrees, logdets), start=1)
     )
 
-
-def polya_quantity(germ: GermCoefficients, s: int) -> PolyaTerm:
-    """The term at the full degree-s basis, index m_s."""
-    if s < 1:
-        raise ValueError("degree must be at least 1")
-    return polya_term(germ, count_at_most(germ.dim, s))

@@ -5,46 +5,44 @@ double precision long before the interesting degree range is reached, so
 every determinant in this package is a float log|det|, -inf when the
 matrix is singular: the quantities studied here use magnitudes only.  Two
 computation routes are provided: pivoted LU in doubles (numpy), and an
-exact integer Bareiss elimination for matrices with rational entries.  The
-exact route is what keeps large moment-matrix determinants meaningful: the
-late LU pivots of those matrices sit far below the double-precision noise
-floor, where a floating factorization returns garbage.  Gram and Hankel
-matrices are both built here as a MomentMatrix from a grid of integer
-key codes, one moment per code, each distinct code evaluated once.  When
-every moment is rational the matrix is that grid and one Fraction per
-code, and the exact routes work from it: each code's numerator and
-denominator is read once, and the numerator and denominator grids, so
-the zero pattern, are filled by lookup; plain rows are a grid with one
-code per entry, through the same body.  A whole sequence of leading minors
-comes from one elimination without pivoting, whose pivots are exactly
-those minors (Bareiss 1968), so a Hankel sequence H_1..H_n costs one
-elimination, not n, and a single determinant is the last minor of that
-pass; run over [B | I], the same loop gives an exact LDL^T.  One Bareiss
-loop serves both exact routes, and it exchanges rows only past a zero
-leading minor.  Both eliminate the integer matrix B = D A D, D = diag(d)
-with d_i^2 about the denominators of row and column i, so that
-det(B_k) = det(A_k) prod_{r<k} d_r^2: on the arcsine Hankel matrix at
-size 61 its widest integer has 115 bits, where scaling each row by its
-denominator lcm gives 886.  Every moment matrix is symmetric, and so is
-its B, so the loop updates one triangle of a symmetric class: after k
-steps entry (i, j) is a bordered minor of B and equals entry (j, i), and
-the pivots are the same integers for half the products, and only that
-triangle of B is built.  Symmetry is checked once per matrix; a matrix
-that is not symmetric, and the row exchanges past a zero minor, build
-their classes' whole B and keep the full update.  Each exact route
-first splits the matrix into classes: the connected components of the
-graph of its nonzero entries, found by one O(n^2) scan.  A symmetric
-measure's moment matrix splits by parity, two classes (a checkerboard) in
-one variable and up to 2^n in n (Dunkl & Xu 2014, centrally symmetric
-functionals).  Each class is eliminated alone, and a determinant or
-leading minor is the product of its classes' (Bareiss 1968): the
-eliminations skip the structural zeros, a zero minor re-eliminates only
-its own class, and since a zero entry has denominator 1, every scale,
-integer and logarithm is the one the whole matrix gives.  A single matrix
-or configuration is evaluated as a batch of one, so each float route has
-one body.
+exact integer Bareiss elimination for moment matrices with rational
+entries.  The exact route is what keeps large moment-matrix determinants
+meaningful: the late LU pivots of those matrices sit far below the
+double-precision noise floor, where a floating factorization returns
+garbage.  Gram and Hankel matrices are both built here as a MomentMatrix
+from a grid of integer key codes, one moment per code, each distinct code
+evaluated once.  When every moment is rational the matrix is that grid
+and one Fraction per code, and that exact MomentMatrix is the one input
+of the exact routes: each code's numerator and denominator is read once,
+and the numerator and denominator grids, so the zero pattern, are filled
+by lookup.  Every moment matrix is symmetric, and the grids are checked
+once, where they are read; a matrix that is not raises ValueError on both
+routes.  A whole sequence of leading minors comes from one elimination
+without pivoting, whose pivots are exactly those minors (Bareiss 1968),
+so a Hankel sequence H_1..H_n costs one elimination, not n, and a single
+determinant is the last minor of that pass; run over [B | I], the same
+loop gives an exact LDL^T.  One Bareiss loop serves both exact routes,
+and it exchanges rows only past a zero leading minor.  Both eliminate the
+integer matrix B = D A D, D = diag(d) with d_i^2 about the denominators
+of row and column i, so that det(B_k) = det(A_k) prod_{r<k} d_r^2: on the
+arcsine Hankel matrix at size 61 its widest integer has 115 bits, where
+scaling each row by its denominator lcm gives 886.  B is symmetric, so a
+pass without exchanges updates one triangle of each class: after k steps
+entry (i, j) is a bordered minor of B and equals entry (j, i), and the
+pivots are the same integers for half the products, and only that
+triangle of B is built.  The row exchanges past a zero minor build their
+class's whole B and keep the full update.  Each exact route first splits
+the matrix into classes: the connected components of the graph of its
+nonzero entries, found by one O(n^2) scan.  A symmetric measure's moment
+matrix splits by parity, two classes (a checkerboard) in one variable and
+up to 2^n in n (Dunkl & Xu 2014, centrally symmetric functionals).  Each
+class is eliminated alone, and a determinant or leading minor is the
+product of its classes' (Bareiss 1968): the eliminations skip the
+structural zeros, a zero minor re-eliminates only its own class, and
+since a zero entry has denominator 1, every scale, integer and logarithm
+is the one the whole matrix gives.  A single matrix or configuration is
+evaluated as a batch of one, so each float route has one body.
 """
-
 from __future__ import annotations
 
 import functools
@@ -110,32 +108,23 @@ def batch_logabs(matrices: np.ndarray) -> np.ndarray:
     return log_abs
 
 
-Rational = Fraction | int
 Grid = Sequence[Sequence[int]]
 
 
-def _as_grid(rows: Sequence[Sequence[Rational]]) -> MomentMatrix:
-    """rows, checked square, as an exact MomentMatrix with one code per entry."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    entries = chain.from_iterable(rows)
-    values = dict(enumerate(v if isinstance(v, Fraction) else Fraction(v) for v in entries))
-    return MomentMatrix(n, None, [range(i * n, i * n + n) for i in range(n)], values)
-
-
-def _grids(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> tuple[Grid, Grid]:
-    """The numerator and denominator grids of a square rational matrix.
+def _grids(matrix: MomentMatrix) -> tuple[Grid, Grid]:
+    """The numerator and denominator grids of an exact MomentMatrix, checked symmetric.
 
     Each distinct code's numerator and denominator is read once, and the
-    grids are filled by lookup through the code grid; plain rows are first a
-    grid with one code per entry.
+    grids are filled by lookup through the code grid.  Raises ValueError
+    when either grid is not symmetric: the exact routes read one triangle.
     """
-    grid = rows if isinstance(rows, MomentMatrix) else _as_grid(rows)
-    nums = {c: v.numerator for c, v in grid.values.items()}
-    dens = {c: v.denominator for c, v in grid.values.items()}
-    getters = _row_getters(grid.codes)
-    return [row(nums) for row in getters], [row(dens) for row in getters]
+    nums = {c: v.numerator for c, v in matrix.values.items()}
+    dens = {c: v.denominator for c, v in matrix.values.items()}
+    getters = _row_getters(matrix.codes)
+    num_rows, den_rows = [row(nums) for row in getters], [row(dens) for row in getters]
+    if not (_symmetric(num_rows) and _symmetric(den_rows)):
+        raise ValueError("matrix is not symmetric")
+    return num_rows, den_rows
 
 
 def _row_getters(codes: Grid) -> list[Callable[[dict], tuple]]:
@@ -145,18 +134,18 @@ def _row_getters(codes: Grid) -> list[Callable[[dict], tuple]]:
 
 
 def _scales(dens: Grid, classes: list[list[int]]) -> list[int]:
-    """d with B = D A D an integer matrix, D = diag(d), from A's denominator grid.
+    """d with B = D A D an integer matrix, D = diag(d), from A's symmetric denominator grid.
 
     d_i starts at 2^ceil(v/2) times the odd part of den(A_ii), v its 2-adic
     valuation, so d_i^2 A_ii is an integer.  Then one pass over the upper
     triangle of each class of the zero pattern in index order: wherever
-    d_a d_b A_ab or d_a d_b A_ba is not yet an integer, the later index's d_b
-    is multiplied by q / gcd(q, d_a d_b), q the lcm of the two denominators.
-    A bump multiplies a scale by an integer, so every entry already integral
-    stays so, and the diagonal needs none.  No denominator is factored, any
-    square rational matrix is served, and a zero entry (denominator 1) never
-    bumps, so the entries between classes are skipped and each class gets
-    the scales it would get alone.  B is symmetric whenever A is.
+    d_a d_b A_ab is not yet an integer, the later index's d_b is multiplied
+    by q / gcd(q, d_a d_b), q = den(A_ab) = den(A_ba).  A bump multiplies a
+    scale by an integer, so every entry already integral stays so, and the
+    diagonal needs none.  No denominator is factored, and a zero entry
+    (denominator 1) never bumps, so the entries between classes are skipped
+    and each class gets the scales it would get alone.  B is symmetric, as
+    A is.
     """
     d = []
     for i, row in enumerate(dens):
@@ -166,9 +155,7 @@ def _scales(dens: Grid, classes: list[list[int]]) -> list[int]:
     for cls in classes:
         for p, b in enumerate(cls):
             for a in cls[:p]:
-                q, r = dens[a][b], dens[b][a]
-                if q != r:
-                    q = math.lcm(q, r)
+                q = dens[a][b]
                 if q != 1 and (g := d[a] * d[b]) % q:
                     d[b] *= q // math.gcd(q, g)
     return d
@@ -180,7 +167,7 @@ def _scaled(
     """The rows of B = D A D over the indices idx, as integers, from A's grids.
 
     With upper, only the upper triangle is computed: each row's entries left
-    of the diagonal are 0, which a symmetric pass never reads.
+    of the diagonal are 0, which a pass without exchanges never reads.
     """
     rows = []
     for p, i in enumerate(idx):
@@ -191,7 +178,7 @@ def _scaled(
 
 
 def _symmetric(rows: Sequence[Sequence]) -> bool:
-    """Whether a square matrix equals its transpose.
+    """Whether a matrix is square and equals its transpose.
 
     Sequence comparison tests identity before ==, and mirrored entries of a
     moment matrix are mostly one object, so few entries are compared.
@@ -202,7 +189,8 @@ def _symmetric(rows: Sequence[Sequence]) -> bool:
 def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
     """The connected components of the graph of nonzero entries, each in index order.
 
-    Indices i and j are joined when rows[i][j] or rows[j][i] is nonzero.  No
+    rows is symmetric, and indices i and j are joined when rows[i][j] =
+    rows[j][i] is nonzero.  No
     entry links two classes, so every leading principal submatrix is block
     diagonal over them, up to a permutation, and each block is a leading
     block of its class's submatrix.
@@ -219,7 +207,7 @@ def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
             i = stack.pop()
             row = rows[i]
             for j in range(n):
-                if not seen[j] and (row[j] or rows[j][i]):
+                if not seen[j] and row[j]:
                     seen[j] = True
                     members.append(j)
                     stack.append(j)
@@ -227,27 +215,26 @@ def _classes(rows: Sequence[Sequence]) -> list[list[int]]:
     return classes
 
 
-def exact_logdet(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> float:
-    """log|det| of a matrix with rational entries, by exact integer elimination.
+def exact_logdet(rows: MomentMatrix) -> float:
+    """log|det| of the exact MomentMatrix rows, by exact integer elimination.
 
     The determinant is the last leading principal minor, so this is the last
-    entry of exact_prefix_logdets, and 0.0 (the empty product) for [].
+    entry of exact_prefix_logdets, and 0.0 (the empty product) at size 0.
     """
     prefix = exact_prefix_logdets(rows)
     return prefix[-1] if prefix else 0.0
 
 
-def exact_prefix_logdets(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> list[float]:
+def exact_prefix_logdets(matrix: MomentMatrix) -> list[float]:
     """log|det| of every leading principal submatrix, sizes 1..n, by exact integer elimination.
 
-    rows is an exact MomentMatrix, whose grid is read once per distinct
-    code (_grids), or plain rows, a grid with one code per entry.  The
-    matrix A is eliminated as the integer matrix B = D A D of _scales.  It
-    splits into the classes of its zero pattern, and one Bareiss elimination
-    without pivoting runs over each class's rows of B, built alone; its
-    pivot p is the class's integer leading minor of size p + 1.  When A is
-    symmetric, checked once, so is B, and each class builds and eliminates
-    one triangle; the same pivots come out.  Past a zero pivot later minors
+    matrix is an exact MomentMatrix, whose grid is read once per distinct
+    code and checked symmetric there (_grids): ValueError if it is not.
+    The matrix A is eliminated as the symmetric integer matrix B = D A D of
+    _scales.  It splits into the classes of its zero pattern, and one
+    Bareiss elimination without pivoting runs over one triangle of each
+    class's rows of B, built alone; its pivot p is the class's integer
+    leading minor of size p + 1.  Past a zero pivot later minors
     need not vanish ([[0, 1], [1, 0]] has minors 0 and -1), so that class
     alone builds its whole B and eliminates each larger leading block of it
     with row exchanges; the other classes keep their single pass.  A zero
@@ -260,14 +247,13 @@ def exact_prefix_logdets(rows: Sequence[Sequence[Rational]] | MomentMatrix) -> l
     this function on that submatrix, bit for bit.  Only the final logarithms
     are floating point, and each lcm's is taken once, when the lcm changes.
     """
-    nums, dens = _grids(rows)
+    nums, dens = _grids(matrix)
     n = len(nums)
     classes = _classes(nums)
     d = _scales(dens, classes)
-    symmetric = _symmetric(nums) and _symmetric(dens)
     class_minors = []
     for cls in classes:
-        minors = _leading_minors(_scaled(nums, dens, d, cls, upper=symmetric), symmetric=symmetric)
+        minors = _leading_minors(_scaled(nums, dens, d, cls, upper=True))
         if len(minors) < len(cls):  # stopped at a zero minor
             full = _scaled(nums, dens, d, cls)
             for size in range(len(minors) + 1, len(cls) + 1):
@@ -321,10 +307,12 @@ class MomentMatrix:
 
     An exact one keeps what moment_matrix builds it from: the square grid
     of integer key codes of its entries and one Fraction per distinct code,
-    so that entries with equal codes are one moment.  The exact routes read
-    each code's numerator and denominator once and the rest through the
-    grid.  A float one keeps only its matrix.  Its len is its number of
-    rows, so an exact one passes as the rows of exact_logdet.
+    so that entries with equal codes are one moment; entry (a, b) is
+    values[codes[a][b]].  Every one the library builds is symmetric, and an
+    exact one is the one input of the exact routes, which check that once,
+    read each code's numerator and denominator once and the rest through
+    the grid.  A float one keeps only its matrix.  Its len is its number of
+    rows.
     """
 
     size: int
@@ -334,13 +322,6 @@ class MomentMatrix:
 
     def __len__(self) -> int:
         return self.size
-
-    @property
-    def exact(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        """The rational rows, by lookup through the grid; None for a float matrix."""
-        if self.values is None:
-            return None
-        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.codes)
 
     def logdet(self) -> float:
         if self.values is not None:
@@ -370,9 +351,10 @@ def moment_matrix(
     codes is the square grid of integer key codes of the entries, and
     entries with equal codes share one moment, so each distinct code is
     decoded and evaluated once.  Exact when every exact value is rational:
-    the grid and one value per code, with no rows and no float copy.  The
-    first None switches the whole matrix to the float values, again one per
-    distinct code, with the rows filled by lookup.
+    the grid and one value per code, with no rows and no float copy; the
+    exact routes take it only if it is symmetric, as every Gram and Hankel
+    matrix is.  The first None switches the whole matrix to the float
+    values, again one per distinct code, with the rows filled by lookup.
     """
     keys = {c: decode(c) for c in set(chain.from_iterable(codes))}
     values = {}
@@ -385,23 +367,21 @@ def moment_matrix(
     return MomentMatrix(len(codes), None, codes, values)
 
 
-def _leading_minors(
-    a: list[list[int]], exchange: bool = False, symmetric: bool = False
-) -> list[int]:
+def _leading_minors(a: list[list[int]], exchange: bool = False) -> list[int]:
     """The pivots of Bareiss elimination over a's first len(a) columns, in place.
 
-    Without row exchanges pivot k is the leading principal minor of size
-    k + 1 (Bareiss 1968), and the list ends at the first zero.  With them,
-    a zero pivot is first exchanged with the next row below that is nonzero
-    in its column, so the last pivot is the determinant up to sign, 0 when
-    a is singular.
+    Without row exchanges a's square part is symmetric and only its upper
+    triangle is read: pivot k is the leading principal minor of size k + 1
+    (Bareiss 1968), and the list ends at the first zero.  After k steps
+    entry (i, j), i and j >= k, is the minor of that square part bordering
+    its leading k x k block by row i and column j, and those minors are
+    symmetric too.  So a[i][k] = a[k][i], and each step updates only the
+    upper triangle and the columns past the square part: the same pivots
+    for half the integer products.
 
-    symmetric, given only without exchanges, says that a's square part is
-    symmetric.  After k steps entry (i, j), i and j >= k, is the minor of
-    that square part bordering its leading k x k block by row i and column
-    j, and those minors are symmetric too.  So a[i][k] = a[k][i], and each
-    step updates only the upper triangle and the columns past the square
-    part: the same pivots for half the integer products.
+    With exchanges a is whole and gets the full update: a zero pivot is
+    first exchanged with the next row below that is nonzero in its column,
+    so the last pivot is the determinant up to sign, 0 when a is singular.
     """
     pivots = []
     prev = 1
@@ -413,39 +393,38 @@ def _leading_minors(
         pivots.append(pivot)
         if pivot == 0:
             break
-        _bareiss_step(a, k, prev, symmetric)
+        _bareiss_step(a, k, prev, exchange)
         prev = pivot
     return pivots
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int, symmetric: bool) -> None:
+def _bareiss_step(a: list[list[int]], k: int, prev: int, exchange: bool) -> None:
     """Eliminate below the nonzero pivot a[k][k] in place, to the rows' ends; prev: last pivot.
 
-    When a's square part is symmetric, row i is updated from column i on
-    only, with the multiplier a[k][i] (see _leading_minors), and the
-    strictly lower triangle is neither read nor written.
+    Without exchanges row i is updated from column i on only, with the
+    multiplier a[k][i] (see _leading_minors), and the strictly lower
+    triangle is neither read nor written; with them, every row is updated
+    from column k + 1 on with its own a[i][k], which is then cleared.
     """
     pivot = a[k][k]
     row_k = a[k]
     for i in range(k + 1, len(a)):
         row_i = a[i]
-        if symmetric:
-            left, start = row_k[i], i
-        else:
+        if exchange:
             left, start = row_i[k], k + 1
             row_i[k] = 0
+        else:
+            left, start = row_k[i], i
         for j in range(start, len(row_k)):
             # Bareiss identity: the division by the previous pivot is exact
             row_i[j] = (row_i[j] * pivot - left * row_k[j]) // prev
 
 
-def exact_ldl(
-    rows: Sequence[Sequence[Rational]] | MomentMatrix,
-) -> tuple[list[list[Fraction]], list[Fraction]]:
+def exact_ldl(matrix: MomentMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
     """(L^-1, d) with A = L diag(d) L^T, L unit lower, for a rational SPD matrix A.
 
-    rows is an exact MomentMatrix or plain rows, read as exact_prefix_logdets
-    reads them.  L and L^-1 are zero between the classes of A's zero
+    matrix is an exact MomentMatrix, read and checked symmetric as
+    exact_prefix_logdets reads it (_grids).  L and L^-1 are zero between the classes of A's zero
     pattern, so each class is factored alone and its rows are scattered
     back.  Per class, one Bareiss pass without pivoting runs over [B | I], B
     the class's rows of the symmetric integer matrix E A E of _scales,
@@ -458,10 +437,8 @@ def exact_ldl(
     any elimination when A is not symmetric.  Each step updates one triangle
     of B and the whole right block.
     """
-    nums, dens = _grids(rows)
+    nums, dens = _grids(matrix)
     n = len(nums)
-    if not (_symmetric(nums) and _symmetric(dens)):
-        raise ValueError("matrix is not symmetric")
     classes = _classes(nums)
     e = _scales(dens, classes)
     pivots: list[int] = [0] * n
@@ -470,7 +447,7 @@ def exact_ldl(
         m = len(cls)
         upper = _scaled(nums, dens, e, cls, upper=True)
         aug = [row + [int(p == q) for q in range(m)] for p, row in enumerate(upper)]
-        minors = _leading_minors(aug, symmetric=True)
+        minors = _leading_minors(aug)
         for i, pivot in zip(cls, minors):
             pivots[i] = pivot
         blocks.append((cls, aug, [1, *minors]))  # D_{p-1} at position p

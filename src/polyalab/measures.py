@@ -97,8 +97,8 @@ class Measure:
         return self._hermitian_fraction(as_multi_index(j, self.dim), as_multi_index(l, self.dim))
 
     def _hermitian_fraction(self, j: MultiIndex, l: MultiIndex) -> Fraction | None:
-        """The kind's exact moment formula, on indices already checked; None by default."""
-        return None
+        """The kind's exact moment formula, on indices already checked; None when none exists."""
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, dim) points distributed by the measure; by default its support's draw.

@@ -132,13 +132,6 @@ class GradedEnumeration:
             self._exponents[count] = arr
         return arr
 
-    def degree_of(self, i: int) -> int:
-        """Degree of the i-th index (1-based position)."""
-        if i < 1:
-            raise ValueError(f"position must be >= 1, got {i}")
-        self._extend_to(i)
-        return sum(self._indices[i - 1])
-
     def key_codes(self, count: int) -> tuple[np.ndarray, Callable[[int], MultiIndex]]:
         """Additive integer codes of the first count indices, and their decoder.
 
@@ -164,11 +157,6 @@ class GradedEnumeration:
             return tuple(digits)
 
         return exps.astype(dtype, copy=False) @ weights, decode
-
-
-def enumerate_indices(dim: int, count: int) -> list[MultiIndex]:
-    """First ``count`` multi-indices of dimension ``dim`` in graded-lex order."""
-    return GradedEnumeration(dim).prefix(count)
 
 
 def monomial_matrix(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:

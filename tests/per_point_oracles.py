@@ -30,6 +30,7 @@ every entry.  Tests compare the two bit for bit, monomials by
 
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -318,16 +319,37 @@ def ratio_replacement(pool_basis, binv, j):
     return float(np.log(ratios[k])), k
 
 
+def exact_matrix(rows):
+    """Rational rows as an exact MomentMatrix with one code per entry.
+
+    Code w a + b holds entry (a, b), w the longest row's length; a row of
+    another length than the number of rows gives a grid that is not
+    square, so not symmetric.
+    """
+    w = max(map(len, rows), default=0)
+    codes = [range(w * a, w * a + len(row)) for a, row in enumerate(rows)]
+    values = {
+        w * a + b: v if isinstance(v, Fraction) else Fraction(v)
+        for a, row in enumerate(rows)
+        for b, v in enumerate(row)
+    }
+    return MomentMatrix(len(rows), None, codes, values)
+
+
+def exact_rows(matrix):
+    """The rational rows of a MomentMatrix, entry (a, b) values[codes[a][b]]; None if it is float."""
+    if matrix.values is None:
+        return None
+    return tuple(tuple(matrix.values[c] for c in row) for row in matrix.codes)
+
+
 def moment_matrix_entries(basis, exact_entry, float_entry):
     """A moment matrix with every entry evaluated on its own: rational rows, else floats."""
     rows = [[exact_entry(a, b) for b in basis] for a in basis]
     if any(f is None for row in rows for f in row):
         floats = [[float_entry(a, b) for b in basis] for a in basis]
         return MomentMatrix(len(basis), np.array(floats, dtype=complex), None, None)
-    # one code per entry: code n a + b holds entry (a, b)
-    n = len(basis)
-    codes = [range(n * a, n * a + n) for a in range(n)]
-    return MomentMatrix(n, None, codes, dict(enumerate(f for row in rows for f in row)))
+    return exact_matrix(rows)
 
 
 def gram_entries(measure, basis):
@@ -344,9 +366,10 @@ def gram_entries(measure, basis):
 
 
 def hankel_matrix_entries(germ, size):
-    """hankel_matrix with every entry read on its own through coeff and coeff_fraction."""
+    """hankel_matrix with every entry read on its own through fn and exact_fn."""
     def at_sum(entry):
         return lambda a, b: entry(tuple(x + y for x, y in zip(a, b)))
 
     idx = enumeration_for(germ.dim).prefix(size)
-    return moment_matrix_entries(idx, at_sum(germ.coeff_fraction), at_sum(germ.coeff))
+    exact = germ.exact_fn or (lambda k: None)
+    return moment_matrix_entries(idx, at_sum(exact), at_sum(germ.fn))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 from polyalab import ExperimentConfig, rows_to_csv_text, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,11 +54,11 @@ def test_csv_digests_against_fails_on_a_flagged_run(tmp_path):
     # two atoms carry no degree-3 L2 norm: the Gram matrix is singular and
     # the run flags an infinite ratio, though its CSV bytes are stable
     config = tmp_path / "singular-bm.yaml"
-    config.write_text(ExperimentConfig(
+    config.write_text(yaml.safe_dump(ExperimentConfig(
         "bm-ratio", "singular", 0,
         {"measure": {"kind": "discrete", "atoms": [0, 1], "weights": ["1/2", "1/2"]},
          "degrees": [3]},
-    ).dump_text())
+    ).to_dict()))
 
     first = _run(str(config))
     assert first.returncode == 0, first.stderr

@@ -14,7 +14,7 @@ from polyalab import (
 )
 from polyalab.domains import gauss_lobatto_points
 
-from boxes import box, set_id
+from boxes import SampledFiniteSet, box, set_id
 import per_point_oracles
 
 
@@ -26,7 +26,7 @@ ALL_SETS = [
     Disk(0.0, 1.5),
     box(((-1.0, 1.0), (0.0, 2.0))),
     ProductSet((Interval(-1.0, 1.0), Circle(0.0, 1.0))),
-    FiniteSet(((0.0,), (1.0,), (0.5,))),
+    SampledFiniteSet(((0.0,), (1.0,), (0.5,))),
 ]
 
 

@@ -52,13 +52,13 @@ def test_config_round_trip_through_dict_and_yaml():
     cfg = make_config()
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    loaded = ExperimentConfig.from_dict(yaml.safe_load(cfg.dump_text()))
+    loaded = ExperimentConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
     assert loaded == cfg
 
 
 def test_config_load_from_file(tmp_path):
     path = tmp_path / "exp.yaml"
-    path.write_text(make_config().dump_text())
+    path.write_text(yaml.safe_dump(make_config().to_dict()))
     assert ExperimentConfig.load(path) == make_config()
     with pytest.raises(ConfigError):
         ExperimentConfig.load(tmp_path / "missing.yaml")
@@ -154,24 +154,24 @@ def test_build_measure_kinds():
 
 def test_build_germ_kinds():
     point = build_germ({"kind": "point-mass", "c": 0.5})
-    assert point.coeff((3,)) == pytest.approx(0.125)
-    assert point.coeff_fraction((3,)) == Fraction(1, 8)
+    assert point.fn((3,)) == pytest.approx(0.125)
+    assert point.exact_fn((3,)) == Fraction(1, 8)
     geo = build_germ({"kind": "geometric", "c": {"re": 0.0, "im": 0.5}})
-    assert geo.coeff((2,)) == pytest.approx(-0.25)
-    assert geo.coeff_fraction((2,)) is None  # complex ratio has no rational moments
-    assert all(geo.coeff((k,)) == 0.5j**k for k in range(20))
+    assert geo.fn((2,)) == pytest.approx(-0.25)
+    assert geo.exact_fn((2,)) is None  # complex ratio has no rational moments
+    assert all(geo.fn((k,)) == 0.5j**k for k in range(20))
     meas = build_germ({"kind": "measure", "measure": {"kind": "arcsine"}})
-    assert meas.coeff((2,)) == pytest.approx(0.5)
+    assert meas.fn((2,)) == pytest.approx(0.5)
     cont = build_germ(
         {"kind": "contour", "germ": {"kind": "geometric", "c": 0.3}, "radius": 2.0}
     )
-    assert cont.coeff((4,)) == pytest.approx(0.3**4, abs=1e-10)
+    assert cont.fn((4,)) == pytest.approx(0.3**4, abs=1e-10)
     prod = build_germ(
         {"kind": "contour", "germ": {"kind": "inverse-product", "dim": 2},
          "radius": 1.5, "grid": 16}
     )
     assert prod.dim == 2
-    assert prod.coeff((0, 0)) == pytest.approx(1.0, abs=1e-10)
+    assert prod.fn((0, 0)) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ConfigError):
         build_germ({"kind": "laurent"})
     with pytest.raises(ConfigError):
@@ -257,16 +257,47 @@ def test_polya_check_flags_violations():
          "search": {"restarts": 2}},
     )
     assert run_experiment(good).flags == []
-    # a small set with a functional built on a larger one must trip the monitor
+    # a small set with a functional built on a larger one must trip the
+    # monitor: at s = 3, D_4 = 2^(-3/4) = 0.595 > d_3 = 0.511 + 0.05
     bad = ExperimentConfig(
         "polya-check", "bad", 0,
         {"pairs": [{"set": {"kind": "interval", "a": -0.5, "b": 0.5},
                     "germ": {"kind": "measure", "measure": {"kind": "arcsine"}},
-                    "s_max": 2}],
+                    "s_max": 3}],
          "search": {"restarts": 2}},
     )
     flagged = run_experiment(bad)
     assert len(flagged.flags) == 1
+
+
+def _polya_check_flags(measure, s_max):
+    """The flags of one polya-check pair: [-1, 1] and the germ of measure, reference d_s."""
+    pair = {"set": _INTERVAL, "germ": {"kind": "measure", "measure": measure}, "s_max": s_max}
+    cfg = ExperimentConfig("polya-check", "p", 0, {"pairs": [pair], "search": {"restarts": 0}})
+    return run_experiment(cfg).flags
+
+
+def test_polya_check_passes_the_arcsine_witness_whose_d_falls():
+    # the arcsine germ of K = [-1, 1] itself: D_i falls from D_2 = 2^(-1/2)
+    # towards d(K) = 1/2, and D_{m_s} <= d_s(K) at each degree (Heine), so
+    # comparing the largest D_i with d_{s_max} alone raised a false flag
+    assert _polya_check_flags(_ARCSINE, 30) == []
+
+
+@pytest.mark.parametrize(
+    "measure, s_max, flagged",
+    [
+        # the uniform measure of [-2, 2]: D_{m_s} > d_s + slack from s = 3 on
+        ({"kind": "uniform", "a": -2.0, "b": 2.0}, 8, [3, 4, 5, 6, 7, 8]),
+        # atoms at -3 and 3: D_2 = 3 > d_1 = 2 + slack, and D is 0 past m_1
+        ({"kind": "discrete", "atoms": [-3.0, 3.0], "weights": ["1/2", "1/2"]}, 4, [1]),
+    ],
+    ids=["uniform-of-a-larger-interval", "atoms-outside"],
+)
+def test_polya_check_flags_each_full_degree_whose_d_exceeds_d_s(measure, s_max, flagged):
+    flags = _polya_check_flags(measure, s_max)
+    assert [int(f.split("exceeds d_")[1].split(" ")[0]) for f in flags] == flagged
+    assert all(f.startswith(f"pair0: D_{s + 1} = ") for f, s in zip(flags, flagged))
 
 
 def test_sharpness_runner_rejects_non_real_sets():
@@ -986,11 +1017,11 @@ def test_zs_check_takes_the_library_sample_count(monkeypatch):
 
 def test_cli_writes_reports_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
-    cfg_path.write_text(ExperimentConfig(
+    cfg_path.write_text(yaml.safe_dump(ExperimentConfig(
         "tdiam", "cli-check", 7,
         {"set": {"kind": "circle", "radius": 1.0}, "degrees": [2],
          "search": {"restarts": 2}},
-    ).dump_text())
+    ).to_dict()))
     code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "r")])
     assert code == 0
     out = capsys.readouterr().out
@@ -1008,11 +1039,11 @@ def test_cli_writes_reports_and_exit_codes(tmp_path, capsys):
 
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "c.yaml"
-    cfg_path.write_text(ExperimentConfig(
+    cfg_path.write_text(yaml.safe_dump(ExperimentConfig(
         "zs-check", "seeded", 1,
         {"measure": {"kind": "uniform", "a": 0, "b": 1}, "degrees": [1],
          "samples": 2000},
-    ).dump_text())
+    ).to_dict()))
     assert cli_main(["--config", str(cfg_path), "--seed", "9",
                      "--out", str(tmp_path)]) == 0
     text = (tmp_path / "zs-check-seeded.csv").read_text()
@@ -1023,13 +1054,13 @@ def test_cli_error_and_flag_exit_codes(tmp_path, capsys):
     assert cli_main(["--config", str(tmp_path / "nope.yaml")]) == 1
     assert "error" in capsys.readouterr().err
     flagged = tmp_path / "flagged.yaml"
-    flagged.write_text(ExperimentConfig(
+    flagged.write_text(yaml.safe_dump(ExperimentConfig(
         "polya-check", "flag", 0,
         {"pairs": [{"set": {"kind": "interval", "a": -0.5, "b": 0.5},
                     "germ": {"kind": "measure", "measure": {"kind": "arcsine"}},
-                    "s_max": 2}],
+                    "s_max": 3}],
          "search": {"restarts": 2}},
-    ).dump_text())
+    ).to_dict()))
     code = cli_main(["--config", str(flagged), "--out", str(tmp_path)])
     assert code == 2
     assert "FLAG" in capsys.readouterr().out
@@ -1037,10 +1068,10 @@ def test_cli_error_and_flag_exit_codes(tmp_path, capsys):
 
 def test_cli_reports_a_write_failure(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
-    cfg_path.write_text(ExperimentConfig(
+    cfg_path.write_text(yaml.safe_dump(ExperimentConfig(
         "bm-ratio", "w", 0,
         {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
-    ).dump_text())
+    ).to_dict()))
     taken = tmp_path / "taken"  # a file where the report directory should go
     taken.write_text("kept")
     assert cli_main(["--config", str(cfg_path), "--out", str(taken)]) == 1
@@ -1052,10 +1083,10 @@ def test_cli_reports_a_write_failure(tmp_path, capsys):
 
 def test_cli_always_writes_both_reports(tmp_path):
     cfg_path = tmp_path / "c.yaml"
-    cfg_path.write_text(ExperimentConfig(
+    cfg_path.write_text(yaml.safe_dump(ExperimentConfig(
         "bm-ratio", "fmt", 0,
         {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
-    ).dump_text())
+    ).to_dict()))
     out = tmp_path / "j"
     assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["bm-ratio-fmt.csv", "bm-ratio-fmt.json"]
@@ -1069,10 +1100,10 @@ def test_cli_report_names_keep_dotted_labels(tmp_path):
     out = tmp_path / "r"
     for label in ("rate-0.5", "rate-0.7"):
         cfg_path = tmp_path / f"{label}.yaml"
-        cfg_path.write_text(ExperimentConfig(
+        cfg_path.write_text(yaml.safe_dump(ExperimentConfig(
             "bm-ratio", label, 0,
             {"measure": {"kind": "circle", "radius": 1.0}, "degrees": [1], "grid": 64},
-        ).dump_text())
+        ).to_dict()))
         assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "bm-ratio-rate-0.5.csv", "bm-ratio-rate-0.5.json",

@@ -34,6 +34,7 @@ from polyalab.measures import _GRID_BLOCK, DEFAULT_GRID, log_factorial
 
 import brute_force_oracles
 import per_point_oracles
+from per_point_oracles import exact_rows
 
 PRODUCT_ARCSINE = ProductMeasure((ArcsineMeasure(-1.0, 1.0), ArcsineMeasure(-1.0, 1.0)))
 
@@ -218,8 +219,8 @@ def test_gram_modes_coincide_for_real_measures():
     mu = ArcsineMeasure(-1.0, 1.0)
     g = gram(mu, 5)
     h = hankel_matrix(coeffs_from_measure(mu), 5)
-    assert g.exact is not None
-    assert g.exact == h.exact
+    assert g.values is not None
+    assert exact_rows(g) == exact_rows(h)
     assert g.matrix is None and h.matrix is None
 
 
@@ -262,11 +263,11 @@ def test_exact_gram_mirrors_the_full_build(case):
     # that must equal every entry evaluated on its own: exact rows by ==,
     # a float matrix byte for byte
     got, want = case()
-    if want.exact is not None:
+    if want.values is not None:
         assert got.matrix is None
-        assert got.exact == want.exact
+        assert exact_rows(got) == exact_rows(want)
     else:
-        assert got.exact is None
+        assert got.values is None
         assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
@@ -312,12 +313,12 @@ def test_moment_matrix_rows_equal_every_entry_built_alone(dim, s, case):
     else:
         idx = enumeration_for(dim).prefix(m)
         got, want = gram(source, m), per_point_oracles.gram_entries(source, idx)
-    assert (got.exact is None) == (case == "complex-atom gram")
-    if want.exact is not None:
+    assert (got.values is None) == (case == "complex-atom gram")
+    if want.values is not None:
         assert got.matrix is None
-        assert got.exact == want.exact
+        assert exact_rows(got) == exact_rows(want)
     else:
-        assert got.exact is None
+        assert got.values is None
         assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
@@ -359,7 +360,7 @@ def test_complex_float_gram_evaluates_each_unordered_pair_once(dim, monkeypatch)
     mu = DiscreteMeasure(tuple(p[:dim] for p in atoms), (Fraction(1, 2), Fraction(1, 3), 2, 1))
     n = count_at_most(dim, 4)
     g = gram(mu, n)
-    assert g.exact is None
+    assert g.values is None
     assert len(calls) == len(set(calls)) == n * (n + 1) // 2
     assert np.array_equal(g.matrix, g.matrix.conj().T)
     want = per_point_oracles.gram_entries(mu, enumeration_for(dim).prefix(n))
@@ -376,14 +377,14 @@ def test_gram_arcsine_closed_form():
 def test_hermitian_gram_of_circle_is_diagonal():
     mu = CircleUniform(2.0)
     g = gram(mu, 4)
-    assert g.exact == tuple(tuple(4**j if i == j else 0 for j in range(4)) for i in range(4))
+    assert exact_rows(g) == tuple(tuple(4**j if i == j else 0 for j in range(4)) for i in range(4))
 
 
 def test_gram_exact_entries_match_floats():
     mu = ArcsineMeasure(-1.0, 1.0)
     g = gram(mu, 6)
-    assert g.exact is not None
-    exact = np.array([[float(v) for v in row] for row in g.exact])
+    assert g.values is not None
+    exact = np.array([[float(v) for v in row] for row in exact_rows(g)])
     assert np.allclose(exact, [[mu.moment((a + b,)) for b in range(6)] for a in range(6)])
 
 
@@ -487,7 +488,7 @@ def test_orthonormal_coefficients_whiten_the_gram():
     ):
         c = orthonormal_coefficients(mu, count)
         g = gram(mu, count)
-        mat = g.matrix if g.exact is None else np.array(g.exact, dtype=float)
+        mat = g.matrix if g.values is None else np.array(exact_rows(g), dtype=float)
         eye = c @ mat @ c.conj().T
         assert np.allclose(eye, np.eye(count), atol=1e-9)
         assert np.allclose(np.triu(c, 1), 0.0)
@@ -525,9 +526,9 @@ def test_bm_ratio_closed_forms():
 )
 @pytest.mark.parametrize("count", [15, 28, 45])
 def test_exact_ldl_matches_fraction_oracle_on_gram(measure, count):
-    rows = gram(measure, count).exact
-    lower, diag = brute_force_oracles.exact_ldl(rows)
-    assert exact_ldl(rows) == (brute_force_oracles.unit_lower_inverse(lower), diag)
+    mat = gram(measure, count)
+    lower, diag = brute_force_oracles.exact_ldl(exact_rows(mat))
+    assert exact_ldl(mat) == (brute_force_oracles.unit_lower_inverse(lower), diag)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from polyalab import (
     count_at_most,
     count_exact,
     degree_counts,
-    enumerate_indices,
     enumeration_for,
     monomial_matrix,
 )
@@ -34,12 +33,12 @@ def brute_order(dim: int, max_degree: int):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_enumeration_matches_brute_force(dim):
     want = brute_order(dim, 6)
-    got = enumerate_indices(dim, len(want))
+    got = GradedEnumeration(dim).prefix(len(want))
     assert got == want
 
 
 def test_order_breaks_ties_lexicographically():
-    assert enumerate_indices(2, 6) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert GradedEnumeration(2).prefix(6) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -68,9 +67,9 @@ def test_degree_prefix_boundaries():
     for dim in (1, 2, 3):
         for s in range(5):
             m = count_at_most(dim, s)
-            prefix = enumerate_indices(dim, m)
+            prefix = GradedEnumeration(dim).prefix(m)
             assert all(sum(k) <= s for k in prefix)
-            extra = enumerate_indices(dim, m + 1)[-1]
+            extra = GradedEnumeration(dim).prefix(m + 1)[-1]
             assert sum(extra) == s + 1
 
 
@@ -79,18 +78,6 @@ def test_enumeration_prefix_is_stable():
     first = list(enum.prefix(6))
     longer = list(enum.prefix(20))
     assert longer[:6] == first
-
-
-def test_degree_of_is_one_based_and_consistent():
-    enum = GradedEnumeration(3)
-    idx = enum.prefix(25)
-    for i, k in enumerate(idx, start=1):
-        assert enum.degree_of(i) == sum(k)
-    # a fresh enumeration generates what it reads; position 0 does not exist
-    fresh = GradedEnumeration(2)
-    assert fresh.degree_of(10) == 3
-    with pytest.raises(ValueError):
-        fresh.degree_of(0)
 
 
 @pytest.mark.parametrize("dim, count", [(1, 61), (2, 45), (3, 84), (20, 231)])
@@ -116,7 +103,7 @@ def test_exponent_array_matches_prefix():
     arr = enum.exponents(10)
     assert arr.shape == (10, 2)
     assert [tuple(r) for r in arr] == enum.prefix(10)
-    assert arr.sum(axis=1).tolist() == [enum.degree_of(i) for i in range(1, 11)]
+    assert arr.sum(axis=1).tolist() == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_exponent_array_is_cached_read_only():
@@ -150,7 +137,7 @@ def test_monomial_conventions():
 
 def test_monomial_matrix_agrees_with_scalar_monomials():
     pts = np.array([[0.5 + 0.1j, -0.3], [1.0, 2.0], [0.0, 0.0]], dtype=complex)
-    exps = np.array(enumerate_indices(2, 6), dtype=np.int64)
+    exps = np.array(GradedEnumeration(2).prefix(6), dtype=np.int64)
     mat = monomial_matrix(pts, exps)
     assert mat.shape == (6, 3)
     for a, k in enumerate(exps):
@@ -245,7 +232,7 @@ def test_rejects_bad_dimension():
     with pytest.raises(ValueError):
         GradedEnumeration(0)
     with pytest.raises(ValueError):
-        enumerate_indices(-1, 3)
+        GradedEnumeration(-1)
     with pytest.raises(ValueError):
         GradedEnumeration(2).prefix(0)
 

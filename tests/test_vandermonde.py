@@ -34,7 +34,7 @@ from polyalab.vandermonde import (
     vdm_logabs_batch,
 )
 
-from boxes import box, set_id
+from boxes import SampledFiniteSet, box, set_id
 from brute_force_oracles import greedy_line_start, vdm_value
 import per_point_oracles
 from per_point_oracles import (
@@ -206,7 +206,7 @@ def test_single_point_configuration():
 
 
 def test_finite_set_brute_force():
-    fset = FiniteSet(((0.0,), (0.5,), (1.0,)))
+    fset = SampledFiniteSet(((0.0,), (0.5,), (1.0,)))
     found = fekete_search(fset, 2, SearchStrategy(restarts=2, pool_size=16), seed=0)
     # best pair is {0, 1} at distance 1
     assert found.log_abs == pytest.approx(0.0, abs=1e-12)
@@ -266,7 +266,7 @@ EXCHANGE_SETS = [
     Circle(0.5 + 0.5j, 2.0),
     Disk(0.0, 1.5),
     # atoms drawn into the pool repeat, and may equal a current point
-    FiniteSet(tuple((v,) for v in np.linspace(-1.0, 2.0, 9))),
+    SampledFiniteSet(tuple((v,) for v in np.linspace(-1.0, 2.0, 9))),
     box(((-1.0, 1.0), (-1.0, 1.0))),
     ProductSet((Circle(0.0, 1.0), Interval(-1.0, 1.0))),
 ]
@@ -604,7 +604,7 @@ def test_search_that_stays_singular_runs_every_pass():
     # to -inf, a gain of nan, which is not below the tolerance, so no
     # restart stops early
     strategy = SearchStrategy(pool_size=16, restarts=2, exchange_passes=3, refine_levels=2)
-    two_atoms = FiniteSet(((0.0,), (1.0,)))
+    two_atoms = SampledFiniteSet(((0.0,), (1.0,)))
     got = fekete_search(two_atoms, 3, strategy, seed=1)
     want = per_point_oracles.fekete_search(two_atoms, 3, strategy, 1)
     assert got.trace == want.trace == (-math.inf,) * 6
